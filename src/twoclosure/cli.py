@@ -17,7 +17,7 @@ from .catalog import family_syntax_examples, parse_family, realize
 from .classify import certificate_summary, classify_nilpotent, not_two_closed_witness
 from .errors import CycleParseError, InternalDefect, PreconditionError
 from .group import PermGroup
-from .orbital import is_two_closed_on, orbital_partition, two_closure
+from .orbital import CLOSURE_DEGREE_GUARD, _missing_generator, orbital_partition, two_closure
 from .perm import parse_cycles
 from .verify import SUITES
 
@@ -44,7 +44,7 @@ def parse_group_document(text: str, source: str = "<input>") -> tuple[PermGroup,
     if not isinstance(document, dict):
         raise PreconditionError(f"{source}: expected an object with degree and generators")
     degree = document.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise PreconditionError(f"{source}: degree must be a positive integer")
     raw_generators = document.get("generators", [])
     if not isinstance(raw_generators, list) or not all(isinstance(s, str) for s in raw_generators):
@@ -77,15 +77,19 @@ def _load_group(args) -> tuple[PermGroup, dict]:
         }
         return group, echo
     path = args.input
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_group_document(handle.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"{path}: cannot read the group spec: {exc}") from exc
+    return parse_group_document(text, source=path)
 
 
 def _cmd_closure(args) -> dict:
     group, echo = _load_group(args)
     partition = orbital_partition(group)
     closure = two_closure(group)
-    closed, witness = is_two_closed_on(group)
+    witness = _missing_generator(group, closure)
     return {
         "command": "closure",
         "input": echo,
@@ -94,7 +98,7 @@ def _cmd_closure(args) -> dict:
             "order": group.order,
             "rank": partition.rank,
             "closure_order": closure.order,
-            "closed": closed,
+            "closed": witness is None,
             "witness": witness.cycle_string() if witness is not None else None,
             "closure_generators": [g.cycle_string() for g in closure.strong_generators],
         },
@@ -172,6 +176,18 @@ def _cmd_catalog(args) -> dict:
     }
 
 
+def _max_degree(text: str) -> int:
+    # The axioms suite samples degrees from 3..max_degree and computes each
+    # sample's closure, which the closure search guard allows up to its limit.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 3 <= value <= CLOSURE_DEGREE_GUARD:
+        raise argparse.ArgumentTypeError(f"must be between 3 and {CLOSURE_DEGREE_GUARD}, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="twoclosure", description="2-closure computations for finite permutation groups")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -192,7 +208,7 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run a property suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--max-degree", type=int, default=7, dest="max_degree")
+    verify.add_argument("--max-degree", type=_max_degree, default=7, dest="max_degree")
     verify.add_argument("--seed", type=int, default=7)
     verify.set_defaults(handler=_cmd_verify)
 
@@ -223,9 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         _emit(exc.report, started)
         return 3
     except PreconditionError as exc:
-        _emit({"command": args.subcommand, "error": {"kind": "precondition", "message": str(exc)}}, started)
-        return 2
-    except FileNotFoundError as exc:
         _emit({"command": args.subcommand, "error": {"kind": "precondition", "message": str(exc)}}, started)
         return 2
     except InternalDefect as exc:

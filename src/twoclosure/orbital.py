@@ -9,7 +9,9 @@ a group runs a backtracking search over point images and is guarded by degree.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -24,9 +26,10 @@ class OrbitalPartition:
     """Coloring of ordered point pairs by the orbits of a group.
 
     Color ids are assigned in order of first appearance scanning pairs
-    lexicographically, so equal partitions have equal color tables.  The BFS
-    back-pointers let transporter elements (a group element mapping the class
-    representative to a given pair) be rebuilt on demand.
+    lexicographically, so equal partitions have equal color tables.  The
+    breadth-first back-pointers spell a shortest generator word from the class
+    representative to each pair; the transporter table built from them on
+    first use holds the group element of every word.
     """
 
     degree: int
@@ -40,17 +43,45 @@ class OrbitalPartition:
     def color_of(self, a: int, b: int) -> int:
         return self.colors[a * self.degree + b]
 
+    @cached_property
+    def _transporters(self) -> tuple[list[int], list[Permutation]]:
+        """Per flat pair, an index into a list of distinct transporter elements.
+
+        The transporter of a pair is its parent's transporter times the
+        generator on the back-pointer.  Products are memoized on (parent
+        element, generator) and interned by image tuple, so the table costs at
+        most |distinct transporters| x |generators| products.
+        """
+        n = self.degree
+        elements = [identity(n)]
+        interned = {elements[0].images: 0}
+        products: dict[tuple[int, int], int] = {}
+        index = [-1] * (n * n)
+        for flat in range(n * n):
+            path = []
+            top = flat
+            while index[top] < 0 and self.parent_pair[top] >= 0:
+                path.append(top)
+                top = self.parent_pair[top]
+            if index[top] < 0:
+                index[top] = 0
+            current = index[top]
+            for pair in reversed(path):
+                key = (current, self.parent_gen[pair])
+                found = products.get(key)
+                if found is None:
+                    g = elements[current] * self.generators[key[1]]
+                    found = interned.setdefault(g.images, len(elements))
+                    if found == len(elements):
+                        elements.append(g)
+                    products[key] = found
+                index[pair] = current = found
+        return index, elements
+
     def transporter_from_representative(self, a: int, b: int) -> Permutation:
-        """A generator word g with representative(color(a,b))^g = (a,b)."""
-        path = []
-        flat = a * self.degree + b
-        while self.parent_pair[flat] >= 0:
-            path.append(self.parent_gen[flat])
-            flat = self.parent_pair[flat]
-        g = identity(self.degree)
-        for gi in reversed(path):
-            g = g * self.generators[gi]
-        return g
+        """The element g of a shortest generator word with representative(color(a,b))^g = (a,b)."""
+        index, elements = self._transporters
+        return elements[index[a * self.degree + b]]
 
     def transporter(self, source: tuple[int, int], target: tuple[int, int]) -> Permutation:
         """A group element mapping the source pair to the target pair."""
@@ -76,9 +107,9 @@ def orbital_partition(group: PermGroup) -> OrbitalPartition:
             continue
         colors[seed] = rank
         representatives.append(divmod(seed, n))
-        queue = [seed]
+        queue = deque([seed])
         while queue:
-            flat = queue.pop()
+            flat = queue.popleft()
             a, b = divmod(flat, n)
             for gi, g in enumerate(gens):
                 image = g.images[a] * n + g.images[b]
@@ -128,15 +159,37 @@ class MembershipEvidence:
 
 
 def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> MembershipEvidence:
-    """For every ordered pair, a group element moving it exactly as theta does."""
+    """For every ordered pair, a group element moving it exactly as theta does.
+
+    The element for (a,b) is transporter(a,b)^-1 * transporter(theta(a),theta(b)).
+    It is computed once per pair of transporter-table indices and interned by
+    image tuple, so pairs share at most |G| distinct evidence objects.
+    """
     n = partition.degree
     if theta.degree != n:
         raise PreconditionError("degree mismatch")
+    colors = partition.colors
+    index, elements = partition._transporters
     img = theta.images
+    inverses: dict[int, Permutation] = {}
+    by_indices: dict[tuple[int, int], Permutation] = {}
+    interned: dict[tuple[int, ...], Permutation] = {}
     assignments = {}
     for a in range(n):
         for b in range(n):
-            assignments[(a, b)] = partition.transporter((a, b), (img[a], img[b]))
+            source = a * n + b
+            target = img[a] * n + img[b]
+            if colors[source] != colors[target]:
+                raise PreconditionError("pairs lie in different color classes")
+            key = (index[source], index[target])
+            g = by_indices.get(key)
+            if g is None:
+                inverse = inverses.get(key[0])
+                if inverse is None:
+                    inverse = inverses[key[0]] = elements[key[0]].inverse()
+                g = inverse * elements[key[1]]
+                g = by_indices[key] = interned.setdefault(g.images, g)
+            assignments[(a, b)] = g
     return MembershipEvidence(assignments)
 
 
@@ -250,16 +303,22 @@ def two_closure(group: PermGroup) -> PermGroup:
     return closure
 
 
+def _missing_generator(group: PermGroup, closure: PermGroup) -> Permutation | None:
+    """The first canonical strong generator of the closure outside the group,
+    or None when the closure equals the group."""
+    if closure.order == group.order:
+        return None
+    for g in closure.strong_generators:
+        if not group.contains(g):
+            return g
+    raise InternalDefect("closure is larger but no missing strong generator was found")
+
+
 def is_two_closed_on(group: PermGroup) -> tuple[bool, Permutation | None]:
     """Whether the group equals its 2-closure on its point set.
 
     When it does not, returns the first canonical strong generator of the
     closure that fails membership in the group.
     """
-    closure = two_closure(group)
-    if closure.order == group.order:
-        return True, None
-    for g in closure.strong_generators:
-        if not group.contains(g):
-            return False, g
-    raise InternalDefect("closure is larger but no missing strong generator was found")
+    witness = _missing_generator(group, two_closure(group))
+    return witness is None, witness

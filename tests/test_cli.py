@@ -33,6 +33,8 @@ def test_parse_group_document_examples():
         parse_group_document(json.dumps({"degree": -2, "generators": []}))
     with pytest.raises(PreconditionError, match="JSON"):
         parse_group_document("{nope")
+    with pytest.raises(PreconditionError, match="degree"):
+        parse_group_document(json.dumps({"degree": True, "generators": []}))
 
 
 def test_closure_command(tmp_path, capsys):
@@ -108,6 +110,24 @@ def test_exit_codes(tmp_path, capsys):
     assert "column" in report["error"]["message"]
     code, _ = run_cli(capsys, "closure", "-i", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_unreadable_inputs_are_precondition_errors(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"degree": 3, "name": "caf\xe9", "generators": []}')
+    boolean = write_spec(tmp_path, {"degree": True, "generators": []})
+    for path in (str(tmp_path), str(undecodable), boolean):
+        code, report = run_cli(capsys, "closure", "-i", path)
+        assert code == 2
+        assert report["error"]["kind"] == "precondition"
+
+
+def test_verify_max_degree_range_is_a_usage_error(capsys):
+    for value in ("0", "2", "33", "seven"):
+        assert main(["verify", "--suite", "lemmas", "--max-degree", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-degree" in captured.err
 
 
 def test_catalog_list(capsys):

@@ -66,14 +66,66 @@ def test_partition_structure():
         assert min(pairs) == rep
 
 
+def bfs_distances(group, representative):
+    """Generator-word distance from a representative to every pair of its orbit."""
+    distance = {representative: 0}
+    frontier = [representative]
+    while frontier:
+        fresh = []
+        for a, b in frontier:
+            for g in group.strong_generators:
+                image = (g.images[a], g.images[b])
+                if image not in distance:
+                    distance[image] = distance[(a, b)] + 1
+                    fresh.append(image)
+        frontier = fresh
+    return distance
+
+
 def test_transporters_map_representatives():
-    partition = orbital_partition(remark_group())
+    """Each transporter maps its class representative to the pair, along a
+    shortest generator word, and equal elements are stored once."""
+    for group in [remark_group()] + [realize_name(f) for f in ("D16", "Q8xC2", "E27", "C2xC4xC3")]:
+        check_transporter_table(group)
+
+
+def check_transporter_table(group):
+    partition = orbital_partition(group)
     n = partition.degree
+    distance = {}
+    for rep in partition.representatives:
+        distance.update(bfs_distances(group, rep))
     for a in range(n):
         for b in range(n):
             rep = partition.representatives[partition.color_of(a, b)]
             g = partition.transporter_from_representative(a, b)
             assert (g.images[rep[0]], g.images[rep[1]]) == (a, b)
+            assert group.contains(g)
+            word = 0
+            flat = a * n + b
+            while partition.parent_pair[flat] >= 0:
+                flat = partition.parent_pair[flat]
+                word += 1
+            assert flat == rep[0] * n + rep[1]
+            assert word == distance[(a, b)]
+    # every distinct transporter is built once: at most |G| objects
+    table = {id(partition.transporter_from_representative(a, b)) for a in range(n) for b in range(n)}
+    assert len(table) <= group.order
+
+
+def test_transporter_maps_source_to_target():
+    group = realize_name("D16")
+    partition = orbital_partition(group)
+    n = partition.degree
+    for source in [(0, 1), (2, 5), (3, 3)]:
+        for a in range(n):
+            for b in range(n):
+                if partition.color_of(a, b) != partition.color_of(*source):
+                    continue
+                g = partition.transporter(source, (a, b))
+                assert (g.images[source[0]], g.images[source[1]]) == (a, b)
+    with pytest.raises(PreconditionError):
+        partition.transporter((0, 0), (0, 1))
 
 
 def test_two_equivalent_examples():
@@ -106,6 +158,7 @@ def test_membership_evidence_is_checkable():
     for (a, b), g in evidence.assignments.items():
         assert group.contains(g)
         assert g.images[a] == theta.images[a] and g.images[b] == theta.images[b]
+    assert len({id(g) for g in evidence.assignments.values()}) <= group.order
     with pytest.raises(PreconditionError):
         membership_evidence(parse_cycles("(1,3)", 6), partition)
 

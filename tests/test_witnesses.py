@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from twoclosure.actions import disjoint_union_action
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.errors import PreconditionError
 from twoclosure.group import build_group, center, is_cyclic, sylow_decomposition
-from twoclosure.orbital import two_closure
+from twoclosure.perm import identity
+from twoclosure.orbital import MembershipEvidence, two_closure
 from twoclosure.witnesses import (
     WitnessCertificate,
     abelian_basis,
@@ -22,6 +25,8 @@ def assert_valid(cert: WitnessCertificate):
     assert check_certificate(cert) == []
     assert not cert.group.contains(cert.witness)
     assert len(cert.evidence.assignments) == cert.group.degree**2
+    # evidence elements are interned: pairs share at most |G| distinct objects
+    assert len({id(g) for g in cert.evidence.assignments.values()}) <= cert.group.order
 
 
 def test_abelian_basis_and_coordinates():
@@ -237,3 +242,27 @@ def test_certificates_survive_disjoint_union_transport():
     union = disjoint_union_action([inner.group, realize_name("C3")])
     closure = two_closure(union.group)
     assert closure.order > union.group.order
+
+
+def test_check_certificate_reports_tampered_evidence():
+    cert = center_witness(realize_name("Q8xC2"))
+    theta = cert.witness
+    moved = theta.min_moved()
+    pair = (moved, moved)
+
+    def tampered(element):
+        """Problems found once `pair` is given `element`, or dropped for None."""
+        assignments = dict(cert.evidence.assignments)
+        if element is None:
+            del assignments[pair]
+        else:
+            assignments[pair] = element
+        return check_certificate(dataclasses.replace(cert, evidence=MembershipEvidence(assignments)))
+
+    assert tampered(None) == ["evidence does not cover every ordered pair"]
+    # theta moves the pair exactly as theta does, but is outside the group
+    assert tampered(theta) == [f"evidence element for pair ({moved + 1},{moved + 1}) is outside the group"]
+    # the identity is in the group but fixes a pair that theta moves
+    assert tampered(identity(theta.degree)) == [
+        f"evidence element for pair ({moved + 1},{moved + 1}) moves it differently"
+    ]
