@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from .actions import coset_action, disjoint_union_action
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import (
+    INDEX_GUARD,
     PermGroup,
     SubgroupHandle,
     core,
-    intersection_elements,
     is_normal,
+    mask_indices,
     prime_factorization,
 )
-from .perm import Permutation, from_cycles, identity
+from .perm import Permutation, from_cycles
 
-LATTICE_GUARD = 256
+# The lattice is computed on the element index, so it shares its guard.
+LATTICE_GUARD = INDEX_GUARD
 
 
 @dataclass(frozen=True)
@@ -215,63 +217,44 @@ def realize_name(text: str) -> PermGroup:
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
-def _generated_by(gens: tuple[Permutation, ...], degree: int) -> frozenset[Permutation]:
-    closed = {identity(degree)}
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in closed:
-                    closed.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(closed)
-
-
 def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
-    """Every subgroup, found by pairwise joins of cyclic subgroups to a fixpoint.
+    """Every subgroup, found by cyclic extension on the group's element index.
+
+    Subgroups are bitmasks over the element index.  The first round holds the
+    cyclic subgroups; each later round joins every subgroup new in the round
+    before with each cyclic subgroup it does not contain (Neubüser's cyclic
+    extension), until a round finds nothing new.  Every subgroup is generated
+    by cyclic subgroups, so all are reached.  A join is the closure of the two
+    generator lists under the right-regular table.
 
     Each handle carries its normality flag and core; the list is sorted by
-    order and then by canonical element list.  A small generating set is kept
-    per subgroup so joins do not pay for full element-set closures.
+    order and then by canonical element list, which is the order of element
+    indices.
     """
     if group.order > LATTICE_GUARD:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
-    degree = group.degree
-    ident = identity(degree)
-    gens_of: dict[frozenset[Permutation], tuple[Permutation, ...]] = {frozenset({ident}): ()}
-    for g in group.elements():
-        if g.is_identity():
-            continue
-        powers = {ident}
-        h = g
-        while h != ident:
-            powers.add(h)
-            h = h * g
-        gens_of.setdefault(frozenset(powers), (g,))
-    worklist = list(gens_of)
+    table = group._element_index()
+    gens_of: dict[int, tuple[int, ...]] = {1: ()}  # bit 0 alone: the trivial subgroup
+    for x in range(1, group.order):
+        gens_of.setdefault(table.closure((x,)), (x,))
+    cyclic = [(mask, gens[0]) for mask, gens in gens_of.items() if gens]
+    worklist = [mask for mask, _ in cyclic]
     while worklist:
-        fresh: list[frozenset[Permutation]] = []
+        fresh = []
         for a in worklist:
-            for b in list(gens_of):
-                if a <= b or b <= a:
+            for c, x in cyclic:
+                if a & c == c:
                     continue
-                seed = tuple(dict.fromkeys(gens_of[a] + gens_of[b]))
-                joined = _generated_by(seed, degree)
+                seed = gens_of[a] + (x,)
+                joined = table.closure(seed)
                 if joined not in gens_of:
                     gens_of[joined] = seed
                     fresh.append(joined)
         worklist = fresh
-    subgroups = set(gens_of)
-
-    def canonical_key(elements: frozenset[Permutation]):
-        return (len(elements), tuple(sorted(g.images for g in elements)))
 
     handles = []
-    for elements in sorted(subgroups, key=canonical_key):
-        sub = PermGroup(degree, tuple(sorted(elements)))
+    for mask in sorted(gens_of, key=lambda m: (m.bit_count(), mask_indices(m))):
+        sub = PermGroup(group.degree, table.elements_of(mask))
         handles.append(
             SubgroupHandle(
                 parent=group,
@@ -300,13 +283,16 @@ class RepresentationSample:
     entries: tuple[RepresentationEntry, ...]
 
 
-def _conjugacy_canonical(group: PermGroup, elements: frozenset[Permutation]):
-    best = None
-    for g in group.elements():
-        conj = tuple(sorted((h.conjugated_by(g)).images for h in elements))
-        if best is None or conj < best:
-            best = conj
-    return best
+def _conjugacy_key(conjugations: list[list[int]], masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple.
+
+    Two sets of subgroups get the same key exactly when one element conjugates
+    the first onto the second.
+    """
+    return min(
+        tuple(sorted(sum(1 << conj[i] for i in mask_indices(mask)) for mask in masks))
+        for conj in conjugations
+    )
 
 
 def faithful_representations(group: PermGroup, max_degree: int) -> RepresentationSample:
@@ -318,14 +304,18 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
     sets.
     """
     lattice = subgroup_lattice(group)
+    table = group._element_index()
+    conjugations = table.conjugations()
+    masks = [table.mask(handle.group) for handle in lattice]
+    core_masks = [table.mask(handle.core) for handle in lattice]
     entries: list[RepresentationEntry] = []
 
     seen_single = set()
-    for handle in lattice:
+    for handle, mask in zip(lattice, masks):
         index = group.order // handle.group.order
         if handle.core.order != 1 or index > max_degree:
             continue
-        canon = _conjugacy_canonical(group, frozenset(handle.group.elements()))
+        canon = _conjugacy_key(conjugations, (mask,))
         if canon in seen_single:
             continue
         seen_single.add(canon)
@@ -337,25 +327,15 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
         index1 = group.order // h1.group.order
         if index1 > max_degree:
             continue
-        for h2 in lattice[i:]:
+        for j, h2 in enumerate(lattice[i:], start=i):
             index2 = group.order // h2.group.order
             if index1 + index2 > max_degree:
                 continue
             if index1 == 1 and index2 == 1:
                 continue  # two copies of the one-point action say nothing
-            if len(intersection_elements(h1.core, h2.core)) != 1:
-                continue
-            canon = None
-            best = None
-            set1 = frozenset(h1.group.elements())
-            set2 = frozenset(h2.group.elements())
-            for g in group.elements():
-                c1 = tuple(sorted((x.conjugated_by(g)).images for x in set1))
-                c2 = tuple(sorted((x.conjugated_by(g)).images for x in set2))
-                key = tuple(sorted((c1, c2)))
-                if best is None or key < best:
-                    best = key
-            canon = best
+            if core_masks[i] & core_masks[j] != 1:
+                continue  # the cores share more than the identity (index 0)
+            canon = _conjugacy_key(conjugations, (masks[i], masks[j]))
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)

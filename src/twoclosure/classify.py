@@ -76,9 +76,9 @@ def _abelian_p_exponents(group: PermGroup, p: int) -> list[int]:
     return sorted(exponents)
 
 
-def _first_normal_elementary(group: PermGroup, p: int) -> PermGroup | None:
+def _first_normal_elementary(lattice: list[SubgroupHandle], p: int) -> PermGroup | None:
     """First normal, noncyclic subgroup of order p^2 and exponent p."""
-    for handle in subgroup_lattice(group):
+    for handle in lattice:
         sub = handle.group
         if (
             handle.normal
@@ -89,19 +89,22 @@ def _first_normal_elementary(group: PermGroup, p: int) -> PermGroup | None:
     return None
 
 
-def _first_split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup] | None:
+def _first_split_pair(
+    group: PermGroup, lattice: list[SubgroupHandle]
+) -> tuple[PermGroup, PermGroup] | None:
     """First (normal part, abelian core-free complement) splitting of the group."""
-    lattice = subgroup_lattice(group)
-    for h in lattice:
+    table = group._element_index()
+    masks = [table.mask(handle.group) for handle in lattice]
+    for h, h_mask in zip(lattice, masks):
         if h.group.order == 1 or h.group.order == group.order:
             continue
         if not h.group.is_abelian() or h.core.order != 1:
             continue
-        for m in lattice:
+        for m, m_mask in zip(lattice, masks):
             if not m.normal or m.group.order * h.group.order != group.order:
                 continue
-            if len(intersection_elements(m.group, h.group)) != 1:
-                continue
+            if m_mask & h_mask != 1:
+                continue  # the parts share more than the identity (index 0)
             return m.group, h.group
     return None
 
@@ -137,17 +140,18 @@ def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
         if p == 2:
             if is_generalized_quaternion(part):
                 continue
-            four_subgroup = _first_normal_elementary(part, 2)
+            lattice = subgroup_lattice(part)
+            four_subgroup = _first_normal_elementary(lattice, 2)
             if four_subgroup is not None:
                 return two_group_witness(part, four_subgroup)
-            split = _first_split_pair(part)
+            split = _first_split_pair(part, lattice)
             if split is not None:
                 return semidirect_witness(part, split[0], split[1])
             raise InternalDefect(
                 "2-group is neither cyclic nor quaternion yet no construction applies"
             )
         else:
-            pp_subgroup = _first_normal_elementary(part, p)
+            pp_subgroup = _first_normal_elementary(subgroup_lattice(part), p)
             if pp_subgroup is not None:
                 return odd_p_witness(part, pp_subgroup)
             raise InternalDefect(

@@ -27,6 +27,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: tuple[str, ...] = ()  # the subcommand names, set on the top-level parser
+
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
         raise UsageError(message)
 
@@ -216,6 +218,7 @@ def build_parser() -> _Parser:
     catalog.add_argument("--list", action="store_true")
     catalog.set_defaults(handler=_cmd_catalog)
 
+    parser.commands = tuple(sub.choices)
     return parser
 
 
@@ -232,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
+        words = sys.argv[1:] if argv is None else argv
+        command = words[0] if words and words[0] in parser.commands else None
+        _emit({"command": command, "error": {"kind": "usage", "message": str(exc)}}, started)
         return 1
     try:
         report = args.handler(args)

@@ -16,6 +16,8 @@ from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .perm import Permutation, identity
 
 ENUMERATION_GUARD = 20000
+# Largest order whose element index keeps a full right-regular table (N² ints).
+INDEX_GUARD = 256
 
 
 class _Level:
@@ -120,6 +122,86 @@ class _Chain:
             i = deposited if deposited is not None else i - 1
 
 
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of a subset mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class _ElementIndex:
+    """A small group's elements as indices 0..N-1 in canonical order.
+
+    Index 0 is the identity.  `cols[g][x]` is the index of x*g, so the columns
+    form the full right-regular table.  Subsets of the group are int masks with
+    bit i standing for element i; since indices follow the canonical order,
+    increasing indices list a subset's elements in sorted order.
+    """
+
+    __slots__ = ("elements", "position", "cols")
+
+    def __init__(self, elements: tuple[Permutation, ...], strong_generators: tuple[Permutation, ...]) -> None:
+        self.elements = elements
+        self.position = {g.images: i for i, g in enumerate(elements)}
+        n = len(elements)
+        gen_cols = [
+            [self.position[tuple(s.images[p] for p in g.images)] for g in elements]
+            for s in strong_generators
+        ]
+        # col(g*s) is col(g) followed by col(s): a BFS from the identity fills
+        # every column with int lookups alone.
+        cols: list[list[int] | None] = [None] * n
+        cols[0] = list(range(n))
+        queue = deque([0])
+        while queue:
+            g = queue.popleft()
+            for col_s in gen_cols:
+                h = col_s[g]
+                if cols[h] is None:
+                    cols[h] = [col_s[x] for x in cols[g]]
+                    queue.append(h)
+        self.cols: list[list[int]] = cols
+
+    def mask(self, group: PermGroup) -> int:
+        """Mask of a subgroup given as a group on the same points."""
+        position = self.position
+        out = 0
+        for g in group.elements():
+            out |= 1 << position[g.images]
+        return out
+
+    def elements_of(self, mask: int) -> tuple[Permutation, ...]:
+        return tuple(self.elements[i] for i in mask_indices(mask))
+
+    def closure(self, gens: tuple[int, ...]) -> int:
+        """Mask of the subgroup generated by the given element indices."""
+        cols = [self.cols[g] for g in gens]
+        mask = 1
+        frontier = [0]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for col in cols:
+                    y = col[x]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        fresh.append(y)
+            frontier = fresh
+        return mask
+
+    def conjugations(self) -> list[list[int]]:
+        """For each element g, the map on indices h -> index(g^-1 * h * g)."""
+        cols = self.cols
+        out = []
+        for col_g in cols:
+            g_inverse = col_g.index(0)
+            out.append([col_g[col_h[g_inverse]] for col_h in cols])
+        return out
+
+
 class PermGroup:
     """Immutable permutation group of fixed degree given by generators."""
 
@@ -140,6 +222,7 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._center: PermGroup | None = None
         self._is_cyclic: bool | None = None
+        self._index: _ElementIndex | None = None
 
     @property
     def strong_generators(self) -> tuple[Permutation, ...]:
@@ -174,6 +257,14 @@ class PermGroup:
                 raise InternalDefect("element enumeration disagrees with chain order")
             self._elements = tuple(sorted(elems))
         return self._elements
+
+    def _element_index(self) -> _ElementIndex:
+        """The group's elements as indices 0..N-1 in canonical order; guarded."""
+        if self._index is None:
+            if self.order > INDEX_GUARD:
+                raise GuardExceeded(f"group order {self.order} exceeds the element index guard ({INDEX_GUARD})")
+            self._index = _ElementIndex(self.elements(), self.strong_generators)
+        return self._index
 
     def is_trivial(self) -> bool:
         return self.order == 1

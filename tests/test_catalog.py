@@ -9,7 +9,7 @@ from twoclosure.catalog import (
     subgroup_lattice,
 )
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import center, is_cyclic, order_profile, trivial_group
+from twoclosure.group import center, core, is_cyclic, is_normal, order_profile, trivial_group
 
 
 def test_parse_family_syntax():
@@ -77,6 +77,52 @@ def test_subgroup_lattice_matches_brute_force():
                 brute.add(frozenset(mulclose(group.degree, combo)))
         lattice = {frozenset(h.group.elements()) for h in subgroup_lattice(group)}
         assert lattice == brute
+
+
+def _divisor_count_and_sum(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors), sum(divisors)
+
+
+def _gaussian_binomial_2(k, j):
+    numerator = denominator = 1
+    for i in range(j):
+        numerator *= 2 ** (k - i) - 1
+        denominator *= 2 ** (i + 1) - 1
+    return numerator // denominator
+
+
+def test_subgroup_lattice_counts_match_closed_formulas():
+    # D_2n has tau(n) + sigma(n) subgroups: one cyclic <r^(n/d)> and n/d
+    # dihedral ones per divisor d of n.  C2^k has sum_j [k, j]_2 subgroups,
+    # one per subspace of F_2^k.
+    for n, expected in ((8, 19), (12, 34), (32, 69)):
+        tau, sigma = _divisor_count_and_sum(n)
+        assert tau + sigma == expected
+        assert len(subgroup_lattice(realize_name(f"D{2 * n}"))) == expected
+    for k, expected in ((3, 16), (4, 67)):
+        assert sum(_gaussian_binomial_2(k, j) for j in range(k + 1)) == expected
+        assert len(subgroup_lattice(realize(abelian(2, (1,) * k)))) == expected
+
+
+def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():
+    for name in ("D16", "Q16", "E27", "D8xC3"):
+        group = realize_name(name)
+        elements = group.elements()
+        lattice = subgroup_lattice(group)
+        seen = set()
+        for handle in lattice:
+            members = set(handle.group.elements())
+            assert all(x * y in members for x in members for y in members), name
+            assert all(group.contains(x) for x in members), name
+            conjugates = [{x.conjugated_by(g) for x in members} for g in elements]
+            brute_core = set.intersection(*conjugates)
+            assert handle.normal == all(c == members for c in conjugates), name
+            assert set(handle.core.elements()) == brute_core, name
+            assert handle.normal == is_normal(group, handle.group), name
+            assert handle.core.same_group(core(group, handle.group)), name
+            seen.add(frozenset(members))
+        assert len(seen) == len(lattice), name
 
 
 def test_subgroup_lattice_guard():

@@ -100,8 +100,9 @@ def test_verify_command(capsys):
 
 
 def test_exit_codes(tmp_path, capsys):
-    code, _ = run_cli(capsys, "nonsense")
+    code, report = run_cli(capsys, "nonsense")
     assert code == 1
+    assert report["command"] is None and report["error"]["kind"] == "usage"
     code, report = run_cli(capsys, "classify", "--family", "Z99")
     assert code == 2
     path = write_spec(tmp_path, {"degree": 4, "generators": ["(1,2,5)"]})
@@ -126,7 +127,11 @@ def test_verify_max_degree_range_is_a_usage_error(capsys):
     for value in ("0", "2", "33", "seven"):
         assert main(["verify", "--suite", "lemmas", "--max-degree", value]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        report = json.loads(captured.out)
+        assert report["command"] == "verify"
+        assert report["error"]["kind"] == "usage"
+        assert "--max-degree" in report["error"]["message"]
+        assert "results" not in report
         assert "--max-degree" in captured.err
 
 

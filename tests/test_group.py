@@ -169,3 +169,25 @@ def test_is_cyclic():
     assert is_cyclic(PermGroup(1, ()))
     assert not is_cyclic(realize_name("C2xC2"))
     assert not is_cyclic(realize_name("Q8"))
+
+
+def test_element_index_matches_permutation_products():
+    for name in ("D8", "Q8xC3", "E27"):
+        group = realize_name(name)
+        elements = group.elements()
+        table = group._element_index()
+        assert table.elements == elements and elements[0].is_identity()
+        position = {g: i for i, g in enumerate(elements)}
+        for g, col in zip(elements, table.cols):
+            assert col == [position[x * g] for x in elements]
+        for g, conj in zip(elements, table.conjugations()):
+            assert conj == [position[h.conjugated_by(g)] for h in elements]
+        for g in elements[:6]:
+            mask = table.closure((position[g],))
+            assert set(table.elements_of(mask)) == mulclose(group.degree, (g,))
+        assert table.mask(group) == (1 << group.order) - 1
+
+
+def test_element_index_guard():
+    with pytest.raises(GuardExceeded):
+        realize_name("C257")._element_index()
