@@ -18,6 +18,7 @@ from .group import (
     SubgroupHandle,
     core,
     is_normal,
+    is_prime,
     mask_indices,
     prime_factorization,
 )
@@ -79,7 +80,7 @@ def generalized_quaternion(order: int) -> FamilySpec:
 
 
 def extraspecial_exponent_p(p: int) -> FamilySpec:
-    if p < 3 or any(p % d == 0 for d in range(2, p)):
+    if p < 3 or not is_prime(p):
         raise PreconditionError("extraspecial parameter must be an odd prime")
     return FamilySpec("extraspecial", p**3)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
-from .perm import Permutation, identity
+from .perm import Permutation, _trusted, identity
 
 ENUMERATION_GUARD = 20000
 # Largest order whose element index keeps a full right-regular table (N² ints).
@@ -21,20 +21,36 @@ INDEX_GUARD = 256
 
 
 class _Level:
+    """One level of the chain: its strong generators and, per orbit point p,
+    the image tuple of the inverse of p's transversal element u_p."""
+
     __slots__ = ("gens", "orbit")
 
-    def __init__(self, base: int, ident: Permutation) -> None:
+    def __init__(self, base: int, ident: tuple[int, ...]) -> None:
         self.gens: list[Permutation] = []
-        self.orbit: dict[int, Permutation] = {base: ident}
+        self.orbit: dict[int, tuple[int, ...]] = {base: ident}
+
+
+def _inverse(images: tuple[int, ...], points: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of an image tuple, with its ints taken from `points` (the
+    identity's), so no new int objects are made for points above 256."""
+    inv = list(points)
+    for i, j in zip(points, images):
+        inv[j] = i
+    return tuple(inv)
 
 
 class _Chain:
-    """Mutable stabilizer chain; PermGroup freezes one after construction."""
+    """Mutable stabilizer chain; PermGroup freezes one after construction.
+
+    Sifting and Schreier generators work on raw image tuples; only deposited
+    residues become Permutations.
+    """
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
         self.ident = identity(degree)
-        self.levels = [_Level(b, self.ident) for b in range(degree)]
+        self.levels = [_Level(b, self.ident.images) for b in range(degree)]
 
     def gens_from(self, level: int) -> list[Permutation]:
         out: list[Permutation] = []
@@ -45,22 +61,27 @@ class _Chain:
     def strong_generators(self) -> list[Permutation]:
         return self.gens_from(0)
 
-    def strip(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Sift g through levels >= start; returns (residue, stop level)."""
-        h = g
+    def _sift(self, h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        """Sift image tuple h through levels >= start: h * u_p^-1 at each level
+        that moves its base point to p.  Returns (residue, stop level)."""
+        levels = self.levels
         for l in range(start, self.degree):
-            p = h.images[l]
+            p = h[l]
             if p == l:
                 continue
-            u = self.levels[l].orbit.get(p)
-            if u is None:
+            inv = levels[l].orbit.get(p)
+            if inv is None:
                 return h, l
-            h = h * u.inverse()
+            h = tuple(map(inv.__getitem__, h))
         return h, self.degree
 
+    def strip(self, g: Permutation) -> tuple[Permutation, int]:
+        """Sift g through the whole chain; returns (residue, stop level)."""
+        residue, level = self._sift(g.images, 0)
+        return _trusted(residue), level
+
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self.strip(g)
-        return residue.is_identity()
+        return self._sift(g.images, 0)[0] == self.ident.images
 
     def order(self) -> int:
         n = 1
@@ -70,26 +91,30 @@ class _Chain:
 
     def add(self, g: Permutation) -> bool:
         """Add one generator and restore chain completeness. True if new."""
-        residue, level = self.strip(g)
-        if residue.is_identity():
+        residue, level = self._sift(g.images, 0)
+        if residue == self.ident.images:
             return False
-        self.levels[level].gens.append(residue)
+        self.levels[level].gens.append(_trusted(residue))
         self._sweep(level)
         return True
 
-    def _rebuild_orbit(self, level: int) -> None:
-        gens = self.gens_from(level)
-        orbit = {level: self.ident}
+    def _rebuild_orbit(self, level: int, gens: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+        # Breadth-first: u_q = u_p * s for q = p^s, stored as
+        # u_q^-1 = s^-1 * u_p^-1, whose images are u_p^-1 read along s^-1.
+        points = self.ident.images
+        steps = [(s, _inverse(s, points)) for s in gens]
+        orbit = {level: points}
         queue = deque([level])
         while queue:
             p = queue.popleft()
-            up = orbit[p]
-            for s in gens:
-                q = s.images[p]
+            inv_p = orbit[p]
+            for s, s_inv in steps:
+                q = s[p]
                 if q not in orbit:
-                    orbit[q] = up * s
+                    orbit[q] = tuple(map(inv_p.__getitem__, s_inv))
                     queue.append(q)
         self.levels[level].orbit = orbit
+        return orbit
 
     def _check_level(self, level: int) -> int | None:
         """Rebuild the level orbit, sift its Schreier generators.
@@ -97,19 +122,20 @@ class _Chain:
         Returns the level where a missing residue was deposited, or None if
         the level verified clean.
         """
-        self._rebuild_orbit(level)
-        orbit = self.levels[level].orbit
-        gens = self.gens_from(level)
+        gens = [s.images for s in self.gens_from(level)]
+        orbit = self._rebuild_orbit(level, gens)
+        points = self.ident.images
         for beta in sorted(orbit):
-            u_beta = orbit[beta]
+            u_beta = _inverse(orbit[beta], points)
             for s in gens:
-                u_target = orbit[s.images[beta]]
-                schreier = u_beta * s * u_target.inverse()
-                if schreier.is_identity():
+                # u_beta * s * u_target^-1, with target = beta^s.
+                inv_target = orbit[s[beta]]
+                schreier = tuple(map(inv_target.__getitem__, map(s.__getitem__, u_beta)))
+                if schreier == points:
                     continue
-                residue, stop = self.strip(schreier, level + 1)
-                if not residue.is_identity():
-                    self.levels[stop].gens.append(residue)
+                residue, stop = self._sift(schreier, level + 1)
+                if residue != points:
+                    self.levels[stop].gens.append(_trusted(residue))
                     return stop
         return None
 
@@ -120,6 +146,23 @@ class _Chain:
         while i >= 0:
             deposited = self._check_level(i)
             i = deposited if deposited is not None else i - 1
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Image tuples of all elements: one transversal element per level,
+        deepest level first.  Each transversal element is inverted back from
+        its stored inverse only while its products are formed."""
+        points = self.ident.images
+        elems = [points]
+        for level in range(self.degree - 1, -1, -1):
+            orbit = self.levels[level].orbit
+            if len(orbit) == 1:
+                continue
+            out = []
+            for p in sorted(orbit):
+                u = _inverse(orbit[p], points)
+                out.extend([tuple(map(u.__getitem__, h)) for h in elems])
+            elems = out
+        return elems
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -223,6 +266,7 @@ class PermGroup:
         self._center: PermGroup | None = None
         self._is_cyclic: bool | None = None
         self._index: _ElementIndex | None = None
+        self._partition = None  # orbital.OrbitalPartition, cached by orbital_partition
 
     @property
     def strong_generators(self) -> tuple[Permutation, ...]:
@@ -246,16 +290,11 @@ class PermGroup:
         if self._elements is None:
             if self.order > ENUMERATION_GUARD:
                 raise GuardExceeded(f"group order {self.order} exceeds the enumeration guard")
-            elems = [self._chain.ident]
-            for level in range(self.degree - 1, -1, -1):
-                orbit = self._chain.levels[level].orbit
-                if len(orbit) == 1:
-                    continue
-                transversal = [orbit[p] for p in sorted(orbit)]
-                elems = [h * u for u in transversal for h in elems]
+            elems = self._chain.elements()
             if len(elems) != self.order:
                 raise InternalDefect("element enumeration disagrees with chain order")
-            self._elements = tuple(sorted(elems))
+            elems.sort()
+            self._elements = tuple(map(_trusted, elems))
         return self._elements
 
     def _element_index(self) -> _ElementIndex:
@@ -449,6 +488,10 @@ def prime_factorization(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factorization(n) == {n: 1}
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,9 @@ class OrbitalPartition:
 
 
 def orbital_partition(group: PermGroup) -> OrbitalPartition:
+    """The group's orbital partition, built once and cached on the group."""
+    if group._partition is not None:
+        return group._partition
     n = group.degree
     gens = group.strong_generators
     total = n * n
@@ -119,7 +122,7 @@ def orbital_partition(group: PermGroup) -> OrbitalPartition:
                     parent_gen[image] = gi
                     queue.append(image)
         rank += 1
-    return OrbitalPartition(
+    group._partition = OrbitalPartition(
         degree=n,
         colors=tuple(colors),
         rank=rank,
@@ -128,6 +131,7 @@ def orbital_partition(group: PermGroup) -> OrbitalPartition:
         parent_pair=tuple(parent_pair),
         parent_gen=tuple(parent_gen),
     )
+    return group._partition
 
 
 def two_equivalent(a: PermGroup, b: PermGroup) -> bool:

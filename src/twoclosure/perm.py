@@ -2,6 +2,10 @@
 
 Points are 0-based in memory; every parsed or printed form uses 1-based
 disjoint-cycle notation such as ``(1,2)(3,4)``.
+
+A permutation built from outside data (``Permutation(...)``, ``from_cycles``,
+``parse_cycles``) is checked to be a bijection.  Products, inverses and powers
+of permutations are bijections by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -37,14 +41,13 @@ class Permutation:
         # Left-to-right composition: (p * q) moves a point by p, then by q.
         if other.degree != self.degree:
             raise PreconditionError("degree mismatch")
-        q = other.images
-        return Permutation(tuple(q[i] for i in self.images))
+        return _trusted(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return _trusted(tuple(inv))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -105,8 +108,15 @@ class Permutation:
         return f"Permutation[{self.degree}]{self.cycle_string()}"
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation on images that are a bijection by construction, unchecked."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "images", images)
+    return perm
+
+
 def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
+    return _trusted(tuple(range(degree)))
 
 
 def from_cycles(degree: int, cycles: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> Permutation:

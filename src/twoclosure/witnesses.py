@@ -30,6 +30,7 @@ from .group import (
     intersection_elements,
     is_cyclic,
     is_normal,
+    is_prime,
     prime_factorization,
     sylow_decomposition,
 )
@@ -176,7 +177,7 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
     exponents = tuple(sorted(exponents))
     if len(exponents) < 2:
         raise PreconditionError("a cyclic group needs at least two factors to be noncyclic")
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise PreconditionError("p must be prime")
     if any(k < 1 for k in exponents):
         raise PreconditionError("exponents must be positive")

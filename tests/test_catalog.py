@@ -2,6 +2,7 @@ import pytest
 
 from twoclosure.catalog import (
     abelian,
+    extraspecial_exponent_p,
     faithful_representations,
     parse_family,
     realize,
@@ -20,6 +21,9 @@ def test_parse_family_syntax():
     for bad in ("Z5", "Q6", "D4", "SD8", "E16", ""):
         with pytest.raises(PreconditionError):
             parse_family(bad)
+    for p in (2, 1, 9, 15):
+        with pytest.raises(PreconditionError, match="must be an odd prime"):
+            extraspecial_exponent_p(p)
 
 
 def test_realize_examples():

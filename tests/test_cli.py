@@ -109,6 +109,10 @@ def test_exit_codes(tmp_path, capsys):
     code, report = run_cli(capsys, "closure", "-i", path)
     assert code == 2
     assert "column" in report["error"]["message"]
+    path = write_spec(tmp_path, {"degree": 4, "generators": ["(1,2,1)"]})
+    code, report = run_cli(capsys, "closure", "-i", path)
+    assert code == 2
+    assert "repeated point 1" in report["error"]["message"]
     code, _ = run_cli(capsys, "closure", "-i", str(tmp_path / "missing.json"))
     assert code == 2
 

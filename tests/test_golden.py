@@ -8,8 +8,10 @@ path replay in membership evidence.  The other classify and verify files and
 `representations.json` were recorded before the subgroup lattice moved onto
 the element index; the classify families among them take the semidirect,
 odd-p and two-group routes, and the verify suites and `representations.json`
-pin the faithful representation sampler.  A deliberate change to any of them
-is recorded in CHANGES.md.
+pin the faithful representation sampler.  The `closure_*` files were
+recorded before the orbital partition was cached on its group; their specs
+are in CLOSURE_SPECS.  A deliberate change to any of them is recorded in
+CHANGES.md.
 """
 
 import json
@@ -36,6 +38,14 @@ CASES = [
     ("verify", "lemmas"),
     ("verify", "classification"),
 ]
+# name -> (degree, 1-based cycle generators) of the `closure -i` goldens.
+CLOSURE_SPECS = {
+    "klein-3orbits": (6, ["(1,2)(3,4)", "(3,4)(5,6)"]),
+    "D8": (4, ["(1,2,3,4)", "(1,3)"]),
+    "S4-on-2sets": (6, ["(2,4)(3,5)", "(1,4,6,3)(2,5)"]),
+    "S2wrS3": (6, ["(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"]),
+    "S8": (8, ["(1,2,3,4,5,6,7,8)", "(1,2)"]),
+}
 # (family, max_degree) samples of the faithful representation sampler.
 REPRESENTATION_CASES = [
     ("C12", 16),
@@ -54,6 +64,17 @@ def test_results_match_golden(capsys, command, name):
     assert main([command, option, name]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     expected = (GOLDEN / f"{command}_{name}.json").read_text()
+    assert json.dumps(results, indent=2) + "\n" == expected
+
+
+@pytest.mark.parametrize("name", CLOSURE_SPECS)
+def test_closure_results_match_golden(tmp_path, capsys, name):
+    degree, generators = CLOSURE_SPECS[name]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": name, "degree": degree, "generators": generators}))
+    assert main(["closure", "-i", str(spec)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    expected = (GOLDEN / f"closure_{name}.json").read_text()
     assert json.dumps(results, indent=2) + "\n" == expected
 
 

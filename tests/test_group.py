@@ -14,6 +14,7 @@ from twoclosure.group import (
     core,
     is_cyclic,
     is_normal,
+    is_prime,
     order_and_membership,
     orbits_and_stabilizer,
     sylow_decomposition,
@@ -162,6 +163,11 @@ def test_enumeration_guard():
         s9.elements()
     with pytest.raises(GuardExceeded):
         center(s9)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 300):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
 
 
 def test_is_cyclic():

@@ -44,6 +44,16 @@ def test_rank_matches_brute_force_enumeration():
         assert partition.rank == brute_pair_orbit_count(degree, group.elements())
 
 
+def test_orbital_partition_is_cached_on_its_group():
+    group = remark_group()
+    closure = two_closure(group)
+    partition = orbital_partition(group)
+    assert orbital_partition(group) is partition
+    assert two_closure(group).same_group(closure)
+    assert orbital_partition(group) is partition
+    assert orbital_partition(closure) is not partition
+
+
 def test_partition_structure():
     group = remark_group()
     partition = orbital_partition(group)

@@ -13,6 +13,25 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 0, 1))
     with pytest.raises(PreconditionError):
         Permutation((0, 3))
+    with pytest.raises(PreconditionError, match="not disjoint"):
+        from_cycles(4, [(0, 1), (1, 2)])
+    with pytest.raises(PreconditionError, match="degree mismatch"):
+        identity(3) * identity(4)
+
+
+@given(perms6, perms6, st.integers(-7, 7))
+def test_products_inverses_and_powers_equal_validated_permutations(a, b, n):
+    # They skip the bijection check, so they must still behave exactly like
+    # a Permutation built, and checked, from the same images.
+    derived = [a * b, a.inverse(), a**n, a.conjugated_by(b), identity(6)]
+    for p in derived:
+        checked = Permutation(tuple(p.images))
+        assert p == checked and hash(p) == hash(checked)
+        assert not p < checked and not checked < p
+    checked = [Permutation(tuple(p.images)) for p in derived]
+    assert sorted(derived) == sorted(checked)
+    assert [p.images for p in sorted(derived)] == sorted(p.images for p in derived)
+    assert len(set(derived) | set(checked)) == len(set(checked))
 
 
 def test_composition_is_apply_left_then_right():

@@ -61,8 +61,9 @@ def test_abelian_p_witness_3_11():
 def test_abelian_p_witness_cyclic_rejected():
     with pytest.raises(PreconditionError):
         abelian_p_witness(2, (1,))
-    with pytest.raises(PreconditionError):
-        abelian_p_witness(4, (1, 1))
+    for not_prime in (4, 1, 0, 9):
+        with pytest.raises(PreconditionError, match="p must be prime"):
+            abelian_p_witness(not_prime, (1, 1))
 
 
 def first_normal_four_subgroup(group):
