@@ -3,7 +3,8 @@
 Commands: ``closure``, ``classify``, ``witness``, ``verify``, ``catalog``.
 Every run writes a single JSON document to standard output; the ``results``
 object is deterministic for a fixed input, timings live outside it.  Exit
-codes: 0 success, 1 usage error, 2 precondition error, 3 internal defect.
+codes: 0 success, 1 usage error, 2 precondition error, 3 internal defect
+(any unexpected exception is reported as one).
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ def _load_group(args) -> tuple[PermGroup, dict]:
 
 def _cmd_closure(args) -> dict:
     group, echo = _load_group(args)
-    partition = orbital_partition(group)
+    # two_closure checks the degree guard before it builds the n^2 orbital
+    # partition, which it caches on the group for `rank`.
     closure = two_closure(group)
+    partition = orbital_partition(group)
     witness = _missing_generator(group, closure)
     return {
         "command": "closure",
@@ -249,6 +252,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalDefect as exc:
         _emit({"command": args.subcommand, "error": {"kind": "defect", "message": str(exc)}}, started)
+        return 3
+    except Exception as exc:  # the CLI ends every run in one JSON document
+        message = f"unexpected {type(exc).__name__}: {exc}"
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the frame that raised
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        sys.stderr.write(f"internal defect: {message} ({code.co_filename}:{tb.tb_lineno} in {code.co_name})\n")
+        _emit({"command": args.subcommand, "error": {"kind": "defect", "message": message}}, started)
         return 3
     _emit(report, started)
     return 0

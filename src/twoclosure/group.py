@@ -52,6 +52,21 @@ class _Chain:
         self.ident = identity(degree)
         self.levels = [_Level(b, self.ident.images) for b in range(degree)]
 
+    def copy(self) -> _Chain:
+        """An independent chain in the same state.  Each level's gens list is
+        copied; its orbit dict is shared, which is safe because
+        `_rebuild_orbit` replaces orbit dicts and never mutates them."""
+        out = object.__new__(_Chain)
+        out.degree = self.degree
+        out.ident = self.ident
+        out.levels = []
+        for lv in self.levels:
+            level = object.__new__(_Level)
+            level.gens = list(lv.gens)
+            level.orbit = lv.orbit
+            out.levels.append(level)
+        return out
+
     def gens_from(self, level: int) -> list[Permutation]:
         out: list[Permutation] = []
         for lv in self.levels[level:]:
@@ -119,15 +134,23 @@ class _Chain:
     def _check_level(self, level: int) -> int | None:
         """Rebuild the level orbit, sift its Schreier generators.
 
-        Returns the level where a missing residue was deposited, or None if
-        the level verified clean.
+        Called only when every deeper level is complete, so a Schreier
+        generator that lies in the next stabilizer by construction cannot
+        fail and is not sifted.  Returns the level where a missing residue
+        was deposited, or None if the level verified clean.
         """
+        own = len(self.levels[level].gens)
+        if not own:
+            # Deeper generators fix the base point: the orbit stays {level}.
+            return None
         gens = [s.images for s in self.gens_from(level)]
         orbit = self._rebuild_orbit(level, gens)
         points = self.ident.images
         for beta in sorted(orbit):
             u_beta = _inverse(orbit[beta], points)
-            for s in gens:
+            # At the base point (first in sorted order) a deeper generator's
+            # Schreier generator is itself, already in the next stabilizer.
+            for s in gens if beta != level else gens[:own]:
                 # u_beta * s * u_target^-1, with target = beta^s.
                 inv_target = orbit[s[beta]]
                 schreier = tuple(map(inv_target.__getitem__, map(s.__getitem__, u_beta)))
@@ -255,12 +278,24 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise PreconditionError("degree mismatch among generators")
-        self.degree = degree
-        self.generators = gens
-        self._chain = _Chain(degree)
+        chain = _Chain(degree)
         for g in gens:
-            self._chain.add(g)
-        self.order: int = self._chain.order()
+            chain.add(g)
+        self._init(gens, chain)
+
+    @classmethod
+    def _from_chain(cls, generators: tuple[Permutation, ...], chain: _Chain) -> PermGroup:
+        """Wrap a complete chain, which must be the one that adding
+        `generators` in order to an empty chain builds."""
+        group = cls.__new__(cls)
+        group._init(generators, chain)
+        return group
+
+    def _init(self, generators: tuple[Permutation, ...], chain: _Chain) -> None:
+        self.degree = chain.degree
+        self.generators = generators
+        self._chain = chain
+        self.order: int = chain.order()
         self._strong: tuple[Permutation, ...] | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._center: PermGroup | None = None
@@ -508,18 +543,15 @@ def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
     result.
     """
     elements = _guarded_elements(group)
+    orders = [g.order() for g in elements]
     factors = prime_factorization(group.order)
     sylows: dict[int, PermGroup] = {}
     nilpotent = True
     for p, e in sorted(factors.items()):
         target = p**e
-        p_elements = []
-        for g in elements:
-            o = g.order()
-            while o % p == 0:
-                o //= p
-            if o == 1:
-                p_elements.append(g)
+        # An element order divides the group order, so it is a power of p
+        # exactly when it divides p^e.
+        p_elements = [g for g, o in zip(elements, orders) if target % o == 0]
         if len(p_elements) == target:
             sylows[p] = PermGroup(group.degree, tuple(p_elements))
         else:

@@ -257,20 +257,20 @@ def _extend_automorphism(
     return None
 
 
-def _closure_generators(partition: OrbitalPartition, seed: tuple[Permutation, ...]) -> list[Permutation]:
-    """Generators of the full automorphism group of the pair coloring.
+def _closure_generators(partition: OrbitalPartition, chain: _Chain) -> list[Permutation]:
+    """Generators that extend a group's chain to the full automorphism group
+    of the pair coloring; each one found is added to `chain`.
 
     Works down the fixed base n-1, ..., 0: at each level the pointwise
     stabilizer below is already complete, so one successful search per new
-    orbit point yields a generating set level by level.
+    orbit point yields a generating set level by level.  A basic orbit of a
+    complete chain depends only on the group, so the generators found do not
+    depend on how the chain was built.
     """
     n = partition.degree
     colors = partition.colors
     classes = _signature_classes(colors, n)
-    chain = _Chain(n)
     found: list[Permutation] = []
-    for g in seed:
-        chain.add(g)
     for level in range(n - 2, -1, -1):
         level_class = classes[level]
         for target in range(level + 1, n):
@@ -299,8 +299,12 @@ def two_closure(group: PermGroup) -> PermGroup:
             f"({CLOSURE_DEGREE_GUARD}); definitional membership is still available"
         )
     partition = orbital_partition(group)
-    found = _closure_generators(partition, group.strong_generators)
-    closure = PermGroup(group.degree, group.generators + tuple(found))
+    # The group's chain is the state after adding its generators, so adding
+    # the found generators to a copy builds exactly the chain of
+    # PermGroup(degree, group.generators + found).
+    chain = group._chain.copy()
+    found = _closure_generators(partition, chain)
+    closure = PermGroup._from_chain(group.generators + tuple(found), chain)
     for g in group.generators:
         if not closure.contains(g):
             raise InternalDefect("closure lost a generator of the input group")

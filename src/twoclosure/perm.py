@@ -65,8 +65,20 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        cycles = self.cycles()
-        return lcm(*(len(c) for c in cycles)) if cycles else 1
+        """The lcm of the cycle lengths, counted without building the cycles."""
+        images = self.images
+        seen = [False] * len(images)
+        lengths = set()
+        for start, j in enumerate(images):
+            if seen[start] or j == start:
+                continue
+            length = 1
+            while j != start:
+                seen[j] = True
+                j = images[j]
+                length += 1
+            lengths.add(length)
+        return lcm(*lengths)
 
     def conjugated_by(self, x: Permutation) -> Permutation:
         return x.inverse() * self * x

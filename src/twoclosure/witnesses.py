@@ -203,8 +203,9 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
     if group.order != expected:
         raise InternalDefect("cell generators are not independent")
     witness = from_cycles(total, [cell_cycle(n)])
-    grown = PermGroup(total, group.generators + (witness,))
-    if grown.order != p * group.order:
+    grown = group._chain.copy()
+    grown.add(witness)
+    if grown.order() != p * group.order:
         raise InternalDefect("adjoining the extra cycle did not grow the order by p")
     parameters = {
         "prime": p,

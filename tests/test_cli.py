@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from twoclosure import cli
 from twoclosure.cli import main, parse_group_document
 from twoclosure.errors import PreconditionError
 
@@ -125,6 +127,31 @@ def test_unreadable_inputs_are_precondition_errors(tmp_path, capsys):
         code, report = run_cli(capsys, "closure", "-i", path)
         assert code == 2
         assert report["error"]["kind"] == "precondition"
+
+
+def test_closure_degree_guard_fails_before_the_pair_partition(tmp_path, capsys):
+    # The orbital partition of degree 2000 has four million pairs; the guard
+    # must trip before any of them is colored.
+    path = write_spec(tmp_path, {"degree": 2000, "generators": []})
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "closure", "-i", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert report["error"]["kind"] == "precondition"
+    assert "closure search guard (32)" in report["error"]["message"]
+
+
+def test_unexpected_errors_are_reported_as_defects(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    assert main(["catalog", "--list"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["command"] == "catalog"
+    assert report["error"] == {"kind": "defect", "message": "unexpected RuntimeError: boom"}
+    assert "Traceback" not in captured.err and "RuntimeError: boom" in captured.err
 
 
 def test_verify_max_degree_range_is_a_usage_error(capsys):

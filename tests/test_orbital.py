@@ -6,8 +6,9 @@ import pytest
 from helpers import brute_pair_orbit_count, brute_two_closure
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import build_group, center
+from twoclosure.group import PermGroup, _Chain, build_group, center
 from twoclosure.orbital import (
+    _closure_generators,
     is_in_two_closure,
     is_two_closed_on,
     membership_evidence,
@@ -199,6 +200,45 @@ def test_closure_matches_brute_force_on_random_groups():
         group = build_group(degree, tuple(gens))
         closure = two_closure(group)
         assert set(closure.elements()) == brute_two_closure(degree, group.elements())
+
+
+def chain_state(group):
+    """Each level's strong generators in chain order and its orbit items in
+    insertion order."""
+    return [(list(level.gens), list(level.orbit.items())) for level in group._chain.levels]
+
+
+def test_closure_extends_the_groups_chain_exactly():
+    rng = random.Random(19)
+    groups = [realize_name("D64"), realize_name("E125")]
+    groups.append(build_group(8, (parse_cycles("(1,2,3,4,5,6,7,8)", 8), parse_cycles("(1,2)", 8))))
+    for _ in range(40):
+        degree = rng.randint(3, 10)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(degree), rng.randint(2, degree))
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(tuple(images)))
+        groups.append(build_group(degree, tuple(gens)))
+    for group in groups:
+        before = chain_state(group)
+        # The generators a closure search finds from a chain built afresh
+        # from the strong generators.
+        fresh = _Chain(group.degree)
+        for g in group.strong_generators:
+            fresh.add(g)
+        found = tuple(_closure_generators(orbital_partition(group), fresh))
+        closure = two_closure(group)
+        assert closure.generators == group.generators + found
+        assert chain_state(closure) == chain_state(PermGroup(group.degree, group.generators + found))
+        assert chain_state(group) == before
+        again = two_closure(closure)
+        assert again.same_group(closure)
+        assert chain_state(again) == chain_state(PermGroup(group.degree, again.generators))
+        assert chain_state(group) == before
+        assert chain_state(closure) == chain_state(PermGroup(group.degree, closure.generators))
 
 
 def test_is_two_closed_examples():

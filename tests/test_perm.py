@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,6 +65,13 @@ def test_powers_and_order():
     assert c**-1 == c**3
     assert c.order() == 4
     assert identity(5).order() == 1
+
+
+@given(st.permutations(range(9)))
+def test_order_is_lcm_of_cycle_lengths(images):
+    p = Permutation(tuple(images))
+    assert p.order() == lcm(*(len(c) for c in p.cycles()))
+    assert (p ** p.order()).is_identity()
 
 
 def test_canonical_cycle_string():

@@ -2,7 +2,8 @@
 
 sympy computes order, membership, orbits and point stabilizers with its own
 Schreier-Sims code, so it checks the stabilizer chain independently of the
-brute-force oracles in helpers.py.
+brute-force oracles in helpers.py.  Its nilpotency test, Sylow subgroups,
+cyclicity test and center check the element-enumerating operators.
 """
 
 import random
@@ -11,7 +12,14 @@ import pytest
 
 sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from twoclosure.group import PermGroup  # noqa: E402
+from twoclosure.catalog import realize_name  # noqa: E402
+from twoclosure.group import (  # noqa: E402
+    PermGroup,
+    center,
+    is_cyclic,
+    prime_factorization,
+    sylow_decomposition,
+)
 from twoclosure.perm import Permutation  # noqa: E402
 
 
@@ -55,3 +63,38 @@ def test_group_layer_matches_sympy():
         assert group.orbits() == tuple(sorted(tuple(sorted(o)) for o in reference.orbits()))
         for point in range(degree):
             assert group.point_stabilizer(point).order == reference.stabilizer(point).order()
+
+
+# sympy's Sylow and nilpotency routines slow down sharply with the order.
+OPERATOR_MAX_ORDER = 1000
+
+
+# Nilpotent noncyclic and non-nilpotent groups are rare among the seeded ones.
+FAMILIES = ("D12", "D16", "Q8xC3", "E27", "C2xC4", "D8xC3")
+
+
+def test_group_operators_match_sympy():
+    checked = 0
+    cases = [(degree, gens) for _, degree, gens in seeded_groups(seed=55, count=60)]
+    cases += [(group.degree, group.generators) for group in map(realize_name, FAMILIES)]
+    for degree, gens in cases:
+        group = PermGroup(degree, gens)
+        if group.order > OPERATOR_MAX_ORDER:
+            continue
+        checked += 1
+        reference = sympy_combinatorics.PermutationGroup([as_sympy(g) for g in gens])
+        assert center(group).order == reference.center().order()
+        assert is_cyclic(group) == reference.is_cyclic
+        decomposition = sylow_decomposition(group)
+        assert decomposition.nilpotent == reference.is_nilpotent
+        for p, e in prime_factorization(group.order).items():
+            sylow = reference.sylow_subgroup(p)
+            assert sylow.order() == p**e
+            # Only normal Sylow subgroups are returned, and a normal Sylow
+            # subgroup is the unique one, so it must equal sympy's.
+            assert (p in decomposition.sylows) == sylow.is_normal(reference)
+            if p in decomposition.sylows:
+                ours = decomposition.sylows[p]
+                assert ours.order == p**e
+                assert all(ours.contains(Permutation(tuple(g.array_form))) for g in sylow.generators)
+    assert checked >= 36
