@@ -10,6 +10,7 @@ from, so built actions stay auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -94,8 +95,13 @@ class CosetAction:
 
     def embed(self, x: Permutation) -> Permutation:
         """Image of a group element as a permutation of the coset points."""
-        point_of = self.point_of_element
-        return Permutation(tuple(point_of[rep * x] for rep in self.representatives))
+        return _coset_permutation(x, self.representatives, self.point_of_element)
+
+
+def _coset_permutation(
+    x: Permutation, representatives: tuple[Permutation, ...], point_of: Mapping[Permutation, int]
+) -> Permutation:
+    return Permutation(tuple(point_of[rep * x] for rep in representatives))
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: str = "H") -> CosetAction:
@@ -120,11 +126,10 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
     rep_index = {rep: i for i, rep in enumerate(representatives)}
     point_of = {e: rep_index[rep] for e, rep in rep_of.items()}
     space = ActionSpace(tuple(("coset", tag, rep) for rep in representatives))
-
-    def embed(x: Permutation) -> Permutation:
-        return Permutation(tuple(point_of[rep * x] for rep in representatives))
-
-    image = PermGroup(len(representatives), tuple(embed(g) for g in group.strong_generators))
+    image = PermGroup(
+        len(representatives),
+        tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
+    )
     kernel_elements = tuple(
         e for e in group.elements() if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
     )
@@ -148,11 +153,15 @@ class DisjointUnionAction:
     offsets: tuple[int, ...]
 
     def embed(self, part: int, g: Permutation) -> Permutation:
-        off = self.offsets[part]
-        images = list(range(self.group.degree))
-        for i, j in enumerate(g.images):
-            images[off + i] = off + j
-        return Permutation(tuple(images))
+        """A permutation of part `part` as an element moving only that part's points."""
+        return _shifted(g, self.offsets[part], self.group.degree)
+
+
+def _shifted(g: Permutation, offset: int, degree: int) -> Permutation:
+    images = list(range(degree))
+    for i, j in enumerate(g.images):
+        images[offset + i] = offset + j
+    return Permutation(tuple(images))
 
 
 def disjoint_union_action(
@@ -174,19 +183,11 @@ def disjoint_union_action(
         total += part.degree
     space = ActionSpace(tuple(labels))
 
-    def lift(k: int, g: Permutation) -> Permutation:
-        images = list(range(total))
-        off = offsets[k]
-        for i, j in enumerate(g.images):
-            images[off + i] = off + j
-        return Permutation(tuple(images))
-
     gens = []
     embedded = []
-    for k, part in enumerate(parts):
-        part_gens = tuple(lift(k, g) for g in part.generators)
-        gens.extend(part_gens)
-        embedded.append(PermGroup(total, tuple(lift(k, g) for g in part.strong_generators)))
+    for part, off in zip(parts, offsets):
+        gens.extend(_shifted(g, off, total) for g in part.generators)
+        embedded.append(PermGroup(total, tuple(_shifted(g, off, total) for g in part.strong_generators)))
     group = PermGroup(total, tuple(gens))
     expected = 1
     for part in parts:
@@ -208,6 +209,28 @@ class ProductSplit:
     pair_of: Mapping[int, tuple[int, int]]
 
 
+def coprime_direct_factors(
+    group: PermGroup,
+    h_part: PermGroup | SubgroupHandle,
+    k_part: PermGroup | SubgroupHandle,
+) -> tuple[PermGroup, PermGroup]:
+    """Validate that the group is the internal direct product H x K of two
+    subgroups of coprime orders; returns (H, K)."""
+    h_group = as_subgroup(group, h_part).group
+    k_group = as_subgroup(group, k_part).group
+    if gcd(h_group.order, k_group.order) != 1:
+        raise PreconditionError("the factors must have coprime orders")
+    if h_group.order * k_group.order != group.order:
+        raise PreconditionError("the factor orders do not multiply to the group order")
+    if len(intersection_elements(h_group, k_group)) != 1:
+        raise PreconditionError("the factors intersect nontrivially")
+    for a in h_group.strong_generators:
+        for b in k_group.strong_generators:
+            if a * b != b * a:
+                raise PreconditionError("the factors do not commute elementwise")
+    return h_group, k_group
+
+
 def product_action(
     group: PermGroup,
     h_part: PermGroup | SubgroupHandle,
@@ -220,22 +243,9 @@ def product_action(
     well-defined bijection and that it intertwines the action of every
     generator of the group.
     """
-    h_group = as_subgroup(group, h_part).group
-    k_group = as_subgroup(group, k_part).group
+    h_group, k_group = coprime_direct_factors(group, h_part, k_part)
     if not 0 <= alpha < group.degree:
         raise PreconditionError("base point out of range")
-    from math import gcd
-
-    if gcd(h_group.order, k_group.order) != 1:
-        raise PreconditionError("factors must have coprime orders")
-    if h_group.order * k_group.order != group.order:
-        raise PreconditionError("factor orders do not multiply to the group order")
-    if len(intersection_elements(h_group, k_group)) != 1:
-        raise PreconditionError("factors intersect nontrivially")
-    for a in h_group.strong_generators:
-        for b in k_group.strong_generators:
-            if a * b != b * a:
-                raise PreconditionError("factors do not commute elementwise")
     if len(group.orbit(alpha)) != group.degree:
         raise PreconditionError("group is not transitive on its points")
 

@@ -16,8 +16,7 @@ from .group import (
     INDEX_GUARD,
     PermGroup,
     SubgroupHandle,
-    core,
-    is_normal,
+    _ElementIndex,
     is_prime,
     mask_indices,
     prime_factorization,
@@ -228,9 +227,9 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
     by cyclic subgroups, so all are reached.  A join is the closure of the two
     generator lists under the right-regular table.
 
-    Each handle carries its normality flag and core; the list is sorted by
-    order and then by canonical element list, which is the order of element
-    indices.
+    Each handle carries its mask and its core's mask, the AND of the mask's
+    conjugates; the list is sorted by order and then by canonical element
+    list, which is the order of element indices.
     """
     if group.order > LATTICE_GUARD:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
@@ -255,15 +254,11 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
 
     handles = []
     for mask in sorted(gens_of, key=lambda m: (m.bit_count(), mask_indices(m))):
+        core_mask = mask
+        for conjugate in table.conjugates(mask):
+            core_mask &= conjugate
         sub = PermGroup(group.degree, table.elements_of(mask))
-        handles.append(
-            SubgroupHandle(
-                parent=group,
-                group=sub,
-                normal=is_normal(group, sub),
-                core=core(group, sub),
-            )
-        )
+        handles.append(SubgroupHandle(group, sub, mask, core_mask))
     return handles
 
 
@@ -284,16 +279,13 @@ class RepresentationSample:
     entries: tuple[RepresentationEntry, ...]
 
 
-def _conjugacy_key(conjugations: list[list[int]], masks: tuple[int, ...]) -> tuple[int, ...]:
+def _conjugacy_key(table: _ElementIndex, masks: tuple[int, ...]) -> tuple[int, ...]:
     """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple.
 
     Two sets of subgroups get the same key exactly when one element conjugates
     the first onto the second.
     """
-    return min(
-        tuple(sorted(sum(1 << conj[i] for i in mask_indices(mask)) for mask in masks))
-        for conj in conjugations
-    )
+    return min(tuple(sorted(same_g)) for same_g in zip(*map(table.conjugates, masks)))
 
 
 def faithful_representations(group: PermGroup, max_degree: int) -> RepresentationSample:
@@ -306,17 +298,14 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
     """
     lattice = subgroup_lattice(group)
     table = group._element_index()
-    conjugations = table.conjugations()
-    masks = [table.mask(handle.group) for handle in lattice]
-    core_masks = [table.mask(handle.core) for handle in lattice]
     entries: list[RepresentationEntry] = []
 
     seen_single = set()
-    for handle, mask in zip(lattice, masks):
+    for handle in lattice:
         index = group.order // handle.group.order
-        if handle.core.order != 1 or index > max_degree:
+        if handle.core_mask != 1 or index > max_degree:
             continue
-        canon = _conjugacy_key(conjugations, (mask,))
+        canon = _conjugacy_key(table, (handle.mask,))
         if canon in seen_single:
             continue
         seen_single.add(canon)
@@ -328,15 +317,15 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
         index1 = group.order // h1.group.order
         if index1 > max_degree:
             continue
-        for j, h2 in enumerate(lattice[i:], start=i):
+        for h2 in lattice[i:]:
             index2 = group.order // h2.group.order
             if index1 + index2 > max_degree:
                 continue
             if index1 == 1 and index2 == 1:
                 continue  # two copies of the one-point action say nothing
-            if core_masks[i] & core_masks[j] != 1:
+            if h1.core_mask & h2.core_mask != 1:
                 continue  # the cores share more than the identity (index 0)
-            canon = _conjugacy_key(conjugations, (masks[i], masks[j]))
+            canon = _conjugacy_key(table, (h1.mask, h2.mask))
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)

@@ -8,17 +8,14 @@ negative verdict always carries a machine-checkable witness certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .actions import quotient_action
+from .actions import coprime_direct_factors, quotient_action
 from .catalog import subgroup_lattice
 from .errors import InternalDefect, PreconditionError
 from .group import (
     PermGroup,
     SubgroupHandle,
-    as_subgroup,
     center,
-    intersection_elements,
     is_cyclic,
     prime_factorization,
     sylow_decomposition,
@@ -26,7 +23,7 @@ from .group import (
 from .orbital import two_closure
 from .witnesses import (
     WitnessCertificate,
-    abelian_basis,
+    abelian_p_basis,
     abelian_p_witness,
     center_witness,
     check_certificate,
@@ -64,18 +61,6 @@ def is_generalized_quaternion(group: PermGroup) -> bool:
     return sum(1 for g in group.elements() if g.order() == 2) == 1
 
 
-def _abelian_p_exponents(group: PermGroup, p: int) -> list[int]:
-    exponents = []
-    for g in abelian_basis(group):
-        e = 0
-        o = g.order()
-        while o > 1:
-            o //= p
-            e += 1
-        exponents.append(e)
-    return sorted(exponents)
-
-
 def _first_normal_elementary(lattice: list[SubgroupHandle], p: int) -> PermGroup | None:
     """First normal, noncyclic subgroup of order p^2 and exponent p."""
     for handle in lattice:
@@ -93,20 +78,29 @@ def _first_split_pair(
     group: PermGroup, lattice: list[SubgroupHandle]
 ) -> tuple[PermGroup, PermGroup] | None:
     """First (normal part, abelian core-free complement) splitting of the group."""
-    table = group._element_index()
-    masks = [table.mask(handle.group) for handle in lattice]
-    for h, h_mask in zip(lattice, masks):
+    for h in lattice:
         if h.group.order == 1 or h.group.order == group.order:
             continue
-        if not h.group.is_abelian() or h.core.order != 1:
+        if h.core_mask != 1 or not h.group.is_abelian():
             continue
-        for m, m_mask in zip(lattice, masks):
+        for m in lattice:
             if not m.normal or m.group.order * h.group.order != group.order:
                 continue
-            if m_mask & h_mask != 1:
+            if m.mask & h.mask != 1:
                 continue  # the parts share more than the identity (index 0)
             return m.group, h.group
     return None
+
+
+def _center_route(group: PermGroup, decomposition) -> WitnessCertificate:
+    """Certificate for a nilpotent group with a noncyclic center, built on the
+    Sylow subgroup carrying the noncyclic part of the center."""
+    z_sylows = sylow_decomposition(center(group)).sylows
+    p = next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
+    target = decomposition.sylows[p]
+    if target.is_abelian():
+        return abelian_p_witness(p, abelian_p_basis(target, p)[1])
+    return center_witness(target)
 
 
 def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
@@ -124,14 +118,8 @@ def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
     if _is_positive(group, decomposition):
         raise PreconditionError("input is a 2-closed group")
 
-    z = center(group)
-    if not is_cyclic(z):
-        z_sylows = sylow_decomposition(z).sylows
-        p = next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
-        target = decomposition.sylows[p]
-        if target.is_abelian():
-            return abelian_p_witness(p, _abelian_p_exponents(target, p))
-        return center_witness(target)
+    if not is_cyclic(center(group)):
+        return _center_route(group, decomposition)
 
     for p in sorted(decomposition.sylows):
         part = decomposition.sylows[p]
@@ -205,12 +193,7 @@ def center_cyclic_test(group: PermGroup) -> CenterTest:
         return CenterTest(True, None)
     decomposition = sylow_decomposition(group)
     if decomposition.nilpotent:
-        z_sylows = sylow_decomposition(z).sylows
-        p = next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
-        target = decomposition.sylows[p]
-        if target.is_abelian():
-            return CenterTest(False, abelian_p_witness(p, _abelian_p_exponents(target, p)))
-        return CenterTest(False, center_witness(target))
+        return CenterTest(False, _center_route(group, decomposition))
     return CenterTest(False, center_witness(group))
 
 
@@ -231,20 +214,9 @@ def certify_coprime_product(
     2-closed on the points and the image of K is 2-closed on the H-orbit
     blocks.  Reports which hypothesis failed otherwise.
     """
-    h_group = as_subgroup(group, abelian_part).group
-    k_group = as_subgroup(group, other_part).group
+    h_group, k_group = coprime_direct_factors(group, abelian_part, other_part)
     if not h_group.is_abelian():
         raise PreconditionError("the first factor must be abelian")
-    if gcd(h_group.order, k_group.order) != 1:
-        raise PreconditionError("the factors must have coprime orders")
-    if h_group.order * k_group.order != group.order:
-        raise PreconditionError("the factors do not multiply up to the group")
-    if len(intersection_elements(h_group, k_group)) != 1:
-        raise PreconditionError("the factors intersect nontrivially")
-    for a in h_group.strong_generators:
-        for b in k_group.strong_generators:
-            if a * b != b * a:
-                raise PreconditionError("the factors do not commute elementwise")
 
     factor_closed = two_closure(h_group).same_group(h_group)
     qa = quotient_action(group, h_group)

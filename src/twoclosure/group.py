@@ -207,7 +207,7 @@ class _ElementIndex:
     increasing indices list a subset's elements in sorted order.
     """
 
-    __slots__ = ("elements", "position", "cols")
+    __slots__ = ("elements", "position", "cols", "_conjugations")
 
     def __init__(self, elements: tuple[Permutation, ...], strong_generators: tuple[Permutation, ...]) -> None:
         self.elements = elements
@@ -230,14 +230,7 @@ class _ElementIndex:
                     cols[h] = [col_s[x] for x in cols[g]]
                     queue.append(h)
         self.cols: list[list[int]] = cols
-
-    def mask(self, group: PermGroup) -> int:
-        """Mask of a subgroup given as a group on the same points."""
-        position = self.position
-        out = 0
-        for g in group.elements():
-            out |= 1 << position[g.images]
-        return out
+        self._conjugations: list[list[int]] | None = None
 
     def elements_of(self, mask: int) -> tuple[Permutation, ...]:
         return tuple(self.elements[i] for i in mask_indices(mask))
@@ -259,13 +252,21 @@ class _ElementIndex:
         return mask
 
     def conjugations(self) -> list[list[int]]:
-        """For each element g, the map on indices h -> index(g^-1 * h * g)."""
-        cols = self.cols
-        out = []
-        for col_g in cols:
-            g_inverse = col_g.index(0)
-            out.append([col_g[col_h[g_inverse]] for col_h in cols])
-        return out
+        """For each element g, the map on indices h -> index(g^-1 * h * g);
+        built on first use."""
+        if self._conjugations is None:
+            cols = self.cols
+            out = []
+            for col_g in cols:
+                g_inverse = col_g.index(0)
+                out.append([col_g[col_h[g_inverse]] for col_h in cols])
+            self._conjugations = out
+        return self._conjugations
+
+    def conjugates(self, mask: int) -> list[int]:
+        """The masks g^-1 * S * g of a subset S, one per element g in index order."""
+        members = mask_indices(mask)
+        return [sum(1 << conj[i] for i in members) for conj in self.conjugations()]
 
 
 class PermGroup:
@@ -429,12 +430,24 @@ def trivial_group(degree: int) -> PermGroup:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup together with the group it lives in."""
+    """A subgroup together with the group it lives in.
+
+    Lattice handles also carry the masks of the subgroup and of its core over
+    the parent's element index; handles from `as_subgroup` carry neither.
+    """
 
     parent: PermGroup
     group: PermGroup
-    normal: bool | None = None
-    core: PermGroup | None = None
+    mask: int | None = None
+    core_mask: int | None = None
+
+    @property
+    def normal(self) -> bool | None:
+        """Normality in the parent (the core is the whole subgroup), or None
+        for a handle without masks."""
+        if self.mask is None:
+            return None
+        return self.core_mask == self.mask
 
 
 def as_subgroup(parent: PermGroup, subgroup: PermGroup | SubgroupHandle) -> SubgroupHandle:

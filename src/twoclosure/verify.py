@@ -263,11 +263,11 @@ def standard_witness_certificates() -> list[tuple[str, object]]:
         h.group for h in d8_lattice if h.normal and h.group.order == 4 and not is_cyclic(h.group)
     )
     d8_m = next(h.group for h in d8_lattice if h.group.order == 4 and is_cyclic(h.group))
-    d8_h = next(h.group for h in d8_lattice if h.group.order == 2 and h.core.order == 1)
+    d8_h = next(h.group for h in d8_lattice if h.group.order == 2 and h.core_mask == 1)
     sd16 = realize_name("SD16")
     sd16_lattice = subgroup_lattice(sd16)
     sd16_m = next(h.group for h in sd16_lattice if h.group.order == 8 and is_cyclic(h.group))
-    sd16_h = next(h.group for h in sd16_lattice if h.group.order == 2 and h.core.order == 1)
+    sd16_h = next(h.group for h in sd16_lattice if h.group.order == 2 and h.core_mask == 1)
     e27 = realize_name("E27")
     e27_pp = next(
         h.group

@@ -149,6 +149,21 @@ def abelian_basis(group: PermGroup) -> list[Permutation]:
     return basis
 
 
+def abelian_p_basis(group: PermGroup, p: int) -> tuple[list[Permutation], list[int]]:
+    """Basis of an abelian p-group sorted by element order, with the exponent
+    k of each basis element's order p^k."""
+    basis = sorted(abelian_basis(group), key=lambda g: (g.order(), g))
+    exponents = []
+    for g in basis:
+        e = 0
+        o = g.order()
+        while o > 1:
+            o //= p
+            e += 1
+        exponents.append(e)
+    return basis, exponents
+
+
 def element_coordinates(group: PermGroup, basis: list[Permutation]) -> dict[Permutation, tuple[int, ...]]:
     """Exponent coordinates of every element relative to an independent basis."""
     coords: dict[Permutation, tuple[int, ...]] = {}
@@ -518,15 +533,7 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
         raise InternalDefect("noncyclic abelian group has no noncyclic Sylow subgroup")
     p = chosen
     n_group = z_sylows[p]
-    basis = sorted(abelian_basis(n_group), key=lambda g: (g.order(), g))
-    exponents = []
-    for g in basis:
-        e = 0
-        o = g.order()
-        while o > 1:
-            o //= p
-            e += 1
-        exponents.append(e)
+    basis, exponents = abelian_p_basis(n_group, p)
 
     inner = abelian_p_witness(p, exponents)
     if n_group.same_group(group):

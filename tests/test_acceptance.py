@@ -8,26 +8,18 @@ against independent enumeration oracles; every tolerance is exact.
 import time
 
 from helpers import brute_two_closure
-from twoclosure.catalog import faithful_representations, realize_name
-from twoclosure.classify import (
-    STATUS_NOT_TWO_CLOSED,
-    STATUS_TWO_CLOSED,
-    center_cyclic_test,
-    certify_coprime_product,
-    classify_nilpotent,
-)
-from twoclosure.group import build_group, sylow_decomposition
+from twoclosure.group import build_group
 from twoclosure.orbital import two_closure
 from twoclosure.perm import parse_cycles
 from twoclosure.verify import (
-    NOT_TWO_CLOSED_FAMILIES,
-    TWO_CLOSED_FAMILIES,
+    check_center_cyclic_suite,
     check_closure_axioms,
     check_commutation_and_center,
+    check_positive_consistency,
     check_quotient_lemmas,
+    check_truth_table,
     check_witness_certificates,
 )
-from twoclosure.witnesses import check_certificate
 
 
 def report(number: int, name: str, passed: bool, elapsed: float, budget: float):
@@ -35,6 +27,14 @@ def report(number: int, name: str, passed: bool, elapsed: float, budget: float):
     print(f"ACCEPTANCE {number} {name}: {status} ({elapsed:.2f}s, budget {budget:.0f}s)")
     assert passed, f"criterion {number} ({name}) failed"
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget ({elapsed:.2f}s)"
+
+
+def report_results(number: int, name: str, results, started: float, budget: float):
+    """Report a criterion backed by verify checks, printing each failing detail."""
+    for r in results:
+        if not r.passed:
+            print(f"  {r.name}: {r.detail}")
+    report(number, name, all(r.passed for r in results), time.monotonic() - started, budget)
 
 
 def test_a1_paired_involutions_closure():
@@ -65,75 +65,30 @@ def test_a2_closure_axioms_suite():
 
 def test_a3_commutation_and_center_suite():
     started = time.monotonic()
-    results = check_commutation_and_center()
-    ok = all(r.passed for r in results)
-    report(3, "commutation-and-center", ok, time.monotonic() - started, 60.0)
+    report_results(3, "commutation-and-center", check_commutation_and_center(), started, 60.0)
 
 
 def test_a4_witness_certificates():
     started = time.monotonic()
-    results = check_witness_certificates()
-    ok = all(r.passed for r in results)
-    report(4, "witness-certificates", ok, time.monotonic() - started, 120.0)
+    report_results(4, "witness-certificates", check_witness_certificates(), started, 120.0)
 
 
 def test_a5_classification_truth_table():
     started = time.monotonic()
-    ok = True
-    for name in TWO_CLOSED_FAMILIES:
-        verdict = classify_nilpotent(realize_name(name))
-        if verdict.status != STATUS_TWO_CLOSED:
-            ok = False
-            print(f"  {name}: {verdict.status}")
-    for name in NOT_TWO_CLOSED_FAMILIES:
-        verdict = classify_nilpotent(realize_name(name))
-        if verdict.status != STATUS_NOT_TWO_CLOSED:
-            ok = False
-            print(f"  {name}: {verdict.status}")
-        elif verdict.certificate is None or check_certificate(verdict.certificate):
-            ok = False
-            print(f"  {name}: certificate missing or invalid")
-    report(5, "nilpotent-truth-table", ok, time.monotonic() - started, 300.0)
+    report_results(5, "nilpotent-truth-table", check_truth_table(), started, 300.0)
 
 
 def test_a6_positive_side_consistency():
     started = time.monotonic()
-    ok = True
-    for name in TWO_CLOSED_FAMILIES:
-        group = realize_name(name)
-        for entry in faithful_representations(group, 16).entries:
-            if not two_closure(entry.action).same_group(entry.action):
-                ok = False
-                print(f"  {name}: degree-{entry.degree} representation closed up")
-    q8c3 = realize_name("Q8xC3")
-    decomposition = sylow_decomposition(q8c3)
-    certification = certify_coprime_product(
-        q8c3, decomposition.sylows[3], decomposition.sylows[2]
-    )
-    ok = ok and certification.certified
-    ok = ok and two_closure(q8c3).same_group(q8c3)
-    report(6, "positive-side-consistency", ok, time.monotonic() - started, 300.0)
+    results = check_positive_consistency(max_degree=16)
+    report_results(6, "positive-side-consistency", results, started, 300.0)
 
 
 def test_a7_cyclic_center_suite():
     started = time.monotonic()
-    ok = True
-    for name in ("Q8xC2", "C2xQ8xC3"):
-        test = center_cyclic_test(realize_name(name))
-        if test.passes or test.certificate is None:
-            ok = False
-        elif test.certificate.group.degree != 24 or check_certificate(test.certificate):
-            ok = False
-            print(f"  {name}: bad certificate")
-    for name in [f"C{n}" for n in range(1, 31)] + ["Q8", "Q16", "Q32"]:
-        if not center_cyclic_test(realize_name(name)).passes:
-            ok = False
-            print(f"  {name}: expected a cyclic center")
-    report(7, "cyclic-center-suite", ok, time.monotonic() - started, 120.0)
+    report_results(7, "cyclic-center-suite", check_center_cyclic_suite(), started, 120.0)
 
 
 def test_a8_block_quotient_lemmas():
     started = time.monotonic()
-    results = check_quotient_lemmas()
-    ok = all(r.passed for r in results)
-    report(8, "block-quotient-lemmas", ok, time.monotonic() - started, 60.0)
+    report_results(8, "block-quotient-lemmas", check_quotient_lemmas(), started, 60.0)

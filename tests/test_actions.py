@@ -77,6 +77,19 @@ def test_disjoint_union_space_labels():
     assert union.space.describe(0) == "1:1"
 
 
+def test_disjoint_union_embed_moves_only_its_part():
+    parts = [realize_name("C2"), realize_name("Q8"), realize_name("C3")]
+    union = disjoint_union_action(parts)
+    for k, part in enumerate(parts):
+        start = union.offsets[k]
+        own = range(start, start + part.degree)
+        for g in part.elements():
+            lifted = union.embed(k, g)
+            assert union.embedded[k].contains(lifted) and union.group.contains(lifted)
+            assert all(lifted.images[p] == p for p in range(union.group.degree) if p not in own)
+            assert all(lifted.images[start + i] == start + j for i, j in enumerate(g.images))
+
+
 def test_product_action_c6():
     c6 = build_group(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
     h = build_group(6, (parse_cycles("(1,4)(2,5)(3,6)", 6),))

@@ -10,7 +10,16 @@ from twoclosure.catalog import (
     subgroup_lattice,
 )
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import center, core, is_cyclic, is_normal, order_profile, trivial_group
+from twoclosure.group import (
+    as_subgroup,
+    center,
+    core,
+    is_cyclic,
+    is_normal,
+    order_profile,
+    trivial_group,
+)
+from twoclosure.perm import Permutation
 
 
 def test_parse_family_syntax():
@@ -110,21 +119,24 @@ def test_subgroup_lattice_counts_match_closed_formulas():
 
 
 def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():
-    for name in ("D16", "Q16", "E27", "D8xC3"):
+    for name in ("D16", "Q16", "E27", "D8xC3", "D64", "E125"):
         group = realize_name(name)
         elements = group.elements()
+        table = group._element_index()
         lattice = subgroup_lattice(group)
         seen = set()
         for handle in lattice:
             members = set(handle.group.elements())
+            assert members == set(table.elements_of(handle.mask)), name
             assert all(x * y in members for x in members for y in members), name
             assert all(group.contains(x) for x in members), name
             conjugates = [{x.conjugated_by(g) for x in members} for g in elements]
             brute_core = set.intersection(*conjugates)
+            core_elements = set(table.elements_of(handle.core_mask))
             assert handle.normal == all(c == members for c in conjugates), name
-            assert set(handle.core.elements()) == brute_core, name
+            assert core_elements == brute_core, name
             assert handle.normal == is_normal(group, handle.group), name
-            assert handle.core.same_group(core(group, handle.group)), name
+            assert core_elements == set(core(group, handle.group).elements()), name
             seen.add(frozenset(members))
         assert len(seen) == len(lattice), name
 
@@ -135,11 +147,31 @@ def test_subgroup_lattice_guard():
 
 
 def test_lattice_handles_carry_cores():
-    for handle in subgroup_lattice(realize_name("D8")):
-        assert handle.core is not None
-        assert handle.core.is_subgroup_of(handle.group)
-        if handle.normal:
-            assert handle.core.same_group(handle.group)
+    d8 = realize_name("D8")
+    lattice = subgroup_lattice(d8)
+    for handle in lattice:
+        assert handle.mask is not None and handle.core_mask is not None
+        assert handle.core_mask & handle.mask == handle.core_mask
+        assert handle.normal is (handle.core_mask == handle.mask)
+    # 1, the center, the rotations, two Klein four-groups and D8 itself.
+    assert sum(handle.normal for handle in lattice) == 6
+    # Handles wrapped without masks know nothing about normality.
+    assert as_subgroup(d8, lattice[1].group).normal is None
+
+
+def test_lattice_masks_and_cores_take_no_permutation_products(monkeypatch):
+    group = realize_name("D64")
+    group._element_index().conjugations()  # the shared table, built beforehand
+    calls = []
+    for name in ("__mul__", "inverse", "conjugated_by"):
+        original = getattr(Permutation, name)
+        monkeypatch.setattr(
+            Permutation, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    lattice = subgroup_lattice(group)
+    assert calls == []
+    # The 6 rotation subgroups, the two dihedral halves and the whole group.
+    assert sum(handle.normal for handle in lattice) == 9
 
 
 def test_faithful_representations_q8():

@@ -191,7 +191,11 @@ def test_element_index_matches_permutation_products():
         for g in elements[:6]:
             mask = table.closure((position[g],))
             assert set(table.elements_of(mask)) == mulclose(group.degree, (g,))
-        assert table.mask(group) == (1 << group.order) - 1
+            assert table.conjugates(mask) == [
+                sum(1 << position[h.conjugated_by(x)] for h in table.elements_of(mask))
+                for x in elements
+            ]
+        assert table.conjugations() is table.conjugations()
 
 
 def test_element_index_guard():

@@ -143,7 +143,7 @@ def test_semidirect_witness_d8_and_sd16():
     d8 = realize_name("D8")
     lattice = subgroup_lattice(d8)
     m = next(h.group for h in lattice if h.group.order == 4 and is_cyclic(h.group))
-    h = next(h.group for h in lattice if h.group.order == 2 and h.core.order == 1)
+    h = next(h.group for h in lattice if h.group.order == 2 and h.core_mask == 1)
     cert = semidirect_witness(d8, m, h)
     assert cert.group.degree == 6 and cert.group.order == 8
     assert_valid(cert)
@@ -152,7 +152,7 @@ def test_semidirect_witness_d8_and_sd16():
     sd16 = realize_name("SD16")
     lattice = subgroup_lattice(sd16)
     m = next(h.group for h in lattice if h.group.order == 8 and is_cyclic(h.group))
-    h = next(h.group for h in lattice if h.group.order == 2 and h.core.order == 1)
+    h = next(h.group for h in lattice if h.group.order == 2 and h.core_mask == 1)
     cert = semidirect_witness(sd16, m, h)
     assert cert.group.degree == 10 and cert.group.order == 16
     assert_valid(cert)
