@@ -57,6 +57,7 @@ from .group import (
     centralizer,
     core,
     is_cyclic,
+    is_nilpotent,
     is_normal,
     order_and_membership,
     order_profile,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .actions import coset_action, disjoint_union_action
+from .actions import CosetAction, coset_action, disjoint_union_action
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     INDEX_GUARD,
@@ -47,6 +47,17 @@ class FamilySpec:
             "extraspecial": "E",
         }[self.kind]
         return f"{prefix}{self.order}"
+
+    @property
+    def degree(self) -> int:
+        """Degree of the default realization (`realize`), known before it is built."""
+        if self.kind == "product":
+            return sum(part.degree for part in self.parts)
+        if self.kind in ("dihedral", "semidihedral"):
+            return self.order // 2
+        if self.kind == "extraspecial":
+            return round(self.order ** (1 / 3)) ** 2
+        return self.order  # cyclic (C1 on one point) and quaternion: regular
 
 
 def cyclic(n: int) -> FamilySpec:
@@ -205,8 +216,11 @@ def realize(spec: FamilySpec) -> PermGroup:
         group = disjoint_union_action([realize(part) for part in spec.parts]).group
     else:
         raise PreconditionError(f"unknown family kind {spec.kind!r}")
-    if group.order != spec.order:
-        raise InternalDefect(f"realized {spec.name} with order {group.order}, expected {spec.order}")
+    if group.order != spec.order or group.degree != spec.degree:
+        raise InternalDefect(
+            f"realized {spec.name} with order {group.order} and degree {group.degree},"
+            f" expected {spec.order} and {spec.degree}"
+        )
     return group
 
 
@@ -224,8 +238,8 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
     cyclic subgroups; each later round joins every subgroup new in the round
     before with each cyclic subgroup it does not contain (Neubüser's cyclic
     extension), until a round finds nothing new.  Every subgroup is generated
-    by cyclic subgroups, so all are reached.  A join is the closure of the two
-    generator lists under the right-regular table.
+    by cyclic subgroups, so all are reached.  A join extends the known
+    subgroup's mask by the new generator under the right-regular table.
 
     Each handle carries its mask and its core's mask, the AND of the mask's
     conjugates; the list is sorted by order and then by canonical element
@@ -235,20 +249,21 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
     table = group._element_index()
     gens_of: dict[int, tuple[int, ...]] = {1: ()}  # bit 0 alone: the trivial subgroup
-    for x in range(1, group.order):
-        gens_of.setdefault(table.closure((x,)), (x,))
+    for x in range(1, group.order):  # <x>: the trivial subgroup extended by x
+        gens_of.setdefault(table.extend(1, (0,), (), x), (x,))
     cyclic = [(mask, gens[0]) for mask, gens in gens_of.items() if gens]
     worklist = [mask for mask, _ in cyclic]
     while worklist:
         fresh = []
         for a in worklist:
+            members = mask_indices(a)
+            gens = gens_of[a]
             for c, x in cyclic:
                 if a & c == c:
                     continue
-                seed = gens_of[a] + (x,)
-                joined = table.closure(seed)
+                joined = table.extend(a, members, gens, x)
                 if joined not in gens_of:
-                    gens_of[joined] = seed
+                    gens_of[joined] = gens + (x,)
                     fresh.append(joined)
         worklist = fresh
 
@@ -299,6 +314,13 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
     lattice = subgroup_lattice(group)
     table = group._element_index()
     entries: list[RepresentationEntry] = []
+    actions: dict[int, CosetAction] = {}
+
+    def action_on(handle: SubgroupHandle) -> CosetAction:
+        # Built at most once per subgroup; the point labels are not read.
+        if handle.mask not in actions:
+            actions[handle.mask] = coset_action(group, handle)
+        return actions[handle.mask]
 
     seen_single = set()
     for handle in lattice:
@@ -309,7 +331,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
         if canon in seen_single:
             continue
         seen_single.add(canon)
-        action = coset_action(group, handle).image
+        action = action_on(handle).image
         entries.append(RepresentationEntry((handle.group,), action, action.degree))
 
     seen_pairs = set()
@@ -329,8 +351,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)
-            ca1 = coset_action(group, h1, tag="H1")
-            ca2 = coset_action(group, h2, tag="H2")
+            ca1, ca2 = action_on(h1), action_on(h2)
             degree = ca1.image.degree + ca2.image.degree
 
             def splice(x: Permutation) -> Permutation:

@@ -17,6 +17,7 @@ from .group import (
     SubgroupHandle,
     center,
     is_cyclic,
+    is_nilpotent,
     prime_factorization,
     sylow_decomposition,
 )
@@ -157,12 +158,17 @@ def _is_positive(group: PermGroup, decomposition) -> bool:
 
 
 def classify_nilpotent(group: PermGroup) -> Verdict:
-    """Classification verdict: 2-closed iff cyclic or quaternion x odd cyclic."""
-    decomposition = sylow_decomposition(group)
-    if not decomposition.nilpotent:
-        return Verdict(STATUS_NOT_NILPOTENT, REASON_NOT_NILPOTENT, None)
+    """Classification verdict: 2-closed iff cyclic or quaternion x odd cyclic.
+
+    Cyclicity and nilpotency are read off the generators (a cyclic group is
+    nilpotent, so it is tested first); elements are listed only for the
+    quaternion test and on the witness route.
+    """
     if is_cyclic(group):
         return Verdict(STATUS_TWO_CLOSED, REASON_CYCLIC, None)
+    if not is_nilpotent(group):
+        return Verdict(STATUS_NOT_NILPOTENT, REASON_NOT_NILPOTENT, None)
+    decomposition = sylow_decomposition(group)
     if _is_positive(group, decomposition):
         return Verdict(STATUS_TWO_CLOSED, REASON_QUATERNION_TIMES_ODD_CYCLIC, None)
     certificate = not_two_closed_witness(group)

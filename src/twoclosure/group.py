@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .perm import Permutation, _trusted, identity
@@ -113,46 +113,62 @@ class _Chain:
         self._sweep(level)
         return True
 
-    def _rebuild_orbit(self, level: int, gens: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-        # Breadth-first: u_q = u_p * s for q = p^s, stored as
-        # u_q^-1 = s^-1 * u_p^-1, whose images are u_p^-1 read along s^-1.
+    def _rebuild_orbit(
+        self, level: int, gens: list[tuple[int, ...]]
+    ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, int]]]:
+        """Breadth-first orbit of the level's base point.
+
+        u_q = u_p * s for q = p^s, stored as u_q^-1 = s^-1 * u_p^-1, whose
+        images are u_p^-1 read along s^-1.  Also returns the BFS tree (a
+        Schreier vector): each point q but the base maps to (p, index of s)
+        for the edge that found it first.
+        """
         points = self.ident.images
         steps = [(s, _inverse(s, points)) for s in gens]
         orbit = {level: points}
+        tree: dict[int, tuple[int, int]] = {}
         queue = deque([level])
         while queue:
             p = queue.popleft()
             inv_p = orbit[p]
-            for s, s_inv in steps:
+            for i, (s, s_inv) in enumerate(steps):
                 q = s[p]
                 if q not in orbit:
                     orbit[q] = tuple(map(inv_p.__getitem__, s_inv))
+                    tree[q] = (p, i)
                     queue.append(q)
         self.levels[level].orbit = orbit
-        return orbit
+        return orbit, tree
 
     def _check_level(self, level: int) -> int | None:
         """Rebuild the level orbit, sift its Schreier generators.
 
         Called only when every deeper level is complete, so a Schreier
         generator that lies in the next stabilizer by construction cannot
-        fail and is not sifted.  Returns the level where a missing residue
-        was deposited, or None if the level verified clean.
+        fail and is not sifted.  On a BFS-tree edge it is the identity and is
+        not even formed, and u_beta is inverted only for points with an edge
+        off the tree.  Returns the level where a missing residue was
+        deposited, or None if the level verified clean.
         """
         own = len(self.levels[level].gens)
         if not own:
             # Deeper generators fix the base point: the orbit stays {level}.
             return None
         gens = [s.images for s in self.gens_from(level)]
-        orbit = self._rebuild_orbit(level, gens)
+        orbit, tree = self._rebuild_orbit(level, gens)
         points = self.ident.images
         for beta in sorted(orbit):
-            u_beta = _inverse(orbit[beta], points)
+            u_beta = None
             # At the base point (first in sorted order) a deeper generator's
             # Schreier generator is itself, already in the next stabilizer.
-            for s in gens if beta != level else gens[:own]:
-                # u_beta * s * u_target^-1, with target = beta^s.
-                inv_target = orbit[s[beta]]
+            for i, s in enumerate(gens if beta != level else gens[:own]):
+                target = s[beta]
+                if tree.get(target) == (beta, i):
+                    continue  # u_beta * s is u_target itself
+                if u_beta is None:
+                    u_beta = _inverse(orbit[beta], points)
+                # u_beta * s * u_target^-1.
+                inv_target = orbit[target]
                 schreier = tuple(map(inv_target.__getitem__, map(s.__getitem__, u_beta)))
                 if schreier == points:
                     continue
@@ -235,20 +251,28 @@ class _ElementIndex:
     def elements_of(self, mask: int) -> tuple[Permutation, ...]:
         return tuple(self.elements[i] for i in mask_indices(mask))
 
-    def closure(self, gens: tuple[int, ...]) -> int:
-        """Mask of the subgroup generated by the given element indices."""
-        cols = [self.cols[g] for g in gens]
-        mask = 1
-        frontier = [0]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for col in cols:
-                    y = col[x]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        fresh.append(y)
-            frontier = fresh
+    def extend(self, mask: int, members: tuple[int, ...], gens: tuple[int, ...], x: int) -> int:
+        """Mask of the subgroup generated by a subgroup S and the element x.
+
+        S is given by its mask, its element indices and its generators.  The
+        join is a union of right cosets S*t, so generators are applied to
+        coset representatives only: when t*g is new, its whole coset
+        S*(t*g) joins the mask and t*g becomes a representative.  Starting
+        from S itself (representative: the identity), each coset is added
+        once.
+        """
+        cols = self.cols
+        gen_cols = [cols[g] for g in gens]
+        gen_cols.append(cols[x])
+        reps = [0]
+        for t in reps:
+            for col in gen_cols:
+                z = col[t]
+                if not mask >> z & 1:
+                    col_z = cols[z]
+                    for y in members:
+                        mask |= 1 << col_z[y]
+                    reps.append(z)
         return mask
 
     def conjugations(self) -> list[list[int]]:
@@ -301,6 +325,9 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._center: PermGroup | None = None
         self._is_cyclic: bool | None = None
+        self._nilpotent: bool | None = None
+        self._generator_sylows: dict[int, PermGroup] | None = None
+        self._decomposition: SylowDecomposition | None = None
         self._index: _ElementIndex | None = None
         self._partition = None  # orbital.OrbitalPartition, cached by orbital_partition
 
@@ -548,39 +575,93 @@ class SylowDecomposition:
     sylows: dict[int, PermGroup]
 
 
-def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
-    """Normal Sylow subgroups; nilpotent iff every Sylow subgroup is normal.
+def _generator_sylows(group: PermGroup) -> dict[int, PermGroup] | None:
+    """The subgroups H_p generated by the p-parts of the strong generators, one
+    per prime p of the order, if they show the group nilpotent; else None.
 
-    For each prime p, the p-power-order elements form the Sylow p-subgroup
-    exactly when that subgroup is normal; only those primes appear in the
-    result.
+    The p-part g^(o/p^k) of an element of order o generates the p-part's
+    cyclic subgroup.  The group is nilpotent exactly when p-parts of
+    different primes commute and each |H_p| is the full p-power of |G|; the
+    H_p are then its Sylow subgroups.  A group of prime-power order needs no
+    test.  No element is listed.
     """
+    if group._nilpotent is None:
+        factors = prime_factorization(group.order)
+        primes = sorted(factors)
+        if len(primes) <= 1:
+            # A group of prime-power order is nilpotent and its own Sylow subgroup.
+            sylows = {p: group for p in primes}
+        else:
+            parts: dict[int, list[Permutation]] = {p: [] for p in primes}
+            for g in group.strong_generators:
+                o = g.order()
+                for p, k in prime_factorization(o).items():
+                    parts[p].append(g ** (o // p**k))
+            sylows = None
+            if all(
+                a * b == b * a
+                for i, p in enumerate(primes)
+                for q in primes[i + 1:]
+                for a in parts[p]
+                for b in parts[q]
+            ):
+                candidates = {p: PermGroup(group.degree, parts[p]) for p in primes}
+                if all(h.order == p ** factors[p] for p, h in candidates.items()):
+                    sylows = candidates
+        group._nilpotent = sylows is not None
+        group._generator_sylows = sylows
+    return group._generator_sylows
+
+
+def is_nilpotent(group: PermGroup) -> bool:
+    """Nilpotency decided from the generators alone (see `_generator_sylows`)."""
+    return _generator_sylows(group) is not None
+
+
+def _normal_sylows_by_enumeration(group: PermGroup) -> dict[int, PermGroup]:
+    """For each prime p, the p-power-order elements form the Sylow
+    p-subgroup exactly when that subgroup is normal; only those primes
+    appear."""
     elements = _guarded_elements(group)
     orders = [g.order() for g in elements]
-    factors = prime_factorization(group.order)
     sylows: dict[int, PermGroup] = {}
-    nilpotent = True
-    for p, e in sorted(factors.items()):
+    for p, e in sorted(prime_factorization(group.order).items()):
         target = p**e
         # An element order divides the group order, so it is a power of p
         # exactly when it divides p^e.
         p_elements = [g for g, o in zip(elements, orders) if target % o == 0]
         if len(p_elements) == target:
             sylows[p] = PermGroup(group.degree, tuple(p_elements))
+    return sylows
+
+
+def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
+    """Normal Sylow subgroups; nilpotent iff every Sylow subgroup is normal.
+
+    Nilpotency and, for a nilpotent group, the Sylow subgroups come from the
+    generators.  Each Sylow subgroup is generated by its elements in
+    canonical order, so its chain is the same however it was found.  Only a
+    non-nilpotent group lists its elements, to report which Sylow subgroups
+    are normal.
+    """
+    if group._decomposition is None:
+        parts = _generator_sylows(group)
+        if parts is not None:
+            sylows = {p: PermGroup(group.degree, h.elements()) for p, h in parts.items()}
+            group._decomposition = SylowDecomposition(True, sylows)
         else:
-            nilpotent = False
-    if nilpotent and sylows:
-        total = 1
-        for s in sylows.values():
-            total *= s.order
-        if total != group.order:
-            raise InternalDefect("Sylow orders do not multiply to the group order")
-    return SylowDecomposition(nilpotent, sylows)
+            sylows = _normal_sylows_by_enumeration(group)
+            if len(sylows) == len(prime_factorization(group.order)):
+                raise InternalDefect("every Sylow subgroup is normal, yet the generator test failed")
+            group._decomposition = SylowDecomposition(False, sylows)
+    return group._decomposition
 
 
 def is_cyclic(group: PermGroup) -> bool:
+    """An abelian group is cyclic iff its exponent, the lcm of its
+    generators' orders, is its order."""
     if group._is_cyclic is None:
-        group._is_cyclic = any(g.order() == group.order for g in _guarded_elements(group))
+        group._is_cyclic = group.is_abelian() and lcm(*(g.order() for g in group.strong_generators)) == group.order
     return group._is_cyclic
 
 

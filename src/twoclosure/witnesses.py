@@ -29,6 +29,7 @@ from .group import (
     core,
     intersection_elements,
     is_cyclic,
+    is_nilpotent,
     is_normal,
     is_prime,
     prime_factorization,
@@ -455,7 +456,7 @@ def semidirect_witness(
     m_handle = as_subgroup(group, normal_part)
     h_handle = as_subgroup(group, complement)
     m_group, h_group = m_handle.group, h_handle.group
-    if not sylow_decomposition(group).nilpotent:
+    if not is_nilpotent(group):
         raise PreconditionError("group must be nilpotent")
     if not is_normal(group, m_handle):
         raise PreconditionError("the first factor must be normal")

@@ -4,6 +4,7 @@ from twoclosure.catalog import (
     abelian,
     extraspecial_exponent_p,
     faithful_representations,
+    family_syntax_examples,
     parse_family,
     realize,
     realize_name,
@@ -16,6 +17,7 @@ from twoclosure.group import (
     core,
     is_cyclic,
     is_normal,
+    mask_indices,
     order_profile,
     trivial_group,
 )
@@ -44,6 +46,12 @@ def test_realize_examples():
     assert all(g.order() in (1, 3) for g in e27.elements())
     assert center(e27).order == 3
     assert realize_name("C6").degree == 6 and is_cyclic(realize_name("C6"))
+
+
+def test_family_degree_is_known_before_realizing():
+    for name in family_syntax_examples() + ["D12", "E125", "SD32xC5", "C1"]:
+        spec = parse_family(name)
+        assert spec.degree == realize(spec).degree, name
 
 
 def test_realize_abelian_helper():
@@ -139,6 +147,34 @@ def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():
             assert core_elements == set(core(group, handle.group).elements()), name
             seen.add(frozenset(members))
         assert len(seen) == len(lattice), name
+
+
+def closure_from_identity(table, gens):
+    """Mask of the subgroup generated by element indices: breadth-first from
+    the identity under the generators' columns."""
+    mask, frontier = 1, [0]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for g in gens:
+                z = table.cols[g][y]
+                if not mask >> z & 1:
+                    mask |= 1 << z
+                    fresh.append(z)
+        frontier = fresh
+    return mask
+
+
+@pytest.mark.parametrize("name", ["D64", "D128", "C2xC2xC2xC2xC2", "E125"])
+def test_coset_joins_match_closure_from_identity(name):
+    group = realize_name(name)
+    table = group._element_index()
+    for handle in subgroup_lattice(group):
+        gens = tuple(table.position[g.images] for g in handle.group.strong_generators)
+        members = mask_indices(handle.mask)
+        assert closure_from_identity(table, gens) == handle.mask
+        for x in range(0, group.order, 5):
+            assert table.extend(handle.mask, members, gens, x) == closure_from_identity(table, gens + (x,))
 
 
 def test_subgroup_lattice_guard():

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from twoclosure import cli
-from twoclosure.cli import main, parse_group_document
+from twoclosure.cli import INPUT_DEGREE_GUARD, main, parse_group_document
 from twoclosure.errors import PreconditionError
+from twoclosure.group import PermGroup
 
 
 def run_cli(capsys, *argv):
@@ -97,8 +98,52 @@ def test_witness_command(capsys):
 def test_verify_command(capsys):
     code, report = run_cli(capsys, "verify", "--suite", "axioms", "--max-degree", "5", "--seed", "7")
     assert code == 0
+    assert report["input"]["ignored"] == []
     assert report["results"]["all_passed"] is True
     assert all(check["passed"] for check in report["results"]["checks"])
+
+
+def test_verify_reports_the_flags_a_suite_ignores(capsys):
+    code, report = run_cli(capsys, "verify", "--suite", "lemmas", "--seed", "3", "--max-degree", "5")
+    assert code == 0
+    assert report["input"] == {"suite": "lemmas", "seed": 3, "max_degree": 5, "ignored": ["seed", "max_degree"]}
+    assert "ignored" not in report["results"]
+
+
+@pytest.mark.parametrize("family", ["C1000", "C4000"])
+def test_classify_cyclic_family_lists_no_element(monkeypatch, capsys, family):
+    def refuse(self):
+        raise AssertionError("PermGroup.elements was called")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    code, report = run_cli(capsys, "classify", "--family", family)
+    assert code == 0
+    assert report["results"]["verdict"] == "TwoClosedGroup" and report["results"]["reason"] == "Cyclic"
+
+
+def test_classify_symmetric_group_above_the_enumeration_guard(tmp_path, capsys):
+    path = write_spec(tmp_path, {"degree": 8, "generators": ["(1,2)", "(1,2,3,4,5,6,7,8)"]})
+    code, report = run_cli(capsys, "classify", "-i", path)
+    assert code == 0
+    assert report["results"]["order"] == 40320
+    assert report["results"]["verdict"] == "NotNilpotent"
+
+
+def test_input_degree_guard_fails_before_any_chain(tmp_path, capsys):
+    path = write_spec(tmp_path, {"degree": 20000, "generators": ["(1,2)", "(1,20000)"]})
+    message = f"degree 20000 exceeds the input degree guard ({INPUT_DEGREE_GUARD})"
+    for argv in (
+        ("classify", "-i", path),
+        ("classify", "--family", "C20000"),
+        ("witness", "--family", "C20000"),
+        ("witness", "--family", "D4000xC18000"),
+    ):
+        started = time.perf_counter()
+        code, report = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert report["error"]["kind"] == "precondition"
+        assert message in report["error"]["message"]
 
 
 def test_exit_codes(tmp_path, capsys):

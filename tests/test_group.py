@@ -13,13 +13,15 @@ from twoclosure.group import (
     centralizer,
     core,
     is_cyclic,
+    is_nilpotent,
     is_normal,
     is_prime,
     order_and_membership,
     orbits_and_stabilizer,
+    prime_factorization,
     sylow_decomposition,
 )
-from twoclosure.perm import Permutation, identity, parse_cycles
+from twoclosure.perm import Permutation, from_cycles, identity, parse_cycles
 
 
 def cycles(text, degree):
@@ -141,6 +143,74 @@ def test_sylow_examples():
     assert gcd(decomposition.sylows[2].order, decomposition.sylows[3].order) == 1
 
 
+def brute_sylow_report(degree, gens):
+    """(cyclic, nilpotent, {p: element set} of the normal Sylow subgroups) by
+    the enumerating definitions: cyclic iff some element's order is |G|, and
+    the Sylow p-subgroup is normal iff the p-power-order elements number p^e."""
+    elements = mulclose(degree, gens)
+    factors = prime_factorization(len(elements))
+    cyclic = any(g.order() == len(elements) for g in elements)
+    normal = {}
+    for p, e in factors.items():
+        p_elements = {g for g in elements if p**e % g.order() == 0}
+        if len(p_elements) == p**e:
+            normal[p] = p_elements
+    return cyclic, len(normal) == len(factors), normal
+
+
+def test_generator_built_sylows_and_cyclicity_match_enumeration():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(40):
+        degree = rng.randint(3, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(degree), rng.randint(2, degree))
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(tuple(images)))
+        cases.append((degree, gens))
+    cases += [
+        (3, [cycles("(1,2,3)", 3), cycles("(1,2)", 3)]),  # S3
+        (4, [cycles("(1,2,3)", 4), cycles("(1,2)(3,4)", 4)]),  # A4
+        (4, [cycles("(1,2,3,4)", 4), cycles("(1,2)", 4)]),  # S4
+    ]
+    for name in ("C2xC4", "C3xC3", "C2xC2xC2", "Q8xC3", "D8xC3"):
+        group = realize_name(name)
+        cases.append((group.degree, list(group.generators)))
+    kinds = set()
+    for degree, gens in cases:
+        group = PermGroup(degree, gens)
+        cyclic, nilpotent, normal = brute_sylow_report(degree, gens)
+        kinds.add((cyclic, nilpotent))
+        assert is_cyclic(group) == cyclic, gens
+        assert is_nilpotent(group) == nilpotent, gens
+        decomposition = sylow_decomposition(group)
+        assert decomposition.nilpotent == nilpotent
+        assert decomposition.sylows.keys() == normal.keys()
+        for p, sylow in decomposition.sylows.items():
+            # Generated by its elements in canonical order, as the enumerating
+            # definition builds it, so the chain is the same too.
+            assert sylow.generators == tuple(sorted(normal[p]))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_cycle_chain_forms_no_schreier_generator_on_tree_edges(monkeypatch):
+    # One 1000-cycle: 1000 Schreier pairs at the only level, 999 of them
+    # BFS-tree edges, whose Schreier generators are the identity.
+    import twoclosure.group as group_module
+
+    sifts, inverses = [], []
+    sift, inverse = group_module._Chain._sift, group_module._inverse
+    monkeypatch.setattr(group_module._Chain, "_sift", lambda self, h, start: sifts.append(start) or sift(self, h, start))
+    monkeypatch.setattr(group_module, "_inverse", lambda images, points: inverses.append(1) or inverse(images, points))
+    group = PermGroup(1000, (from_cycles(1000, [tuple(range(1000))]),))
+    assert group.order == 1000
+    assert sifts[0] == 0 and len(sifts) - 1 <= 3  # the generator's own sift comes first
+    assert len(inverses) <= 3
+
+
 def test_point_stabilizer_of_coprime_product_splits():
     from twoclosure.actions import disjoint_union_action
 
@@ -189,7 +259,7 @@ def test_element_index_matches_permutation_products():
         for g, conj in zip(elements, table.conjugations()):
             assert conj == [position[h.conjugated_by(g)] for h in elements]
         for g in elements[:6]:
-            mask = table.closure((position[g],))
+            mask = table.extend(1, (0,), (), position[g])
             assert set(table.elements_of(mask)) == mulclose(group.degree, (g,))
             assert table.conjugates(mask) == [
                 sum(1 << position[h.conjugated_by(x)] for h in table.elements_of(mask))

@@ -3,7 +3,8 @@
 sympy computes order, membership, orbits and point stabilizers with its own
 Schreier-Sims code, so it checks the stabilizer chain independently of the
 brute-force oracles in helpers.py.  Its nilpotency test, Sylow subgroups,
-cyclicity test and center check the element-enumerating operators.
+cyclicity test, center and centralizer check the group operators, those
+that list elements and those that read generators alike.
 """
 
 import random
@@ -16,6 +17,7 @@ from twoclosure.catalog import realize_name  # noqa: E402
 from twoclosure.group import (  # noqa: E402
     PermGroup,
     center,
+    centralizer,
     is_cyclic,
     prime_factorization,
     sylow_decomposition,
@@ -84,6 +86,9 @@ def test_group_operators_match_sympy():
         checked += 1
         reference = sympy_combinatorics.PermutationGroup([as_sympy(g) for g in gens])
         assert center(group).order == reference.center().order()
+        # The centralizer of the subgroup generated by the first generator.
+        first = sympy_combinatorics.PermutationGroup([as_sympy(gens[0])])
+        assert centralizer(group, PermGroup(degree, gens[:1])).order == reference.centralizer(first).order()
         assert is_cyclic(group) == reference.is_cyclic
         decomposition = sylow_decomposition(group)
         assert decomposition.nilpotent == reference.is_nilpotent
