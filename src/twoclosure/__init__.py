@@ -78,6 +78,7 @@ from .orbital import (
 )
 from .perm import Permutation, from_cycles, identity, parse_cycles
 from .witnesses import (
+    CERTIFICATE_DEGREE_GUARD,
     WitnessCertificate,
     abelian_basis,
     abelian_p_witness,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import coprime_direct_factors, quotient_action
-from .catalog import subgroup_lattice
 from .errors import InternalDefect, PreconditionError
 from .group import (
     PermGroup,
@@ -24,6 +23,7 @@ from .group import (
 from .orbital import two_closure
 from .witnesses import (
     WitnessCertificate,
+    _guard_certificate_degree,
     abelian_p_basis,
     abelian_p_witness,
     center_witness,
@@ -54,43 +54,61 @@ class Verdict:
 
 def is_generalized_quaternion(group: PermGroup) -> bool:
     """Noncyclic 2-group of order >= 8 with exactly one involution."""
-    factors = prime_factorization(group.order)
-    if group.order == 1 or factors.keys() != {2}:
+    if prime_factorization(group.order).keys() != {2}:
         raise PreconditionError("input must be a nontrivial 2-group")
     if group.order < 8 or is_cyclic(group):
         return False
-    return sum(1 for g in group.elements() if g.order() == 2) == 1
+    # g*g is the identity for the identity and for each involution.
+    one = group.elements()[0]
+    return sum(1 for g in group.elements() if g * g == one) == 2
 
 
-def _first_normal_elementary(lattice: list[SubgroupHandle], p: int) -> PermGroup | None:
-    """First normal, noncyclic subgroup of order p^2 and exponent p."""
-    for handle in lattice:
-        sub = handle.group
-        if (
-            handle.normal
-            and sub.order == p * p
-            and not is_cyclic(sub)
-        ):
-            return sub
-    return None
+def normal_pp_subgroup(group: PermGroup, p: int) -> PermGroup | None:
+    """The normal subgroup of type (p,p) with the least sorted element list,
+    or None, in a p-group with cyclic center.
 
-
-def _first_split_pair(
-    group: PermGroup, lattice: list[SubgroupHandle]
-) -> tuple[PermGroup, PermGroup] | None:
-    """First (normal part, abelian core-free complement) splitting of the group."""
-    for h in lattice:
-        if h.group.order == 1 or h.group.order == group.order:
+    The center's one subgroup <z> of order p lies in every normal (p,p), so
+    each is <z, b> for an element b of order p outside <z> whose conjugates
+    under the generators all lie in b<z>.
+    """
+    elements = group.elements()
+    one = elements[0]
+    z = [c for c in center(group).elements() if c**p == one]
+    if len(z) != p:
+        raise PreconditionError("the center must be cyclic")
+    best = None
+    seen = set(z)
+    for b in elements:
+        if b in seen or b**p != one:
             continue
-        if h.core_mask != 1 or not h.group.is_abelian():
-            continue
-        for m in lattice:
-            if not m.normal or m.group.order * h.group.order != group.order:
-                continue
-            if m.mask & h.mask != 1:
-                continue  # the parts share more than the identity (index 0)
-            return m.group, h.group
-    return None
+        coset = {b * c for c in z}
+        if all(b.conjugated_by(s) in coset for s in group.strong_generators):
+            members = sorted(c * b**j for c in z for j in range(p))
+            seen.update(members)
+            best = members if best is None else min(best, members)
+    return None if best is None else PermGroup(group.degree, tuple(best))
+
+
+def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
+    """(normal part, complement) for a dihedral or semidihedral 2-group: the
+    least index-2 subgroup without x, and <x> for the least noncentral
+    involution x.
+
+    The squares form Φ(P), of index 4, so the index-2 subgroups are Φ ∪ yΦ
+    for the three cosets yΦ other than Φ.
+    """
+    elements = group.elements()
+    one = elements[0]
+    x = next((g for g in elements if g * g == one and not center(group).contains(g)), None)
+    phi = {g * g for g in elements}
+    if x is None or x in phi or 4 * len(phi) != group.order:
+        raise PreconditionError("the group must be dihedral or semidihedral")
+    cosets = [phi]
+    for g in elements:
+        if not any(g in c for c in cosets):
+            cosets.append({g * f for f in phi})
+    m = min(sorted(phi | c) for c in cosets[1:] if x not in c)
+    return PermGroup(group.degree, tuple(m)), PermGroup(group.degree, (one, x))
 
 
 def _center_route(group: PermGroup, decomposition) -> WitnessCertificate:
@@ -104,57 +122,51 @@ def _center_route(group: PermGroup, decomposition) -> WitnessCertificate:
     return center_witness(target)
 
 
-def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
-    """Route a nilpotent, non-2-closed group to a validating certificate.
+def _route(group: PermGroup) -> tuple[str, WitnessCertificate] | None:
+    """Reason and certificate for a nilpotent group that is not 2-closed, or
+    None for a 2-closed one (every Sylow subgroup cyclic or quaternion).
 
-    The center route comes first (it has the weakest structural demands) and
-    is aware of coprime direct factors: the construction runs on the Sylow
-    subgroup carrying the noncyclic part of the center, which keeps
-    certificate degrees minimal and is sound because a group 2-closed in
-    every faithful representation forces the same of each direct factor.
+    A noncyclic center takes the center route; otherwise the certificate is
+    built on the first Sylow subgroup in prime order that is neither.  Such
+    a p-group has a normal (p,p), or p = 2 and it is dihedral or
+    semidihedral (Gorenstein, *Finite Groups*, Thm 5.4.10).  A group
+    2-closed in every faithful representation forces the same of each
+    direct factor, so one Sylow subgroup suffices and keeps degrees minimal.
     """
-    decomposition = sylow_decomposition(group)
-    if not decomposition.nilpotent:
-        raise PreconditionError("witness routing requires a nilpotent group")
-    if _is_positive(group, decomposition):
-        raise PreconditionError("input is a 2-closed group")
-
-    if not is_cyclic(center(group)):
-        return _center_route(group, decomposition)
-
-    for p in sorted(decomposition.sylows):
-        part = decomposition.sylows[p]
-        if is_cyclic(part):
-            continue
-        if p == 2:
-            if is_generalized_quaternion(part):
-                continue
-            lattice = subgroup_lattice(part)
-            four_subgroup = _first_normal_elementary(lattice, 2)
-            if four_subgroup is not None:
-                return two_group_witness(part, four_subgroup)
-            split = _first_split_pair(part, lattice)
-            if split is not None:
-                return semidirect_witness(part, split[0], split[1])
-            raise InternalDefect(
-                "2-group is neither cyclic nor quaternion yet no construction applies"
-            )
-        else:
-            pp_subgroup = _first_normal_elementary(subgroup_lattice(part), p)
-            if pp_subgroup is not None:
-                return odd_p_witness(part, pp_subgroup)
-            raise InternalDefect(
-                "odd noncyclic p-group without a usable normal p x p subgroup"
-            )
-    raise InternalDefect("no witness construction applies to a non-2-closed input")
-
-
-def _is_positive(group: PermGroup, decomposition) -> bool:
     if is_cyclic(group):
-        return True
-    syl2 = decomposition.sylows.get(2)
-    odd_cyclic = all(is_cyclic(s) for p, s in decomposition.sylows.items() if p != 2)
-    return syl2 is not None and odd_cyclic and is_generalized_quaternion(syl2)
+        return None
+    if not is_nilpotent(group):
+        raise PreconditionError("witness routing requires a nilpotent group")
+    decomposition = sylow_decomposition(group)
+    sylows = decomposition.sylows
+    bad = [
+        p for p in sorted(sylows)
+        if not is_cyclic(sylows[p]) and not (p == 2 and is_generalized_quaternion(sylows[p]))
+    ]
+    if not bad:
+        return None
+    if not is_cyclic(center(group)):
+        return REASON_NONCYCLIC_CENTER, _center_route(group, decomposition)
+    reason = REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION if bad == [2] else REASON_NONCYCLIC_SYLOW_ODD
+    p = bad[0]
+    part = sylows[p]
+    # Every p-part certificate has degree at least |P|/p.
+    _guard_certificate_degree(part.order // p)
+    subgroup = normal_pp_subgroup(part, p)
+    if subgroup is not None:
+        construct = two_group_witness if p == 2 else odd_p_witness
+        return reason, construct(part, subgroup)
+    if p == 2:
+        return reason, semidirect_witness(part, *split_pair(part))
+    raise InternalDefect("odd noncyclic p-group without a normal p x p subgroup")
+
+
+def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
+    """Route a nilpotent, non-2-closed group to a validating certificate."""
+    routed = _route(group)
+    if routed is None:
+        raise PreconditionError("input is a 2-closed group")
+    return routed[1]
 
 
 def classify_nilpotent(group: PermGroup) -> Verdict:
@@ -168,17 +180,10 @@ def classify_nilpotent(group: PermGroup) -> Verdict:
         return Verdict(STATUS_TWO_CLOSED, REASON_CYCLIC, None)
     if not is_nilpotent(group):
         return Verdict(STATUS_NOT_NILPOTENT, REASON_NOT_NILPOTENT, None)
-    decomposition = sylow_decomposition(group)
-    if _is_positive(group, decomposition):
+    routed = _route(group)
+    if routed is None:
         return Verdict(STATUS_TWO_CLOSED, REASON_QUATERNION_TIMES_ODD_CYCLIC, None)
-    certificate = not_two_closed_witness(group)
-    if not is_cyclic(center(group)):
-        reason = REASON_NONCYCLIC_CENTER
-    elif any(not is_cyclic(s) for p, s in decomposition.sylows.items() if p != 2):
-        reason = REASON_NONCYCLIC_SYLOW_ODD
-    else:
-        reason = REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION
-    return Verdict(STATUS_NOT_TWO_CLOSED, reason, certificate)
+    return Verdict(STATUS_NOT_TWO_CLOSED, *routed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +199,7 @@ def center_cyclic_test(group: PermGroup) -> CenterTest:
     noncyclic part of the center, so odd cyclic factors never inflate the
     certificate degree.
     """
-    z = center(group)
-    if is_cyclic(z):
+    if is_cyclic(center(group)):
         return CenterTest(True, None)
     decomposition = sylow_decomposition(group)
     if decomposition.nilpotent:

@@ -503,16 +503,10 @@ def orbits_and_stabilizer(group: PermGroup, point: int) -> tuple[tuple[int, ...]
     return orbit, stab
 
 
-def _guarded_elements(group: PermGroup) -> tuple[Permutation, ...]:
-    if group.order > ENUMERATION_GUARD:
-        raise GuardExceeded(f"group order {group.order} exceeds the enumeration guard")
-    return group.elements()
-
-
 def center(group: PermGroup) -> PermGroup:
     if group._center is None:
         sgens = group.strong_generators
-        zs = tuple(g for g in _guarded_elements(group) if all(g * s == s * g for s in sgens))
+        zs = tuple(g for g in group.elements() if all(g * s == s * g for s in sgens))
         group._center = PermGroup(group.degree, zs)
     return group._center
 
@@ -520,7 +514,7 @@ def center(group: PermGroup) -> PermGroup:
 def centralizer(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
     handle = as_subgroup(group, subgroup)
     hgens = handle.group.strong_generators
-    cs = tuple(g for g in _guarded_elements(group) if all(g * s == s * g for s in hgens))
+    cs = tuple(g for g in group.elements() if all(g * s == s * g for s in hgens))
     return PermGroup(group.degree, cs)
 
 
@@ -531,7 +525,7 @@ def core(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
     subgroup's element set.
     """
     handle = as_subgroup(group, subgroup)
-    _guarded_elements(group)
+    group.elements()  # refuses a group above the enumeration guard
     keep = set(handle.group.elements())
     conjugators = list(group.strong_generators)
     conjugators += [g.inverse() for g in group.strong_generators]
@@ -622,7 +616,7 @@ def _normal_sylows_by_enumeration(group: PermGroup) -> dict[int, PermGroup]:
     """For each prime p, the p-power-order elements form the Sylow
     p-subgroup exactly when that subgroup is normal; only those primes
     appear."""
-    elements = _guarded_elements(group)
+    elements = group.elements()
     orders = [g.order() for g in elements]
     sylows: dict[int, PermGroup] = {}
     for p, e in sorted(prime_factorization(group.order).items()):
@@ -667,7 +661,7 @@ def is_cyclic(group: PermGroup) -> bool:
 
 def order_profile(group: PermGroup) -> tuple[tuple[int, int], ...]:
     """Multiset of element orders as sorted (order, count) pairs."""
-    counts = Counter(g.order() for g in _guarded_elements(group))
+    counts = Counter(g.order() for g in group.elements())
     return tuple(sorted(counts.items()))
 
 

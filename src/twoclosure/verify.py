@@ -14,19 +14,20 @@ import random
 from dataclasses import dataclass
 
 from .actions import disjoint_union_action, quotient_action
-from .catalog import faithful_representations, realize_name, subgroup_lattice
+from .catalog import faithful_representations, realize_name
 from .classify import (
     STATUS_NOT_TWO_CLOSED,
     STATUS_TWO_CLOSED,
     certify_coprime_product,
     center_cyclic_test,
     classify_nilpotent,
+    normal_pp_subgroup,
+    split_pair,
 )
 from .group import (
     PermGroup,
     center,
     intersection_elements,
-    is_cyclic,
     is_normal,
     sylow_decomposition,
 )
@@ -258,29 +259,15 @@ def check_commutation_and_center() -> list[CheckResult]:
 def standard_witness_certificates() -> list[tuple[str, object]]:
     """The fixed certificate battery used by the lemmas suite."""
     d8 = realize_name("D8")
-    d8_lattice = subgroup_lattice(d8)
-    d8_four = next(
-        h.group for h in d8_lattice if h.normal and h.group.order == 4 and not is_cyclic(h.group)
-    )
-    d8_m = next(h.group for h in d8_lattice if h.group.order == 4 and is_cyclic(h.group))
-    d8_h = next(h.group for h in d8_lattice if h.group.order == 2 and h.core_mask == 1)
     sd16 = realize_name("SD16")
-    sd16_lattice = subgroup_lattice(sd16)
-    sd16_m = next(h.group for h in sd16_lattice if h.group.order == 8 and is_cyclic(h.group))
-    sd16_h = next(h.group for h in sd16_lattice if h.group.order == 2 and h.core_mask == 1)
     e27 = realize_name("E27")
-    e27_pp = next(
-        h.group
-        for h in subgroup_lattice(e27)
-        if h.normal and h.group.order == 9 and not is_cyclic(h.group)
-    )
     return [
         ("abelian-p(2;1,1)", abelian_p_witness(2, (1, 1))),
         ("abelian-p(3;1,1)", abelian_p_witness(3, (1, 1))),
-        ("two-group(D8)", two_group_witness(d8, d8_four)),
-        ("odd-p(E27)", odd_p_witness(e27, e27_pp)),
-        ("semidirect(D8)", semidirect_witness(d8, d8_m, d8_h)),
-        ("semidirect(SD16)", semidirect_witness(sd16, sd16_m, sd16_h)),
+        ("two-group(D8)", two_group_witness(d8, normal_pp_subgroup(d8, 2))),
+        ("odd-p(E27)", odd_p_witness(e27, normal_pp_subgroup(e27, 3))),
+        ("semidirect(D8)", semidirect_witness(d8, *split_pair(d8))),
+        ("semidirect(SD16)", semidirect_witness(sd16, *split_pair(sd16))),
         ("center(Q8xC2)", center_witness(realize_name("Q8xC2"))),
     ]
 
@@ -353,14 +340,12 @@ def check_quotient_lemmas() -> list[CheckResult]:
 
     remark = PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
     remark_closure = two_closure(remark)
-    for sub in subgroup_lattice(remark):
-        if sub.group.order != 2:
-            continue
-        if not is_normal(remark_closure, sub.group):
+    for sub in (PermGroup(remark.degree, (t,)) for t in remark.elements() if t.order() == 2):
+        if not is_normal(remark_closure, sub):
             normality_checks.append("embedded-four-group: subgroup not normal in the closure")
             continue
-        qa = quotient_action(remark, sub.group)
-        qa_closure = quotient_action(remark_closure, sub.group)
+        qa = quotient_action(remark, sub)
+        qa_closure = quotient_action(remark_closure, sub)
         if not two_equivalent(
             PermGroup(qa.image.degree, tuple(qa.embed(g) for g in remark.strong_generators)),
             PermGroup(

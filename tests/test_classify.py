@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from twoclosure.catalog import realize_name
+from twoclosure import classify
+from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import (
     REASON_CYCLIC,
     REASON_QUATERNION_TIMES_ODD_CYCLIC,
@@ -10,12 +13,14 @@ from twoclosure.classify import (
     certify_coprime_product,
     classify_nilpotent,
     is_generalized_quaternion,
+    normal_pp_subgroup,
     not_two_closed_witness,
+    split_pair,
 )
-from twoclosure.errors import PreconditionError
-from twoclosure.group import build_group, sylow_decomposition
+from twoclosure.errors import GuardExceeded, PreconditionError
+from twoclosure.group import build_group, is_cyclic, sylow_decomposition
 from twoclosure.orbital import two_closure
-from twoclosure.perm import parse_cycles
+from twoclosure.perm import Permutation, parse_cycles
 from twoclosure.witnesses import check_certificate
 
 
@@ -98,3 +103,87 @@ def test_coprime_certification_rejects_bad_hypotheses():
     part = sylow_decomposition(v4).sylows[2]
     with pytest.raises(PreconditionError, match="coprime"):
         certify_coprime_product(v4, part, part)
+
+
+# Families of order at most 256 whose certificate is built on a p-part with
+# cyclic center, each with the prime of that p-part.
+P_PART_FAMILIES = [(f"D{2**k}", 2) for k in range(3, 9)] + [(f"SD{2**k}", 2) for k in range(4, 9)] + [
+    ("E27", 3),
+    ("E125", 5),
+    ("D8xC3", 2),
+    ("D16xC3", 2),
+    ("D32xC3", 2),
+    ("SD16xC5", 2),
+    ("E27xC5", 3),
+]
+
+
+def _relabelled(name, seed):
+    """The family's realization, its points relabelled by a seeded permutation."""
+    group = realize_name(name)
+    if seed is None:
+        return group
+    images = list(range(group.degree))
+    random.Random(seed).shuffle(images)
+    return group.conjugated_by(Permutation(tuple(images)))
+
+
+def _lattice_choices(part, p):
+    """The subgroups the lattice scans picked: the first normal noncyclic
+    subgroup of order p^2, and for a 2-group the first (normal part,
+    abelian core-free complement) split, in lattice order."""
+    lattice = subgroup_lattice(part)
+    pp = next(
+        (h.group for h in lattice if h.normal and h.group.order == p * p and not is_cyclic(h.group)),
+        None,
+    )
+    if p != 2:
+        return pp, None
+    split = next(
+        (m.group, h.group)
+        for h in lattice
+        if 1 < h.group.order < part.order and h.core_mask == 1 and h.group.is_abelian()
+        for m in lattice
+        if m.normal and m.group.order * h.group.order == part.order and m.mask & h.mask == 1
+    )
+    return pp, split
+
+
+@pytest.mark.parametrize("seed", [None, 11, 12])
+@pytest.mark.parametrize("name,p", P_PART_FAMILIES)
+def test_direct_searches_pick_the_lattice_choices(name, p, seed):
+    part = sylow_decomposition(_relabelled(name, seed)).sylows[p]
+    pp, split = _lattice_choices(part, p)
+    found = normal_pp_subgroup(part, p)
+    assert (found is None) == (pp is None)
+    if pp is not None:
+        assert found.generators == pp.generators
+    if split is not None:
+        m, h = split_pair(part)
+        assert (m.generators, h.generators) == (split[0].generators, split[1].generators)
+
+
+@pytest.mark.parametrize("name,degree", [("D512", 258), ("SD512", 258), ("E343", 49)])
+def test_p_parts_above_the_old_lattice_limit_get_certificates(name, degree):
+    verdict = classify_nilpotent(realize_name(name))
+    assert verdict.status == STATUS_NOT_TWO_CLOSED
+    assert verdict.certificate.group.degree == degree
+    assert check_certificate(verdict.certificate) == []
+
+
+def test_certificate_degree_guard_refuses_the_d2048_split():
+    with pytest.raises(GuardExceeded, match=r"degree 1026 exceeds the certificate degree guard \(1024\)"):
+        classify_nilpotent(realize_name("D2048"))
+
+
+@pytest.mark.parametrize("name", ["D16", "Q16xC3"])
+def test_quaternion_test_runs_once_per_verdict(monkeypatch, name):
+    calls = []
+
+    def counted(group):
+        calls.append(group.order)
+        return is_generalized_quaternion(group)
+
+    monkeypatch.setattr(classify, "is_generalized_quaternion", counted)
+    classify_nilpotent(realize_name(name))
+    assert len(calls) == 1

@@ -186,6 +186,17 @@ def test_closure_degree_guard_fails_before_the_pair_partition(tmp_path, capsys):
     assert "closure search guard (32)" in report["error"]["message"]
 
 
+def test_center_route_certificate_degree_guard(capsys):
+    # Order 4096 with center C2^3: the center certificate would have degree
+    # (2+2+2+2)·512 = 4096 and 16 million evidence pairs.
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "classify", "--family", "D16xD16xD16")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert report["error"]["kind"] == "precondition"
+    assert "degree 4096 exceeds the certificate degree guard (1024)" in report["error"]["message"]
+
+
 def test_unexpected_errors_are_reported_as_defects(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

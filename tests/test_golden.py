@@ -6,12 +6,15 @@ the way the CLI prints it.  The witness files and `classify_Q8xC2`,
 `classify_D16` were recorded before the transporter table replaced per-pair
 path replay in membership evidence.  The other classify and verify files and
 `representations.json` were recorded before the subgroup lattice moved onto
-the element index; the classify families among them take the semidirect,
-odd-p and two-group routes, and the verify suites and `representations.json`
-pin the faithful representation sampler.  The `closure_*` files were
-recorded before the orbital partition was cached on its group; their specs
-are in CLOSURE_SPECS.  A deliberate change to any of them is recorded in
-CHANGES.md.
+the element index.  The classify families among them take the semidirect,
+odd-p and two-group routes; they, `classify_D16` and `verify_lemmas` were
+recorded when those routes and the lemmas suite's certificate battery took
+their subgroups from the lattice, and now pin the direct searches that
+replaced it.  The verify suites and `representations.json` pin the faithful
+representation sampler, the lattice's one remaining user.  The `closure_*`
+files were recorded before the orbital partition was cached on its group;
+their specs are in CLOSURE_SPECS.  A deliberate change to any of them is
+recorded in CHANGES.md.
 """
 
 import json

@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from twoclosure.actions import disjoint_union_action
+from twoclosure import witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
-from twoclosure.errors import PreconditionError
+from twoclosure.classify import not_two_closed_witness
+from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import build_group, center, is_cyclic, sylow_decomposition
 from twoclosure.perm import identity
 from twoclosure.orbital import MembershipEvidence, two_closure
@@ -267,3 +269,24 @@ def test_check_certificate_reports_tampered_evidence():
     assert tampered(identity(theta.degree)) == [
         f"evidence element for pair ({moved + 1},{moved + 1}) moves it differently"
     ]
+
+
+@pytest.mark.parametrize("name", ["C2xC4", "D8", "D16", "SD16", "E27", "Q8xC2", "E27xC3", "C2xQ8xC3"])
+def test_each_construction_predicts_its_certificate_degree(monkeypatch, name):
+    predicted = []
+    guard = witnesses._guard_certificate_degree
+
+    def record(degree):
+        predicted.append(degree)
+        guard(degree)
+
+    monkeypatch.setattr(witnesses, "_guard_certificate_degree", record)
+    cert = not_two_closed_witness(realize_name(name))
+    # The outer construction predicts first; a center certificate's inner
+    # cell witness predicts its own, smaller degree after it.
+    assert predicted[0] == cert.group.degree
+
+
+def test_certificate_degree_guard_names_value_and_limit():
+    with pytest.raises(GuardExceeded, match=r"degree 1026 exceeds the certificate degree guard \(1024\)"):
+        abelian_p_witness(2, (9, 9))
