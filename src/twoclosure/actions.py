@@ -9,7 +9,6 @@ from, so built actions stay auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping
 
@@ -34,18 +33,16 @@ from .perm import Permutation, identity
 #   ("cell", k, i)                  point i of the k-th fresh cell of a witness
 
 
-@dataclass(frozen=True, eq=False)
 class ActionSpace:
     """A labeled point set; the label order defines the 0-based point order."""
 
-    labels: tuple[object, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "_index")
 
-    def __post_init__(self) -> None:
-        index = {label: i for i, label in enumerate(self.labels)}
-        if len(index) != len(self.labels):
+    def __init__(self, labels: tuple[object, ...]) -> None:
+        self.labels = labels
+        self._index = {label: i for i, label in enumerate(labels)}
+        if len(self._index) != len(labels):
             raise PreconditionError("duplicate labels in action space")
-        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -82,16 +79,17 @@ def describe_label(label: object) -> str:
 # ---------------------------------------------------------------------------
 # coset actions
 
-@dataclass(frozen=True, eq=False)
 class CosetAction:
     """Right-multiplication action of a group on the right cosets of a subgroup."""
 
-    source: PermGroup
-    image: PermGroup
-    space: ActionSpace
-    kernel: PermGroup
-    representatives: tuple[Permutation, ...]
-    point_of_element: Mapping[Permutation, int]
+    __slots__ = ("source", "image", "space", "kernel", "representatives", "point_of_element")
+
+    def __init__(
+        self, source: PermGroup, image: PermGroup, space: ActionSpace, kernel: PermGroup,
+        representatives: tuple[Permutation, ...], point_of_element: Mapping[Permutation, int],
+    ) -> None:
+        self.source, self.image, self.space, self.kernel = source, image, space, kernel
+        self.representatives, self.point_of_element = representatives, point_of_element
 
     def embed(self, x: Permutation) -> Permutation:
         """Image of a group element as a permutation of the coset points."""
@@ -145,12 +143,13 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
 # ---------------------------------------------------------------------------
 # disjoint unions
 
-@dataclass(frozen=True, eq=False)
 class DisjointUnionAction:
-    group: PermGroup
-    space: ActionSpace
-    embedded: tuple[PermGroup, ...]
-    offsets: tuple[int, ...]
+    __slots__ = ("group", "space", "embedded", "offsets")
+
+    def __init__(
+        self, group: PermGroup, space: ActionSpace, embedded: tuple[PermGroup, ...], offsets: tuple[int, ...]
+    ) -> None:
+        self.group, self.space, self.embedded, self.offsets = group, space, embedded, offsets
 
     def embed(self, part: int, g: Permutation) -> Permutation:
         """A permutation of part `part` as an element moving only that part's points."""
@@ -200,13 +199,13 @@ def disjoint_union_action(
 # ---------------------------------------------------------------------------
 # coprime product splitting of a transitive action
 
-@dataclass(frozen=True, eq=False)
 class ProductSplit:
     """Equivalence of a transitive coprime product action with a grid action."""
 
-    h_orbit: tuple[int, ...]
-    k_orbit: tuple[int, ...]
-    pair_of: Mapping[int, tuple[int, int]]
+    __slots__ = ("h_orbit", "k_orbit", "pair_of")
+
+    def __init__(self, h_orbit: tuple[int, ...], k_orbit: tuple[int, ...], pair_of: Mapping[int, tuple[int, int]]) -> None:
+        self.h_orbit, self.k_orbit, self.pair_of = h_orbit, k_orbit, pair_of
 
 
 def coprime_direct_factors(
@@ -279,16 +278,17 @@ def product_action(
 # ---------------------------------------------------------------------------
 # block quotients
 
-@dataclass(frozen=True, eq=False)
 class QuotientAction:
     """Action of a group on the orbits of a normal subgroup."""
 
-    source: PermGroup
-    image: PermGroup
-    space: ActionSpace
-    kernel: PermGroup
-    block_of: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "image", "space", "kernel", "block_of", "blocks")
+
+    def __init__(
+        self, source: PermGroup, image: PermGroup, space: ActionSpace, kernel: PermGroup,
+        block_of: tuple[int, ...], blocks: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.source, self.image, self.space, self.kernel = source, image, space, kernel
+        self.block_of, self.blocks = block_of, blocks
 
     def embed(self, x: Permutation) -> Permutation:
         return _block_permutation(x, self.blocks, self.block_of)
@@ -336,14 +336,15 @@ def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Q
 # ---------------------------------------------------------------------------
 # universal embedding on Delta x G/N
 
-@dataclass(frozen=True, eq=False)
 class ActionHom:
     """A faithful action of a group on a fresh point set, element by element."""
 
-    source: PermGroup
-    degree: int
-    mapping: Mapping[Permutation, Permutation]
-    space: ActionSpace | None = None
+    __slots__ = ("source", "degree", "mapping", "space")
+
+    def __init__(
+        self, source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation], space: ActionSpace | None = None
+    ) -> None:
+        self.source, self.degree, self.mapping, self.space = source, degree, mapping, space
 
     def of(self, x: Permutation) -> Permutation:
         return self.mapping[x]
@@ -426,11 +427,11 @@ class EmbeddingData:
         return Permutation(tuple(images))
 
 
-@dataclass(frozen=True, eq=False)
 class EmbeddedAction:
-    image: PermGroup
-    space: ActionSpace
-    data: EmbeddingData
+    __slots__ = ("image", "space", "data")
+
+    def __init__(self, image: PermGroup, space: ActionSpace, data: EmbeddingData) -> None:
+        self.image, self.space, self.data = image, space, data
 
 
 def universal_embedding(

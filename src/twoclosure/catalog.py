@@ -8,7 +8,6 @@ and ``x``-joined products such as ``Q16xC3`` or ``C2xC2``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .actions import CosetAction, coset_action, disjoint_union_action
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -27,13 +26,14 @@ from .perm import Permutation, from_cycles
 LATTICE_GUARD = INDEX_GUARD
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """One group family instance; products hold their factor specs in order."""
 
-    kind: str  # cyclic | dihedral | semidihedral | quaternion | extraspecial | product
-    order: int
-    parts: tuple["FamilySpec", ...] = ()
+    __slots__ = ("kind", "order", "parts")
+
+    def __init__(self, kind: str, order: int, parts: tuple[FamilySpec, ...] = ()) -> None:
+        self.kind = kind  # cyclic | dihedral | semidihedral | quaternion | extraspecial | product
+        self.order, self.parts = order, parts
 
     @property
     def name(self) -> str:
@@ -280,18 +280,18 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
 # ---------------------------------------------------------------------------
 # faithful representation sampler
 
-@dataclass(frozen=True, eq=False)
 class RepresentationEntry:
-    subgroups: tuple[PermGroup, ...]
-    action: PermGroup
-    degree: int
+    __slots__ = ("subgroups", "action", "degree")
+
+    def __init__(self, subgroups: tuple[PermGroup, ...], action: PermGroup, degree: int) -> None:
+        self.subgroups, self.action, self.degree = subgroups, action, degree
 
 
-@dataclass(frozen=True, eq=False)
 class RepresentationSample:
-    group: PermGroup
-    max_degree: int
-    entries: tuple[RepresentationEntry, ...]
+    __slots__ = ("group", "max_degree", "entries")
+
+    def __init__(self, group: PermGroup, max_degree: int, entries: tuple[RepresentationEntry, ...]) -> None:
+        self.group, self.max_degree, self.entries = group, max_degree, entries
 
 
 def _conjugacy_key(table: _ElementIndex, masks: tuple[int, ...]) -> tuple[int, ...]:

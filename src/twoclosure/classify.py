@@ -7,8 +7,6 @@ negative verdict always carries a machine-checkable witness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .actions import coprime_direct_factors, quotient_action
 from .errors import InternalDefect, PreconditionError
 from .group import (
@@ -45,11 +43,11 @@ REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION = "TwoGroupNotCyclicOrQuaternion"
 REASON_NOT_NILPOTENT = "NotNilpotent"
 
 
-@dataclass(frozen=True, eq=False)
 class Verdict:
-    status: str
-    reason: str
-    certificate: WitnessCertificate | None
+    __slots__ = ("status", "reason", "certificate")
+
+    def __init__(self, status: str, reason: str, certificate: WitnessCertificate | None) -> None:
+        self.status, self.reason, self.certificate = status, reason, certificate
 
 
 def is_generalized_quaternion(group: PermGroup) -> bool:
@@ -186,10 +184,11 @@ def classify_nilpotent(group: PermGroup) -> Verdict:
     return Verdict(STATUS_NOT_TWO_CLOSED, *routed)
 
 
-@dataclass(frozen=True, eq=False)
 class CenterTest:
-    passes: bool
-    certificate: WitnessCertificate | None
+    __slots__ = ("passes", "certificate")
+
+    def __init__(self, passes: bool, certificate: WitnessCertificate | None) -> None:
+        self.passes, self.certificate = passes, certificate
 
 
 def center_cyclic_test(group: PermGroup) -> CenterTest:
@@ -207,10 +206,11 @@ def center_cyclic_test(group: PermGroup) -> CenterTest:
     return CenterTest(False, center_witness(group))
 
 
-@dataclass(frozen=True, eq=False)
 class CoprimeCertification:
-    certified: bool
-    detail: dict
+    __slots__ = ("certified", "detail")
+
+    def __init__(self, certified: bool, detail: dict) -> None:
+        self.certified, self.detail = certified, detail
 
 
 def certify_coprime_product(

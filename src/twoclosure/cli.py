@@ -5,6 +5,10 @@ Every run writes a single JSON document to standard output; the ``results``
 object is deterministic for a fixed input, timings live outside it.  Exit
 codes: 0 success, 1 usage error, 2 precondition error, 3 internal defect
 (any unexpected exception is reported as one).
+
+Each command imports only the modules it uses: ``closure`` loads the
+permutation, group and orbital layers, and the other commands import their
+own modules inside their handlers.
 """
 
 from __future__ import annotations
@@ -14,19 +18,21 @@ import json
 import sys
 import time
 
-from .catalog import family_syntax_examples, parse_family, realize
-from .classify import certificate_summary, classify_nilpotent, not_two_closed_witness
 from .errors import CycleParseError, InternalDefect, PreconditionError
 from .group import PermGroup
 from .orbital import CLOSURE_DEGREE_GUARD, _missing_generator, orbital_partition, two_closure
 from .perm import parse_cycles
-from .verify import SUITES
 
 
 # Largest input degree that `closure`, `classify` and `witness` accept.  The
 # stabilizer chain of one n-cycle stores n image tuples of n points: at
 # degree 5000, `classify --family C5000` takes about 2 s and 210 MB.
 INPUT_DEGREE_GUARD = 5000
+
+# The `verify --suite` names, each with the flags that suite reads as keyword
+# arguments; the report lists the others as ignored.  `verify.SUITES` maps
+# these names to the suite functions.
+SUITE_FLAGS = {"axioms": ("seed", "max_degree"), "lemmas": (), "classification": ()}
 
 
 def _check_input_degree(degree: int, source: str) -> None:
@@ -84,6 +90,8 @@ def parse_group_document(text: str, source: str = "<input>") -> tuple[PermGroup,
 
 def _load_group(args) -> tuple[PermGroup, dict]:
     if getattr(args, "family", None):
+        from .catalog import parse_family, realize
+
         spec = parse_family(args.family)
         _check_input_degree(spec.degree, spec.name)
         group = realize(spec)
@@ -125,6 +133,8 @@ def _cmd_closure(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .classify import certificate_summary, classify_nilpotent
+
     group, echo = _load_group(args)
     verdict = classify_nilpotent(group)
     return {
@@ -141,6 +151,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
+    from .classify import certificate_summary, not_two_closed_witness
+
     group, echo = _load_group(args)
     certificate = not_two_closed_witness(group)
     return {
@@ -154,7 +166,9 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    suite, flags = SUITES[args.suite]
+    from .verify import SUITES
+
+    suite, flags = SUITES[args.suite], SUITE_FLAGS[args.suite]
     results = suite(**{flag: getattr(args, flag) for flag in flags})
     checks = [
         {"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -183,6 +197,8 @@ class _VerificationFailed(Exception):
 
 
 def _cmd_catalog(args) -> dict:
+    from .catalog import family_syntax_examples
+
     return {
         "command": "catalog",
         "input": {},
@@ -231,7 +247,7 @@ def build_parser() -> _Parser:
     witness.set_defaults(handler=_cmd_witness, input=None)
 
     verify = sub.add_parser("verify", help="run a property suite")
-    verify.add_argument("--suite", required=True, choices=sorted(SUITES))
+    verify.add_argument("--suite", required=True, choices=sorted(SUITE_FLAGS))
     verify.add_argument("--max-degree", type=_max_degree, default=7, dest="max_degree")
     verify.add_argument("--seed", type=int, default=7)
     verify.set_defaults(handler=_cmd_verify)

@@ -9,7 +9,6 @@ membership is decided by sifting alone, and the pointwise stabilizer of
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -455,7 +454,6 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, ())
 
 
-@dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup together with the group it lives in.
 
@@ -463,10 +461,10 @@ class SubgroupHandle:
     the parent's element index; handles from `as_subgroup` carry neither.
     """
 
-    parent: PermGroup
-    group: PermGroup
-    mask: int | None = None
-    core_mask: int | None = None
+    __slots__ = ("parent", "group", "mask", "core_mask")
+
+    def __init__(self, parent: PermGroup, group: PermGroup, mask: int | None = None, core_mask: int | None = None) -> None:
+        self.parent, self.group, self.mask, self.core_mask = parent, group, mask, core_mask
 
     @property
     def normal(self) -> bool | None:
@@ -563,10 +561,11 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorization(n) == {n: 1}
 
 
-@dataclass(frozen=True)
 class SylowDecomposition:
-    nilpotent: bool
-    sylows: dict[int, PermGroup]
+    __slots__ = ("nilpotent", "sylows")
+
+    def __init__(self, nilpotent: bool, sylows: dict[int, PermGroup]) -> None:
+        self.nilpotent, self.sylows = nilpotent, sylows
 
 
 def _generator_sylows(group: PermGroup) -> dict[int, PermGroup] | None:

@@ -10,7 +10,6 @@ a group runs a backtracking search over point images and is guarded by degree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -21,7 +20,6 @@ from .perm import Permutation, identity
 CLOSURE_DEGREE_GUARD = 32
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitalPartition:
     """Coloring of ordered point pairs by the orbits of a group.
 
@@ -32,13 +30,12 @@ class OrbitalPartition:
     first use holds the group element of every word.
     """
 
-    degree: int
-    colors: tuple[int, ...]
-    rank: int
-    representatives: tuple[tuple[int, int], ...]
-    generators: tuple[Permutation, ...]
-    parent_pair: tuple[int, ...]
-    parent_gen: tuple[int, ...]
+    def __init__(
+        self, degree: int, colors: tuple[int, ...], rank: int, representatives: tuple[tuple[int, int], ...],
+        generators: tuple[Permutation, ...], parent_pair: tuple[int, ...], parent_gen: tuple[int, ...],
+    ) -> None:
+        self.degree, self.colors, self.rank, self.representatives = degree, colors, rank, representatives
+        self.generators, self.parent_pair, self.parent_gen = generators, parent_pair, parent_gen
 
     def color_of(self, a: int, b: int) -> int:
         return self.colors[a * self.degree + b]
@@ -155,11 +152,13 @@ def is_in_two_closure(theta: Permutation, partition: OrbitalPartition) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class MembershipEvidence:
     """Per-pair group elements witnessing closure membership of one permutation."""
 
-    assignments: Mapping[tuple[int, int], Permutation]
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: Mapping[tuple[int, int], Permutation]) -> None:
+        self.assignments = assignments
 
 
 def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> MembershipEvidence:

@@ -10,17 +10,22 @@ of permutations are bijections by construction and skip that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import lcm
 
 from .errors import CycleParseError, PreconditionError
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Permutation:
-    """A bijection of {0, ..., degree-1}; compares and sorts by image tuple."""
+    """A bijection of {0, ..., degree-1}; immutable, compares, hashes and
+    sorts by image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.images)
@@ -29,6 +34,23 @@ class Permutation:
             if not isinstance(i, int) or i < 0 or i >= n or seen[i]:
                 raise PreconditionError("image sequence is not a bijection")
             seen[i] = True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Permutation is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Permutation is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self.images == other.images if other.__class__ is Permutation else NotImplemented
+
+    def __hash__(self) -> int:
+        # The hash of the one-field tuple, so sets of permutations keep their
+        # iteration order.
+        return hash((self.images,))
+
+    def __lt__(self, other: Permutation) -> bool:
+        return self.images < other.images
 
     @property
     def degree(self) -> int:
@@ -52,14 +74,17 @@ class Permutation:
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity(self.degree)
+        if n == 0:
+            return identity(self.degree)
+        result = None
         base = self
-        while n:
+        while True:  # square-and-multiply; no square after the top bit
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -120,10 +145,13 @@ class Permutation:
         return f"Permutation[{self.degree}]{self.cycle_string()}"
 
 
+_set_images = Permutation.images.__set__  # the slot's own setter, past __setattr__
+
+
 def _trusted(images: tuple[int, ...]) -> Permutation:
     """A Permutation on images that are a bijection by construction, unchecked."""
     perm = object.__new__(Permutation)
-    object.__setattr__(perm, "images", images)
+    _set_images(perm, images)
     return perm
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .actions import disjoint_union_action, quotient_action
 from .catalog import faithful_representations, realize_name
+from .cli import SUITE_FLAGS
 from .classify import (
     STATUS_NOT_TWO_CLOSED,
     STATUS_TWO_CLOSED,
@@ -80,11 +80,11 @@ COPRIME_PRODUCT_PARTS = [
 ]
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.name, self.passed, self.detail = name, passed, detail
 
 
 def _result(name: str, failures: list[str], context: str) -> CheckResult:
@@ -521,10 +521,5 @@ def suite_axioms(seed: int = 7, max_degree: int = 7, samples: int = 200) -> list
     return check_closure_axioms(seed=seed, samples=samples, max_degree=max_degree)
 
 
-# Each suite with the `verify` flags it reads (as keyword arguments); the
-# CLI reports the others as ignored.
-SUITES = {
-    "axioms": (suite_axioms, ("seed", "max_degree")),
-    "lemmas": (suite_lemmas, ()),
-    "classification": (suite_classification, ()),
-}
+# The suite function `suite_<name>` of each `verify --suite` name.
+SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_FLAGS}

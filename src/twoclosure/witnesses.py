@@ -10,7 +10,6 @@ remain checkable at any degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .actions import (
     ActionSpace,
@@ -56,17 +55,18 @@ def _guard_certificate_degree(degree: int) -> None:
         raise GuardExceeded(f"predicted certificate degree {degree} exceeds the certificate degree guard ({CERTIFICATE_DEGREE_GUARD})")
 
 
-@dataclass(frozen=True, eq=False)
 class WitnessCertificate:
     """A non-2-closedness proof: theta is outside the group but inside its
     2-closure, with a group element of evidence for every ordered pair."""
 
-    group: PermGroup
-    space: ActionSpace
-    witness: Permutation
-    evidence: MembershipEvidence
-    construction: str
-    parameters: dict
+    __slots__ = ("group", "space", "witness", "evidence", "construction", "parameters")
+
+    def __init__(
+        self, group: PermGroup, space: ActionSpace, witness: Permutation, evidence: MembershipEvidence,
+        construction: str, parameters: dict,
+    ) -> None:
+        self.group, self.space, self.witness, self.evidence = group, space, witness, evidence
+        self.construction, self.parameters = construction, parameters
 
 
 def check_certificate(cert: WitnessCertificate) -> list[str]:
@@ -84,13 +84,14 @@ def check_certificate(cert: WitnessCertificate) -> list[str]:
     if set(assignments) != {(a, b) for a in range(n) for b in range(n)}:
         problems.append("evidence does not cover every ordered pair")
         return problems
-    membership_cache: dict[Permutation, bool] = {}
+    # Keyed by id: evidence elements are interned, and `assignments` keeps
+    # each one alive for the whole check, so no id is reused.
+    membership_cache: dict[int, bool] = {}
     theta = cert.witness.images
     for (a, b), g in assignments.items():
-        inside = membership_cache.get(g)
+        inside = membership_cache.get(id(g))
         if inside is None:
-            inside = cert.group.contains(g)
-            membership_cache[g] = inside
+            inside = membership_cache[id(g)] = cert.group.contains(g)
         if not inside:
             problems.append(f"evidence element for pair ({a + 1},{b + 1}) is outside the group")
             break

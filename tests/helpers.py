@@ -1,13 +1,20 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and a probe
+of the modules a fresh interpreter loads.
 
-Everything here works by element enumeration only, never through the
+Every oracle works by element enumeration only, never through the
 stabilizer chain or the closure search it checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import twoclosure
 from twoclosure.perm import Permutation, identity
 
 
@@ -59,3 +66,15 @@ def brute_pair_orbit_count(degree: int, elements) -> int:
         for b in range(degree):
             orbits.add(frozenset((g.images[a], g.images[b]) for g in elements))
     return len(orbits)
+
+
+def loaded_modules(code: str, *argv: str) -> list[str]:
+    """`sys.modules` after running `code` in a fresh interpreter on this
+    package's source; `code` reads `argv` from `sys.argv[1:]`."""
+    env = dict(os.environ)
+    source = str(Path(twoclosure.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

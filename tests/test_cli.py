@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from helpers import loaded_modules
 from twoclosure import cli
 from twoclosure.cli import INPUT_DEGREE_GUARD, main, parse_group_document
 from twoclosure.errors import PreconditionError
@@ -226,3 +227,41 @@ def test_catalog_list(capsys):
     code, report = run_cli(capsys, "catalog", "--list")
     assert code == 0
     assert "Q16xC3" in report["results"]["examples"]
+
+
+def test_unknown_verify_suite_is_a_usage_error(capsys):
+    assert main(["verify", "--suite", "bogus"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    del report["timing"]
+    assert report == {
+        "command": "verify",
+        "error": {
+            "kind": "usage",
+            "message": "argument --suite: invalid choice: 'bogus' (choose from 'axioms', 'classification', 'lemmas')",
+        },
+    }
+    assert captured.err.startswith("usage error: argument --suite")
+
+
+def cli_modules(*argv: str) -> list[str]:
+    run = (
+        "import contextlib, io, sys\n"
+        "from twoclosure import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+    )
+    return loaded_modules(run, *argv)
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    bare = loaded_modules("")
+    path = write_spec(tmp_path, {"degree": 6, "generators": ["(1,2)(3,4)", "(3,4)(5,6)"]})
+    closure = cli_modules("closure", "-i", path)
+    assert {m for m in closure if m.startswith("twoclosure.")} == {
+        "twoclosure.cli", "twoclosure.errors", "twoclosure.group", "twoclosure.orbital", "twoclosure.perm",
+    }
+    classify = cli_modules("classify", "--family", "D8")
+    assert "twoclosure.classify" in classify and "twoclosure.verify" not in classify
+    for modules in (closure, classify):
+        assert ("dataclasses" in modules) <= ("dataclasses" in bare)

@@ -67,6 +67,36 @@ def test_powers_and_order():
     assert identity(5).order() == 1
 
 
+@pytest.mark.parametrize("cycles", ["()", "(1,2)", "(1,2,3,4,5)", "(1,2)(3,4,5)", "(1,3,5,2,4,6)"])
+def test_powers_equal_repeated_products(cycles):
+    p = parse_cycles(cycles, 6)
+    for k in range(-3, 10):
+        step = p if k >= 0 else p.inverse()
+        expected = identity(6)
+        for _ in range(abs(k)):
+            expected = expected * step
+        assert p**k == expected, k
+
+
+def test_square_forms_one_product(monkeypatch):
+    b = parse_cycles("(1,2,3,4,5)", 5)
+    square = parse_cycles("(1,3,5,2,4)", 5)
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda self, other: products.append(other) or mul(self, other))
+    assert b**2 == square
+    assert len(products) == 1
+
+
+def test_permutations_are_immutable():
+    p = parse_cycles("(1,2)", 3)
+    with pytest.raises(AttributeError):
+        p.images = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p.images == (1, 0, 2)
+
+
 @given(st.permutations(range(9)))
 def test_order_is_lcm_of_cycle_lengths(images):
     p = Permutation(tuple(images))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from twoclosure.actions import disjoint_union_action
@@ -8,7 +6,7 @@ from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import not_two_closed_witness
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import build_group, center, is_cyclic, sylow_decomposition
-from twoclosure.perm import identity
+from twoclosure.perm import Permutation, identity
 from twoclosure.orbital import MembershipEvidence, two_closure
 from twoclosure.witnesses import (
     WitnessCertificate,
@@ -260,7 +258,9 @@ def test_check_certificate_reports_tampered_evidence():
             del assignments[pair]
         else:
             assignments[pair] = element
-        return check_certificate(dataclasses.replace(cert, evidence=MembershipEvidence(assignments)))
+        return check_certificate(WitnessCertificate(
+            cert.group, cert.space, cert.witness, MembershipEvidence(assignments), cert.construction, cert.parameters,
+        ))
 
     assert tampered(None) == ["evidence does not cover every ordered pair"]
     # theta moves the pair exactly as theta does, but is outside the group
@@ -269,6 +269,18 @@ def test_check_certificate_reports_tampered_evidence():
     assert tampered(identity(theta.degree)) == [
         f"evidence element for pair ({moved + 1},{moved + 1}) moves it differently"
     ]
+
+
+def test_check_certificate_accepts_evidence_copies():
+    # The membership cache is keyed by object identity: equal evidence
+    # elements that are distinct objects must each be checked and pass.
+    cert = center_witness(realize_name("Q8xC2"))
+    copies = {pair: Permutation(g.images) for pair, g in cert.evidence.assignments.items()}
+    assert len({id(g) for g in copies.values()}) == len(copies)
+    copied = WitnessCertificate(
+        cert.group, cert.space, cert.witness, MembershipEvidence(copies), cert.construction, cert.parameters,
+    )
+    assert check_certificate(copied) == []
 
 
 @pytest.mark.parametrize("name", ["C2xC4", "D8", "D16", "SD16", "E27", "Q8xC2", "E27xC3", "C2xQ8xC3"])
