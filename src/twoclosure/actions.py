@@ -131,7 +131,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
     kernel_elements = tuple(
         e for e in group.elements() if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
     )
-    kernel = PermGroup(group.degree, kernel_elements)
+    kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
     expected = core(group, handle)
     if not kernel.same_group(expected):
         raise InternalDefect("coset action kernel disagrees with the subgroup core")
@@ -186,7 +186,7 @@ def disjoint_union_action(
     embedded = []
     for part, off in zip(parts, offsets):
         gens.extend(_shifted(g, off, total) for g in part.generators)
-        embedded.append(PermGroup(total, tuple(_shifted(g, off, total) for g in part.strong_generators)))
+        embedded.append(PermGroup(total, [_shifted(g, off, total) for g in part.strong_generators], _order=part.order))
     group = PermGroup(total, tuple(gens))
     expected = 1
     for part in parts:
@@ -329,7 +329,7 @@ def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Q
         for e in group.elements()
         if all(block_of[e.images[p]] == block_of[p] for p in range(group.degree))
     )
-    kernel = PermGroup(group.degree, kernel_elements)
+    kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
     return QuotientAction(group, image, space, kernel, block_of, blocks)
 
 
@@ -363,10 +363,12 @@ def action_hom(
     for x, px in mapping.items():
         if px.degree != degree:
             raise PreconditionError("action image degree mismatch")
-    for x in elements:
-        for y in elements:
-            if mapping[x] * mapping[y] != mapping[x * y]:
-                raise PreconditionError("mapping is not a homomorphism")
+    # Every element is a positive word in the strong generators: phi(1) = 1
+    # and phi(x*s) = phi(x)*phi(s) for every x and generator s suffice.
+    if not mapping[elements[0]].is_identity() or any(
+        mapping[x] * mapping[s] != mapping[x * s] for x in elements for s in source.strong_generators
+    ):
+        raise PreconditionError("mapping is not a homomorphism")
     if len(set(mapping.values())) != len(elements):
         raise PreconditionError("action is not faithful")
     if space is not None and space.size != degree:

@@ -272,7 +272,7 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
         core_mask = mask
         for conjugate in table.conjugates(mask):
             core_mask &= conjugate
-        sub = PermGroup(group.degree, table.elements_of(mask))
+        sub = PermGroup(group.degree, table.elements_of(mask), _order=mask.bit_count())
         handles.append(SubgroupHandle(group, sub, mask, core_mask))
     return handles
 

@@ -25,7 +25,6 @@ from .witnesses import (
     abelian_p_basis,
     abelian_p_witness,
     center_witness,
-    check_certificate,
     odd_p_witness,
     semidirect_witness,
     two_group_witness,
@@ -84,7 +83,7 @@ def normal_pp_subgroup(group: PermGroup, p: int) -> PermGroup | None:
             members = sorted(c * b**j for c in z for j in range(p))
             seen.update(members)
             best = members if best is None else min(best, members)
-    return None if best is None else PermGroup(group.degree, tuple(best))
+    return None if best is None else PermGroup(group.degree, best, _order=len(best))
 
 
 def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
@@ -106,7 +105,7 @@ def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
         if not any(g in c for c in cosets):
             cosets.append({g * f for f in phi})
     m = min(sorted(phi | c) for c in cosets[1:] if x not in c)
-    return PermGroup(group.degree, tuple(m)), PermGroup(group.degree, (one, x))
+    return PermGroup(group.degree, m, _order=len(m)), PermGroup(group.degree, (one, x))
 
 
 def _center_route(group: PermGroup, decomposition) -> WitnessCertificate:
@@ -247,7 +246,7 @@ def certify_coprime_product(
 
 
 def certificate_summary(cert: WitnessCertificate) -> dict:
-    """JSON-ready summary of a certificate, including a fresh validation."""
+    """JSON-ready summary of a certificate, with the validation it was built with."""
     return {
         "construction": cert.construction,
         "degree": cert.group.degree,
@@ -255,5 +254,5 @@ def certificate_summary(cert: WitnessCertificate) -> dict:
         "witness": cert.witness.cycle_string(),
         "evidence_pairs": len(cert.evidence.assignments),
         "parameters": cert.parameters,
-        "valid": check_certificate(cert) == [],
+        "valid": cert.problems == [],
     }

@@ -20,13 +20,16 @@ INDEX_GUARD = 256
 
 
 class _Level:
-    """One level of the chain: its strong generators and, per orbit point p,
-    the image tuple of the inverse of p's transversal element u_p."""
+    """One level of the chain: its strong generators, the image tuple of each
+    one's inverse, and, per orbit point p, the image tuple of the inverse of
+    p's transversal element u_p."""
 
-    __slots__ = ("gens", "orbit")
+    __slots__ = ("gens", "inverses", "orbit")
 
     def __init__(self, base: int, ident: tuple[int, ...]) -> None:
-        self.gens: list[Permutation] = []
+        # Lists are made on the first deposit; most levels never get one.
+        self.gens: list[Permutation] | tuple[()] = ()
+        self.inverses: list[tuple[int, ...]] | tuple[()] = ()
         self.orbit: dict[int, tuple[int, ...]] = {base: ident}
 
 
@@ -44,36 +47,39 @@ class _Chain:
 
     Sifting and Schreier generators work on raw image tuples; only deposited
     residues become Permutations.
+
+    Given the order of its group as `target`, a chain stops sifting Schreier
+    generators once it reaches that order.  Each stored orbit is an orbit of
+    a subgroup of its level's group, so the orbit sizes multiply to at most
+    the order generated so far: reaching |G| means every level is complete,
+    so every Schreier generator left would sift to the identity.
     """
 
-    def __init__(self, degree: int) -> None:
+    def __init__(self, degree: int, target: int | None = None) -> None:
         self.degree = degree
+        self.target = target
         self.ident = identity(degree)
         self.levels = [_Level(b, self.ident.images) for b in range(degree)]
 
     def copy(self) -> _Chain:
-        """An independent chain in the same state.  Each level's gens list is
-        copied; its orbit dict is shared, which is safe because
-        `_rebuild_orbit` replaces orbit dicts and never mutates them."""
+        """An independent chain in the same state, without a target order.
+        Each level's lists are copied; its orbit dict is shared, which is safe
+        because `_rebuild_orbit` replaces orbit dicts and never mutates them."""
         out = object.__new__(_Chain)
         out.degree = self.degree
+        out.target = None
         out.ident = self.ident
         out.levels = []
         for lv in self.levels:
             level = object.__new__(_Level)
-            level.gens = list(lv.gens)
+            level.gens = lv.gens[:]
+            level.inverses = lv.inverses[:]
             level.orbit = lv.orbit
             out.levels.append(level)
         return out
 
-    def gens_from(self, level: int) -> list[Permutation]:
-        out: list[Permutation] = []
-        for lv in self.levels[level:]:
-            out.extend(lv.gens)
-        return out
-
     def strong_generators(self) -> list[Permutation]:
-        return self.gens_from(0)
+        return [g for lv in self.levels for g in lv.gens]
 
     def _sift(self, h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         """Sift image tuple h through levels >= start: h * u_p^-1 at each level
@@ -108,12 +114,19 @@ class _Chain:
         residue, level = self._sift(g.images, 0)
         if residue == self.ident.images:
             return False
-        self.levels[level].gens.append(_trusted(residue))
+        self._deposit(level, residue)
         self._sweep(level)
         return True
 
+    def _deposit(self, level: int, residue: tuple[int, ...]) -> None:
+        lv = self.levels[level]
+        if not lv.gens:
+            lv.gens, lv.inverses = [], []
+        lv.gens.append(_trusted(residue))
+        lv.inverses.append(_inverse(residue, self.ident.images))
+
     def _rebuild_orbit(
-        self, level: int, gens: list[tuple[int, ...]]
+        self, level: int, gens: list[tuple[int, ...]], inverses: list[tuple[int, ...]]
     ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, int]]]:
         """Breadth-first orbit of the level's base point.
 
@@ -123,7 +136,7 @@ class _Chain:
         for the edge that found it first.
         """
         points = self.ident.images
-        steps = [(s, _inverse(s, points)) for s in gens]
+        steps = list(zip(gens, inverses))
         orbit = {level: points}
         tree: dict[int, tuple[int, int]] = {}
         queue = deque([level])
@@ -147,14 +160,18 @@ class _Chain:
         fail and is not sifted.  On a BFS-tree edge it is the identity and is
         not even formed, and u_beta is inverted only for points with an edge
         off the tree.  Returns the level where a missing residue was
-        deposited, or None if the level verified clean.
+        deposited, or None if the level verified clean or the chain has
+        reached its target order.
         """
         own = len(self.levels[level].gens)
         if not own:
             # Deeper generators fix the base point: the orbit stays {level}.
             return None
-        gens = [s.images for s in self.gens_from(level)]
-        orbit, tree = self._rebuild_orbit(level, gens)
+        upper = self.levels[level:]
+        gens = [s.images for lv in upper for s in lv.gens]
+        orbit, tree = self._rebuild_orbit(level, gens, [t for lv in upper for t in lv.inverses])
+        if self.target is not None and self.order() == self.target:
+            return None
         points = self.ident.images
         for beta in sorted(orbit):
             u_beta = None
@@ -173,7 +190,7 @@ class _Chain:
                     continue
                 residue, stop = self._sift(schreier, level + 1)
                 if residue != points:
-                    self.levels[stop].gens.append(_trusted(residue))
+                    self._deposit(stop, residue)
                     return stop
         return None
 
@@ -295,16 +312,22 @@ class _ElementIndex:
 class PermGroup:
     """Immutable permutation group of fixed degree given by generators."""
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...] | list[Permutation]) -> None:
+    def __init__(
+        self, degree: int, generators: tuple[Permutation, ...] | list[Permutation], *, _order: int | None = None
+    ) -> None:
+        # `_order`: the order, where a theorem or the construction fixes it.
+        # The chain is the same; a group of another order is a defect.
         if degree < 0:
             raise PreconditionError("degree must be non-negative")
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
                 raise PreconditionError("degree mismatch among generators")
-        chain = _Chain(degree)
+        chain = _Chain(degree, _order)
         for g in gens:
             chain.add(g)
+        if _order is not None and chain.order() != _order:
+            raise InternalDefect(f"generated group has order {chain.order()}, not the known order {_order}")
         self._init(gens, chain)
 
     @classmethod
@@ -420,12 +443,12 @@ class PermGroup:
                 if not sg.is_identity() and sg not in seen:
                     seen.add(sg)
                     gens.append(sg)
-        return PermGroup(self.degree, tuple(gens))
+        return PermGroup(self.degree, gens, _order=self.order // len(transversal))
 
     def conjugated_by(self, x: Permutation) -> PermGroup:
         if x.degree != self.degree:
             raise PreconditionError("degree mismatch")
-        return PermGroup(self.degree, tuple(g.conjugated_by(x) for g in self.generators))
+        return PermGroup(self.degree, [g.conjugated_by(x) for g in self.generators], _order=self.order)
 
     def is_subgroup_of(self, other: PermGroup) -> bool:
         if other.degree != self.degree:
@@ -505,7 +528,7 @@ def center(group: PermGroup) -> PermGroup:
     if group._center is None:
         sgens = group.strong_generators
         zs = tuple(g for g in group.elements() if all(g * s == s * g for s in sgens))
-        group._center = PermGroup(group.degree, zs)
+        group._center = PermGroup(group.degree, zs, _order=len(zs))
     return group._center
 
 
@@ -513,7 +536,7 @@ def centralizer(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermG
     handle = as_subgroup(group, subgroup)
     hgens = handle.group.strong_generators
     cs = tuple(g for g in group.elements() if all(g * s == s * g for s in hgens))
-    return PermGroup(group.degree, cs)
+    return PermGroup(group.degree, cs, _order=len(cs))
 
 
 def core(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
@@ -532,7 +555,7 @@ def core(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
         if not drop:
             break
         keep -= drop
-    return PermGroup(group.degree, tuple(sorted(keep)))
+    return PermGroup(group.degree, sorted(keep), _order=len(keep))
 
 
 def is_normal(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> bool:
@@ -624,7 +647,7 @@ def _normal_sylows_by_enumeration(group: PermGroup) -> dict[int, PermGroup]:
         # exactly when it divides p^e.
         p_elements = [g for g, o in zip(elements, orders) if target % o == 0]
         if len(p_elements) == target:
-            sylows[p] = PermGroup(group.degree, tuple(p_elements))
+            sylows[p] = PermGroup(group.degree, p_elements, _order=target)
     return sylows
 
 
@@ -640,7 +663,7 @@ def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
     if group._decomposition is None:
         parts = _generator_sylows(group)
         if parts is not None:
-            sylows = {p: PermGroup(group.degree, h.elements()) for p, h in parts.items()}
+            sylows = {p: PermGroup(group.degree, h.elements(), _order=h.order) for p, h in parts.items()}
             group._decomposition = SylowDecomposition(True, sylows)
         else:
             sylows = _normal_sylows_by_enumeration(group)

@@ -9,7 +9,6 @@ a CheckResult; a seed only ever changes sampling order, never correctness.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .actions import disjoint_union_action, quotient_action
@@ -121,6 +120,32 @@ def catalog_realizations(max_degree: int) -> list[tuple[str, PermGroup]]:
 # ---------------------------------------------------------------------------
 # axioms suite
 
+def _colour_preserving_count(partition) -> int:
+    """Number of permutations of the points that keep every pair colour,
+    counted by extending image prefixes that keep the colours of the pairs
+    among their own points."""
+    n = partition.degree
+    colors = partition.colors
+    images: list[int] = []
+
+    def extensions(k: int) -> int:
+        if k == n:
+            return 1
+        count = 0
+        for v in range(n):
+            if v in images or colors[k * n + k] != colors[v * n + v] or any(
+                colors[j * n + k] != colors[w * n + v] or colors[k * n + j] != colors[v * n + w]
+                for j, w in enumerate(images)
+            ):
+                continue
+            images.append(v)
+            count += extensions(k + 1)
+            images.pop()
+        return count
+
+    return extensions(0)
+
+
 def check_closure_axioms(seed: int = 7, samples: int = 200, max_degree: int = 7) -> list[CheckResult]:
     rng = random.Random(seed ^ 0x5EED)
     population: list[tuple[str, PermGroup]] = [
@@ -145,23 +170,30 @@ def check_closure_axioms(seed: int = 7, samples: int = 200, max_degree: int = 7)
             images = list(range(degree))
             rng.shuffle(images)
             x = Permutation(tuple(images))
+            # closure(G^x) = closure^x exactly when the orders agree and x
+            # conjugates the left side's strong generators back into closure.
             left = two_closure(group.conjugated_by(x))
-            right = closure.conjugated_by(x)
-            if not left.same_group(right):
+            x_inverse = x.inverse()
+            if left.order != closure.order or not all(
+                closure.contains(x * s * x_inverse) for s in left.strong_generators
+            ):
                 conjugation.append(f"{name}: conjugation equivariance failed")
                 break
         if degree <= 6:
-            thetas = [Permutation(p) for p in itertools.permutations(range(degree))]
+            # The colour-preserving permutations form a group: the closure
+            # exactly when it has the closure's order and strong generators.
+            agree = _colour_preserving_count(partition) == closure.order and all(
+                is_in_two_closure(s, partition) for s in closure.strong_generators
+            )
         else:
             thetas = []
             for _ in range(60):
                 images = list(range(degree))
                 rng.shuffle(images)
                 thetas.append(Permutation(tuple(images)))
-        for theta in thetas:
-            if closure.contains(theta) != is_in_two_closure(theta, partition):
-                maximality.append(f"{name}: closure disagrees with definitional membership")
-                break
+            agree = all(closure.contains(theta) == is_in_two_closure(theta, partition) for theta in thetas)
+        if not agree:
+            maximality.append(f"{name}: closure disagrees with definitional membership")
 
     context = f"{len(population)} groups (seed {seed})"
     return [

@@ -57,9 +57,12 @@ def _guard_certificate_degree(degree: int) -> None:
 
 class WitnessCertificate:
     """A non-2-closedness proof: theta is outside the group but inside its
-    2-closure, with a group element of evidence for every ordered pair."""
+    2-closure, with a group element of evidence for every ordered pair.
 
-    __slots__ = ("group", "space", "witness", "evidence", "construction", "parameters")
+    `problems` is the `check_certificate` result, taken once when the
+    certificate is built."""
+
+    __slots__ = ("group", "space", "witness", "evidence", "construction", "parameters", "problems")
 
     def __init__(
         self, group: PermGroup, space: ActionSpace, witness: Permutation, evidence: MembershipEvidence,
@@ -67,6 +70,7 @@ class WitnessCertificate:
     ) -> None:
         self.group, self.space, self.witness, self.evidence = group, space, witness, evidence
         self.construction, self.parameters = construction, parameters
+        self.problems = check_certificate(self)
 
 
 def check_certificate(cert: WitnessCertificate) -> list[str]:
@@ -115,9 +119,8 @@ def _assemble(
         raise ConstructionFailure("constructed witness lies in the group")
     evidence = membership_evidence(witness, partition)
     cert = WitnessCertificate(group, space, witness, evidence, construction, parameters)
-    problems = check_certificate(cert)
-    if problems:
-        raise ConstructionFailure("; ".join(problems))
+    if cert.problems:
+        raise ConstructionFailure("; ".join(cert.problems))
     return cert
 
 

@@ -198,3 +198,24 @@ def test_action_hom_validation():
     mapping = {g: identity(2) for g in v4.elements()}
     with pytest.raises(PreconditionError):
         action_hom(v4, 2, mapping)  # not faithful
+
+
+def test_action_hom_rejects_swapped_images():
+    # A bijection onto the group that swaps the images of two elements is
+    # faithful, but not a homomorphism; testing products with the strong
+    # generators alone must still find it.
+    d8 = realize_name("D8")
+    elements = d8.elements()
+    for a, b in [(1, 2), (1, len(elements) - 1), (3, 5)]:
+        mapping = {g: g for g in elements}
+        mapping[elements[a]], mapping[elements[b]] = elements[b], elements[a]
+        with pytest.raises(PreconditionError, match="not a homomorphism"):
+            action_hom(d8, d8.degree, mapping)
+    assert action_hom(d8, d8.degree, {g: g for g in elements}).of(elements[3]) == elements[3]
+
+
+def test_action_hom_rejects_a_moved_identity_on_the_trivial_group():
+    # The trivial group has no strong generator to test products with.
+    one = trivial_group(2)
+    with pytest.raises(PreconditionError, match="not a homomorphism"):
+        action_hom(one, 2, {identity(2): parse_cycles("(1,2)", 2)})

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import mulclose
 from twoclosure.catalog import realize_name
-from twoclosure.errors import GuardExceeded, PreconditionError
+from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
     PermGroup,
     as_subgroup,
@@ -271,3 +271,71 @@ def test_element_index_matches_permutation_products():
 def test_element_index_guard():
     with pytest.raises(GuardExceeded):
         realize_name("C257")._element_index()
+
+
+def chain_state(group):
+    """Each level's strong generator images, their stored inverses and its
+    orbit dict in insertion order."""
+    return [
+        ([g.images for g in lv.gens], list(lv.inverses), list(lv.orbit.items()))
+        for lv in group._chain.levels
+    ]
+
+
+def test_known_order_chains_equal_plain_chains():
+    from twoclosure.catalog import subgroup_lattice
+
+    rng = random.Random(41)
+    derived = 0
+    for _ in range(100):
+        degree = rng.randint(3, 9)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(degree), rng.randint(2, degree))
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(tuple(images)))
+        group = PermGroup(degree, gens)
+        images = list(range(degree))
+        rng.shuffle(images)
+        groups = [PermGroup(degree, gens, _order=group.order), group.conjugated_by(Permutation(tuple(images)))]
+        groups += [group.point_stabilizer(p) for p in range(degree)]
+        if group.order <= 2000:
+            groups.append(center(group))
+        if group.order <= 48:
+            groups += [handle.group for handle in subgroup_lattice(group)]
+        for built in groups:
+            assert chain_state(built) == chain_state(PermGroup(degree, built.generators)), built
+        derived += len(groups)
+    assert derived > 1000
+
+
+def test_known_order_build_stops_sifting_at_the_order(monkeypatch):
+    import twoclosure.group as group_module
+
+    elements = realize_name("D16").elements()
+    sifts = []
+    sift = group_module._Chain._sift
+    monkeypatch.setattr(group_module._Chain, "_sift", lambda self, h, start: sifts.append(start) or sift(self, h, start))
+    PermGroup(8, elements)
+    plain = len(sifts)
+    sifts.clear()
+    PermGroup(8, elements, _order=16)
+    # One sift per listed element, and none of the Schreier generators the
+    # plain build tests after the chain is complete.
+    assert len(sifts) < plain and len(sifts) <= len(elements) + 4
+
+
+def test_wrong_known_order_raises():
+    d16 = realize_name("D16")
+    for claim in (8, 15, 17, 32):
+        with pytest.raises(InternalDefect, match=f"not the known order {claim}"):
+            PermGroup(d16.degree, d16.generators, _order=claim)
+    # An element outside the listed subgroup comes last: the chain reaches
+    # the claimed order first, and that element's deposit then passes it.
+    rotations = list(PermGroup(8, (cycles("(1,2,3,4,5,6,7,8)", 8),)).elements())
+    for outside in (cycles("(1,8)(2,7)(3,6)(4,5)", 8), cycles("(1,2)", 8)):
+        with pytest.raises(InternalDefect):
+            PermGroup(8, rotations + [outside], _order=len(rotations))
+    assert PermGroup(8, rotations, _order=len(rotations)).order == 8

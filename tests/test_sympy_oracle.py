@@ -67,6 +67,20 @@ def test_group_layer_matches_sympy():
             assert group.point_stabilizer(point).order == reference.stabilizer(point).order()
 
 
+def test_conjugate_and_stabilizer_orders_match_sympy():
+    # Both are built with their order known in advance; sympy computes the
+    # orders from the conjugated generators and its own stabilizer chain.
+    for rng, degree, gens in seeded_groups(seed=57, count=40):
+        images = list(range(degree))
+        rng.shuffle(images)
+        x = Permutation(tuple(images))
+        conjugate = PermGroup(degree, gens).conjugated_by(x)
+        reference = sympy_combinatorics.PermutationGroup([as_sympy(g.conjugated_by(x)) for g in gens])
+        assert conjugate.order == reference.order()
+        for point in range(degree):
+            assert conjugate.point_stabilizer(point).order == reference.stabilizer(point).order()
+
+
 # sympy's Sylow and nilpotency routines slow down sharply with the order.
 OPERATOR_MAX_ORDER = 1000
 

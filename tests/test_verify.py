@@ -1,0 +1,63 @@
+"""The axioms suite's exact checks: the colour-preserving count against brute
+force, and engines with planted faults that the suite must reject."""
+
+import itertools
+
+from twoclosure import verify
+from twoclosure.orbital import orbital_partition, two_closure
+from twoclosure.verify import (
+    _colour_preserving_count,
+    catalog_realizations,
+    check_closure_axioms,
+    random_groups,
+)
+
+
+def brute_colour_preserving_count(partition) -> int:
+    n, colors = partition.degree, partition.colors
+    return sum(
+        all(colors[p[a] * n + p[b]] == colors[a * n + b] for a in range(n) for b in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def test_colour_preserving_count_matches_brute_force():
+    groups = random_groups(5, 200, 6) + [g for _, g in catalog_realizations(6)]
+    for group in groups:
+        partition = orbital_partition(group)
+        count = _colour_preserving_count(partition)
+        assert count == brute_colour_preserving_count(partition), group
+        assert count == two_closure(group).order, group
+
+
+def failed(results):
+    return {r.name: r.detail for r in results if not r.passed}
+
+
+def test_axioms_suite_passes_the_engine():
+    assert failed(check_closure_axioms(seed=3, samples=40, max_degree=7)) == {}
+
+
+def test_axioms_suite_rejects_an_engine_that_returns_its_input(monkeypatch):
+    monkeypatch.setattr(verify, "two_closure", lambda group: group)
+    failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
+    assert "closure-maximality" in failures
+    assert failures["closure-maximality"].endswith(": closure disagrees with definitional membership")
+
+
+def test_axioms_suite_rejects_an_engine_wrong_on_conjugated_inputs(monkeypatch):
+    # The suite's groups and their closures start with the population's own
+    # generators; a conjugate G^x of a nontrivial group does not (for these
+    # seeds), and there the engine returns the conjugate itself.
+    population = random_groups(3, 40, 7) + [g for _, g in catalog_realizations(12)]
+    own = {g.generators for g in population if g.generators}
+
+    def engine(group):
+        if any(group.generators[:len(gens)] == gens for gens in own):
+            return two_closure(group)
+        return group
+
+    monkeypatch.setattr(verify, "two_closure", engine)
+    failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
+    assert set(failures) == {"conjugation-equivariance"}
+    assert failures["conjugation-equivariance"].endswith(": conjugation equivariance failed")
