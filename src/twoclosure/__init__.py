@@ -27,8 +27,7 @@ _SOURCES = {
         "classify_nilpotent is_generalized_quaternion not_two_closed_witness",
         "errors": "ConstructionFailure CycleParseError GuardExceeded InternalDefect PreconditionError",
         "group": "ENUMERATION_GUARD PermGroup SubgroupHandle as_subgroup build_group center centralizer core "
-        "is_cyclic is_nilpotent is_normal order_and_membership order_profile orbits_and_stabilizer "
-        "sylow_decomposition trivial_group",
+        "is_cyclic is_nilpotent is_normal order_profile sylow_decomposition trivial_group",
         "orbital": "CLOSURE_DEGREE_GUARD MembershipEvidence OrbitalPartition is_in_two_closure is_two_closed_on "
         "membership_evidence orbital_partition two_closure two_equivalent",
         "perm": "Permutation from_cycles identity parse_cycles",

@@ -4,11 +4,15 @@ The chain uses the fixed base 0, 1, ..., degree-1 (base points in increasing
 point order), so identical generator input always yields an identical chain,
 membership is decided by sifting alone, and the pointwise stabilizer of
 0..l-1 can be read off level l directly.
+
+A level whose |orbit| * degree exceeds LEVEL_BUDGET ints keeps its orbit as a
+Schreier vector (`_VectorOrbit`); the chain is the same either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import groupby
 from math import isqrt, lcm
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -17,12 +21,15 @@ from .perm import Permutation, _trusted, identity
 ENUMERATION_GUARD = 20000
 # Largest order whose element index keeps a full right-regular table (N² ints).
 INDEX_GUARD = 256
+# Most ints a level keeps as explicit inverse tuples (|orbit| * degree).
+LEVEL_BUDGET = 1 << 16
 
 
 class _Level:
     """One level of the chain: its strong generators, the image tuple of each
     one's inverse, and, per orbit point p, the image tuple of the inverse of
-    p's transversal element u_p."""
+    p's transversal element u_p.  The orbit is a plain dict when its tuples
+    fit LEVEL_BUDGET, else a `_VectorOrbit` with the same keys and lookups."""
 
     __slots__ = ("gens", "inverses", "orbit")
 
@@ -31,6 +38,85 @@ class _Level:
         self.gens: list[Permutation] | tuple[()] = ()
         self.inverses: list[tuple[int, ...]] | tuple[()] = ()
         self.orbit: dict[int, tuple[int, ...]] = {base: ident}
+
+
+class _VectorOrbit(dict):
+    """A level's orbit kept as a Schreier vector.
+
+    Keys are the orbit points in BFS order, as in a plain orbit, so
+    iteration, `len` and `in` are unchanged.  A value is u_p^-1's image tuple
+    where one is stored and None elsewhere.  Stored are the base point, the
+    points at every k-th BFS depth (k = ceil(|orbit| * degree / LEVEL_BUDGET),
+    about LEVEL_BUDGET ints when BFS layers are even), and each point requested
+    so far.  `[]` and
+    `get` walk the BFS tree from p to its nearest stored ancestor and apply
+    each run of one generator label as a power.  Since u_q = u_p * s along
+    the same tree, the tuple equals the one the explicit BFS stores.  Once
+    the walks outnumber the checkpoints, every point is stored, each from its
+    parent in BFS order, as the explicit BFS does.
+    """
+
+    __slots__ = ("tree", "steps", "walks_left")
+
+    def __init__(self, base: int, points: tuple[int, ...], gens: list[tuple[int, ...]], inverses: list[tuple[int, ...]]) -> None:
+        super().__init__({base: points})
+        tree: dict[int, tuple[int, int]] = {}
+        depth = {base: 0}
+        queue = deque([base])
+        while queue:
+            p = queue.popleft()
+            for i, s in enumerate(gens):
+                q = s[p]
+                if q not in self:
+                    self[q] = None
+                    tree[q] = (p, i)
+                    depth[q] = depth[p] + 1
+                    queue.append(q)
+        self.tree, self.steps = tree, inverses
+        k = -(-len(self) * len(points) // LEVEL_BUDGET)
+        checkpoints = [q for q in tree if depth[q] % k == 0]
+        for q in checkpoints:  # BFS order: each walk ends at the previous one
+            self[q] = self._walk(q)
+        self.walks_left = len(checkpoints)
+
+    def _walk(self, q: int) -> tuple[int, ...]:
+        """u_q^-1 = s_m^-1 ... s_1^-1 * u_a^-1 for the tree path a, s_1, ..., s_m
+        from the nearest stored ancestor a down to q."""
+        labels = []
+        inv = None
+        while inv is None:
+            q, i = self.tree[q]
+            labels.append(i)
+            inv = dict.__getitem__(self, q)
+        for i, run in groupby(reversed(labels)):
+            inv = tuple(map(inv.__getitem__, _power(self.steps[i], sum(1 for _ in run))))
+        return inv
+
+    def __getitem__(self, q: int) -> tuple[int, ...]:
+        inv = dict.__getitem__(self, q)
+        if inv is None:
+            inv = self[q] = self._walk(q)
+            self.walks_left -= 1
+            if self.walks_left < 0:  # in steady use: store every point, parents first
+                for x, (p, i) in self.tree.items():
+                    if dict.__getitem__(self, x) is None:
+                        self[x] = tuple(map(dict.__getitem__(self, p).__getitem__, self.steps[i]))
+        return inv
+
+    def get(self, q: int, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+        return self[q] if q in self else default
+
+
+def _power(images: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The r-th power (r >= 1) of an image tuple, by repeated squaring."""
+    out = None
+    while True:
+        if r & 1:
+            out = images if out is None else tuple(map(out.__getitem__, images))
+        r >>= 1
+        if not r:
+            return out
+        images = tuple(map(images.__getitem__, images))
 
 
 def _inverse(images: tuple[int, ...], points: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,7 +150,9 @@ class _Chain:
     def copy(self) -> _Chain:
         """An independent chain in the same state, without a target order.
         Each level's lists are copied; its orbit dict is shared, which is safe
-        because `_rebuild_orbit` replaces orbit dicts and never mutates them."""
+        because `_rebuild_orbit` replaces orbit dicts, and the only writes
+        into one, a `_VectorOrbit`'s stored tuples, are the values of its
+        own BFS tree that every holder would compute."""
         out = object.__new__(_Chain)
         out.degree = self.degree
         out.target = None
@@ -133,14 +221,16 @@ class _Chain:
         u_q = u_p * s for q = p^s, stored as u_q^-1 = s^-1 * u_p^-1, whose
         images are u_p^-1 read along s^-1.  Also returns the BFS tree (a
         Schreier vector): each point q but the base maps to (p, index of s)
-        for the edge that found it first.
+        for the edge that found it first.  An orbit that outgrows
+        LEVEL_BUDGET ints stops here and becomes a `_VectorOrbit`.
         """
         points = self.ident.images
         steps = list(zip(gens, inverses))
         orbit = {level: points}
         tree: dict[int, tuple[int, int]] = {}
         queue = deque([level])
-        while queue:
+        limit = LEVEL_BUDGET // len(points)
+        while queue and len(orbit) <= limit:
             p = queue.popleft()
             inv_p = orbit[p]
             for i, (s, s_inv) in enumerate(steps):
@@ -149,6 +239,9 @@ class _Chain:
                     orbit[q] = tuple(map(inv_p.__getitem__, s_inv))
                     tree[q] = (p, i)
                     queue.append(q)
+        if len(orbit) > limit:
+            orbit = _VectorOrbit(level, points, gens, inverses)
+            tree = orbit.tree
         self.levels[level].orbit = orbit
         return orbit, tree
 
@@ -509,19 +602,6 @@ def as_subgroup(parent: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Subg
     if not subgroup.is_subgroup_of(parent):
         raise PreconditionError("not a subgroup: a generator fails membership in the parent")
     return SubgroupHandle(parent, subgroup)
-
-
-def order_and_membership(group: PermGroup, g: Permutation) -> tuple[int, bool]:
-    """Exact order plus membership of g, decided by chain sifting."""
-    return group.order, group.contains(g)
-
-
-def orbits_and_stabilizer(group: PermGroup, point: int) -> tuple[tuple[int, ...], PermGroup]:
-    orbit = group.orbit(point)
-    stab = group.point_stabilizer(point)
-    if len(orbit) * stab.order != group.order:
-        raise InternalDefect("orbit-stabilizer identity failed")
-    return orbit, stab
 
 
 def center(group: PermGroup) -> PermGroup:

@@ -87,5 +87,13 @@ def test_chains_match_golden():
     assert chain_corpus() == GOLDEN.read_text()
 
 
+def test_vector_levels_match_golden(monkeypatch):
+    # Budget 1: every level with more than one point is a Schreier vector.
+    import twoclosure.group as group_module
+
+    monkeypatch.setattr(group_module, "LEVEL_BUDGET", 1)
+    assert chain_corpus() == GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(chain_corpus())

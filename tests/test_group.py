@@ -1,7 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twoclosure.group as group_module
 from helpers import mulclose
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
@@ -16,8 +20,6 @@ from twoclosure.group import (
     is_nilpotent,
     is_normal,
     is_prime,
-    order_and_membership,
-    orbits_and_stabilizer,
     prime_factorization,
     sylow_decomposition,
 )
@@ -52,10 +54,11 @@ def test_deterministic_chains():
 
 def test_order_and_membership_examples():
     g = build_group(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
-    assert order_and_membership(g, cycles("(1,2)", 6)) == (4, False)
-    assert order_and_membership(g, identity(6)) == (4, True)
+    assert g.order == 4
+    assert not g.contains(cycles("(1,2)", 6))
+    assert g.contains(identity(6))
     c4 = build_group(4, (cycles("(1,2,3,4)", 4),))
-    assert order_and_membership(c4, cycles("(1,3)(2,4)", 4)) == (4, True)
+    assert c4.order == 4 and c4.contains(cycles("(1,3)(2,4)", 4))
 
 
 def test_chain_order_matches_enumeration_on_random_groups():
@@ -76,22 +79,21 @@ def test_chain_order_matches_enumeration_on_random_groups():
 
 def test_orbit_stabilizer_examples():
     c4 = build_group(4, (cycles("(1,2,3,4)", 4),))
-    orbit, stab = orbits_and_stabilizer(c4, 0)
-    assert orbit == (0, 1, 2, 3) and stab.order == 1
+    assert c4.orbit(0) == (0, 1, 2, 3) and c4.point_stabilizer(0).order == 1
     g = build_group(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
-    orbit, stab = orbits_and_stabilizer(g, 0)
-    assert orbit == (0, 1) and stab.order == 2
+    assert g.orbit(0) == (0, 1) and g.point_stabilizer(0).order == 2
     s3 = build_group(3, (cycles("(1,2,3)", 3), cycles("(1,2)", 3)))
-    orbit, stab = orbits_and_stabilizer(s3, 2)
-    assert orbit == (0, 1, 2) and stab.order == 2
+    assert s3.orbit(2) == (0, 1, 2) and s3.point_stabilizer(2).order == 2
 
 
 def test_orbit_stabilizer_identity_everywhere():
     for name in ("D8", "Q8", "C6", "SD16", "Q8xC3"):
         group = realize_name(name)
         for point in range(group.degree):
-            orbit, stab = orbits_and_stabilizer(group, point)
-            assert len(orbit) * stab.order == group.order
+            stab = group.point_stabilizer(point)
+            assert len(group.orbit(point)) * stab.order == group.order
+            assert all(g.images[point] == point for g in stab.generators)
+            assert stab.is_subgroup_of(group)
 
 
 def test_subgroup_operator_examples():
@@ -275,9 +277,11 @@ def test_element_index_guard():
 
 def chain_state(group):
     """Each level's strong generator images, their stored inverses and its
-    orbit dict in insertion order."""
+    orbit points in insertion order with each point's transversal inverse,
+    read through the orbit's lookup so a Schreier-vector level is compared
+    by value."""
     return [
-        ([g.images for g in lv.gens], list(lv.inverses), list(lv.orbit.items()))
+        ([g.images for g in lv.gens], list(lv.inverses), [(p, lv.orbit[p]) for p in lv.orbit])
         for lv in group._chain.levels
     ]
 
@@ -339,3 +343,75 @@ def test_wrong_known_order_raises():
         with pytest.raises(InternalDefect):
             PermGroup(8, rotations + [outside], _order=len(rotations))
     assert PermGroup(8, rotations, _order=len(rotations)).order == 8
+
+
+# Vector levels: LEVEL_BUDGET 1 makes every level with more than one point a
+# Schreier vector without checkpoints (the first lookup stores the level);
+# 12 leaves checkpoints, memoised walks and runs of one generator label.
+@pytest.mark.parametrize("budget", [1, 12])
+def test_vector_levels_sift_and_list_like_stored_levels(monkeypatch, budget):
+    from test_chain_golden import random_generator_sets
+
+    cases = random_generator_sets()
+    stored = [PermGroup(degree, gens) for degree, gens in cases]
+    monkeypatch.setattr(group_module, "LEVEL_BUDGET", budget)
+    vector = [PermGroup(degree, gens) for degree, gens in cases]
+    assert any(isinstance(lv.orbit, group_module._VectorOrbit) for g in vector for lv in g._chain.levels)
+    rng = random.Random(12)
+    for i in range(200):
+        degree, gens = cases[i]
+        if i % 2:
+            images = list(range(degree))
+            rng.shuffle(images)
+            x = Permutation(tuple(images))
+        else:
+            # A member, so the sift runs through every level.
+            x = identity(degree)
+            for _ in range(rng.randint(1, 8)):
+                x = x * rng.choice(gens)
+        assert vector[i]._chain.strip(x) == stored[i]._chain.strip(x)
+    for plain, built in zip(stored, vector):
+        if plain.order <= 5040:
+            assert built.elements() == plain.elements()
+        assert chain_state(built) == chain_state(plain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 10).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3).map(lambda gs: (n, gs))
+    ),
+    st.integers(1, 64),
+)
+def test_vector_level_chains_equal_stored_chains(case, budget):
+    degree, images = case
+    gens = [Permutation(tuple(g)) for g in images]
+    plain = PermGroup(degree, gens)
+    with mock.patch.object(group_module, "LEVEL_BUDGET", budget):
+        built = PermGroup(degree, gens)
+        for g in plain.strong_generators:
+            assert built.contains(g)
+        assert built.strong_generators == plain.strong_generators
+        assert chain_state(built) == chain_state(plain)
+        if plain.order <= 5040:
+            assert built.elements() == plain.elements()
+
+
+def test_cyclic_classification_stores_few_level_tuples():
+    from twoclosure.classify import classify_nilpotent
+
+    group = realize_name("C4000")
+    verdict = classify_nilpotent(group)
+    assert (verdict.status, verdict.reason) == ("TwoClosedGroup", "Cyclic")
+    orbit = group._chain.levels[0].orbit
+    assert len(orbit) == 4000
+    assert sum(inv is not None for inv in orbit.values()) <= group_module.LEVEL_BUDGET / 4000 + 2
+
+
+def test_chain_of_a_20000_cycle():
+    n = 20000
+    g = from_cycles(n, [tuple(range(n))])
+    group = PermGroup(n, (g,))
+    assert group.order == n
+    assert group.contains(g**77)
+    assert not group.contains(from_cycles(n, [(0, 1)]))

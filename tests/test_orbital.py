@@ -203,9 +203,10 @@ def test_closure_matches_brute_force_on_random_groups():
 
 
 def chain_state(group):
-    """Each level's strong generators in chain order and its orbit items in
-    insertion order."""
-    return [(list(level.gens), list(level.orbit.items())) for level in group._chain.levels]
+    """Each level's strong generators in chain order and its orbit points in
+    insertion order with each point's transversal inverse, read through the
+    orbit's lookup so a Schreier-vector level is compared by value."""
+    return [(list(level.gens), [(p, level.orbit[p]) for p in level.orbit]) for level in group._chain.levels]
 
 
 def test_closure_extends_the_groups_chain_exactly():

@@ -117,3 +117,63 @@ def test_group_operators_match_sympy():
                 assert ours.order == p**e
                 assert all(ours.contains(Permutation(tuple(g.array_form))) for g in sylow.generators)
     assert checked >= 36
+
+
+def membership_candidates(rng, group, count):
+    """Seeded random permutations, products of the generators, and such
+    products times a transposition."""
+    degree, gens = group.degree, group.generators
+    out = []
+    for _ in range(count):
+        images = list(range(degree))
+        rng.shuffle(images)
+        out.append(Permutation(tuple(images)))
+        member = gens[0]
+        for _ in range(rng.randint(0, 12)):
+            member = member * rng.choice(gens)
+        out.append(member)
+        a, b = rng.sample(range(degree), 2)
+        images = list(member.images)
+        images[a], images[b] = images[b], images[a]
+        out.append(Permutation(tuple(images)))
+    return out
+
+
+def assert_membership_matches_sympy(group, rng, count):
+    reference = sympy_combinatorics.PermutationGroup([as_sympy(g) for g in group.generators])
+    verdicts = set()
+    for x in membership_candidates(rng, group, count):
+        verdict = group.contains(x)
+        assert verdict == reference.contains(as_sympy(x)), (group, x)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_schreier_vector_membership_matches_sympy_on_c1000():
+    from twoclosure.group import _VectorOrbit
+
+    group = realize_name("C1000")
+    assert isinstance(group._chain.levels[0].orbit, _VectorOrbit)
+    assert_membership_matches_sympy(group, random.Random(63), 20)
+
+
+# Catalog p-groups of order at most 256.
+P_GROUPS = (
+    "C4", "C8", "C16", "C32", "C64", "C128", "C256", "C9", "C27", "C81", "C25", "C125", "C49",
+    "C2xC2", "C2xC4", "C4xC4", "C2xC2xC2", "C3xC3", "C3xC9", "C5xC5",
+    "D8", "D16", "D32", "D64", "D128", "D256", "SD16", "SD32", "SD64", "SD128", "SD256",
+    "Q8", "Q16", "Q32", "Q64", "Q128", "Q256", "E27", "E125",
+    "Q8xC2", "D8xC2", "Q8xC4", "D16xC2", "E27xC3", "D8xD8", "Q8xQ8",
+)
+
+
+def test_schreier_vector_membership_matches_sympy_on_p_groups(monkeypatch):
+    # Budget 1: every level with more than one point is a Schreier vector.
+    import twoclosure.group as group_module
+
+    monkeypatch.setattr(group_module, "LEVEL_BUDGET", 1)
+    rng = random.Random(64)
+    for name in P_GROUPS:
+        group = realize_name(name)
+        assert group.order <= 256 and len(prime_factorization(group.order)) == 1, name
+        assert_membership_matches_sympy(group, rng, 10)
