@@ -19,15 +19,15 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "actions": "ActionHom ActionSpace CosetAction DisjointUnionAction EmbeddedAction ProductSplit "
-        "QuotientAction action_hom coset_action disjoint_union_action product_action quotient_action "
+        "actions": "ActionHom ActionSpace CosetAction DisjointUnionAction EmbeddedAction "
+        "QuotientAction action_hom coset_action disjoint_union_action quotient_action "
         "universal_embedding",
         "catalog": "FamilySpec faithful_representations parse_family realize realize_name subgroup_lattice",
         "classify": "CenterTest CoprimeCertification Verdict center_cyclic_test certify_coprime_product "
         "classify_nilpotent is_generalized_quaternion not_two_closed_witness",
         "errors": "ConstructionFailure CycleParseError GuardExceeded InternalDefect PreconditionError",
         "group": "ENUMERATION_GUARD PermGroup SubgroupHandle as_subgroup build_group center centralizer core "
-        "is_cyclic is_nilpotent is_normal order_profile sylow_decomposition trivial_group",
+        "is_cyclic is_nilpotent is_normal sylow_decomposition trivial_group",
         "orbital": "CLOSURE_DEGREE_GUARD MembershipEvidence OrbitalPartition is_in_two_closure is_two_closed_on "
         "membership_evidence orbital_partition two_closure two_equivalent",
         "perm": "Permutation from_cycles identity parse_cycles",

@@ -1,5 +1,5 @@
-"""Faithful-action builders: coset actions, disjoint unions, coprime product
-splittings, block quotients, and the universal embedding of a group into the
+"""Faithful-action builders: coset actions, disjoint unions, a coprime
+direct-factor check, block quotients, and the universal embedding of a group into the
 wreath-style action on Delta x G/N built from a faithful action of a normal
 subgroup N.
 
@@ -197,16 +197,7 @@ def disjoint_union_action(
 
 
 # ---------------------------------------------------------------------------
-# coprime product splitting of a transitive action
-
-class ProductSplit:
-    """Equivalence of a transitive coprime product action with a grid action."""
-
-    __slots__ = ("h_orbit", "k_orbit", "pair_of")
-
-    def __init__(self, h_orbit: tuple[int, ...], k_orbit: tuple[int, ...], pair_of: Mapping[int, tuple[int, int]]) -> None:
-        self.h_orbit, self.k_orbit, self.pair_of = h_orbit, k_orbit, pair_of
-
+# coprime direct factors
 
 def coprime_direct_factors(
     group: PermGroup,
@@ -228,51 +219,6 @@ def coprime_direct_factors(
             if a * b != b * a:
                 raise PreconditionError("the factors do not commute elementwise")
     return h_group, k_group
-
-
-def product_action(
-    group: PermGroup,
-    h_part: PermGroup | SubgroupHandle,
-    k_part: PermGroup | SubgroupHandle,
-    alpha: int,
-) -> ProductSplit:
-    """Split a transitive action of an internal coprime product H x K.
-
-    Maps alpha^(hk) to (alpha^h, alpha^k); validates that the map is a
-    well-defined bijection and that it intertwines the action of every
-    generator of the group.
-    """
-    h_group, k_group = coprime_direct_factors(group, h_part, k_part)
-    if not 0 <= alpha < group.degree:
-        raise PreconditionError("base point out of range")
-    if len(group.orbit(alpha)) != group.degree:
-        raise PreconditionError("group is not transitive on its points")
-
-    factor_of: dict[Permutation, tuple[Permutation, Permutation]] = {}
-    for h in h_group.elements():
-        for k in k_group.elements():
-            factor_of[h * k] = (h, k)
-    pair_of: dict[int, tuple[int, int]] = {}
-    for h in h_group.elements():
-        ah = h.images[alpha]
-        for k in k_group.elements():
-            point = k.images[ah]
-            value = (ah, k.images[alpha])
-            if pair_of.setdefault(point, value) != value:
-                raise PreconditionError("the product splitting is not well defined")
-    if len(pair_of) != group.degree or len(set(pair_of.values())) != group.degree:
-        raise PreconditionError("the product splitting is not a bijection")
-    for g in group.generators:
-        h1, k1 = factor_of[g]
-        for point in range(group.degree):
-            a, b = pair_of[point]
-            if pair_of[g.images[point]] != (h1.images[a], k1.images[b]):
-                raise InternalDefect("product splitting failed equivariance")
-    return ProductSplit(
-        h_orbit=h_group.orbit(alpha),
-        k_orbit=k_group.orbit(alpha),
-        pair_of=pair_of,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +323,7 @@ def action_hom(
 
 
 class EmbeddingData:
-    """Quotient table, transversal and cocycle data behind a universal embedding.
+    """Transversal, coset map and cocycle data behind a universal embedding.
 
     The transversal is found by a breadth-first scan of the coset graph in
     canonical generator order, so the representative of the trivial coset is
@@ -391,14 +337,12 @@ class EmbeddingData:
         act: ActionHom,
         transversal: tuple[Permutation, ...],
         coset_of: dict[Permutation, int],
-        table: tuple[tuple[int, ...], ...],
     ) -> None:
         self.group = group
         self.normal = normal
         self.act = act
         self.transversal = transversal
         self.coset_of = coset_of
-        self.table = table
         self.quotient_order = len(transversal)
         self.inner_degree = act.degree
 
@@ -472,10 +416,7 @@ def universal_embedding(
                     coset_of[x * e] = u
     if len(coset_of) != group.order:
         raise InternalDefect("coset scan did not cover the group")
-    table = tuple(
-        tuple(coset_of[tu * tv] for tv in transversal) for tu in transversal
-    )
-    data = EmbeddingData(group, n_group, act, tuple(transversal), coset_of, table)
+    data = EmbeddingData(group, n_group, act, tuple(transversal), coset_of)
 
     inner_labels = act.space.labels if act.space is not None else tuple(("raw", d) for d in range(act.degree))
     labels = []

@@ -11,7 +11,7 @@ Schreier vector (`_VectorOrbit`); the chain is the same either way.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import groupby
 from math import isqrt, lcm
 
@@ -483,9 +483,6 @@ class PermGroup:
             self._index = _ElementIndex(self.elements(), self.strong_generators)
         return self._index
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         sgens = self.strong_generators
         return all(a * b == b * a for i, a in enumerate(sgens) for b in sgens[i + 1:])
@@ -759,12 +756,6 @@ def is_cyclic(group: PermGroup) -> bool:
     if group._is_cyclic is None:
         group._is_cyclic = group.is_abelian() and lcm(*(g.order() for g in group.strong_generators)) == group.order
     return group._is_cyclic
-
-
-def order_profile(group: PermGroup) -> tuple[tuple[int, int], ...]:
-    """Multiset of element orders as sorted (order, count) pairs."""
-    counts = Counter(g.order() for g in group.elements())
-    return tuple(sorted(counts.items()))
 
 
 def intersection_elements(a: PermGroup, b: PermGroup) -> tuple[Permutation, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import PermGroup, _Chain
@@ -153,12 +152,19 @@ def is_in_two_closure(theta: Permutation, partition: OrbitalPartition) -> bool:
 
 
 class MembershipEvidence:
-    """Per-pair group elements witnessing closure membership of one permutation."""
+    """Group elements witnessing closure membership of one permutation, in the
+    transporter table's layout.
 
-    __slots__ = ("assignments",)
+    `elements` lists distinct group elements, at most |G| of them.
+    `assignments` has one entry per ordered pair, at flat index a*n + b: the
+    position in `elements` of the element that moves (a, b) as the
+    permutation does.
+    """
 
-    def __init__(self, assignments: Mapping[tuple[int, int], Permutation]) -> None:
-        self.assignments = assignments
+    __slots__ = ("elements", "assignments")
+
+    def __init__(self, elements: list[Permutation], assignments: list[int]) -> None:
+        self.elements, self.assignments = elements, assignments
 
 
 def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> MembershipEvidence:
@@ -166,34 +172,36 @@ def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> Memb
 
     The element for (a,b) is transporter(a,b)^-1 * transporter(theta(a),theta(b)).
     It is computed once per pair of transporter-table indices and interned by
-    image tuple, so pairs share at most |G| distinct evidence objects.
+    image tuple, so the n² pairs share at most |G| distinct elements.
     """
     n = partition.degree
     if theta.degree != n:
         raise PreconditionError("degree mismatch")
     colors = partition.colors
-    index, elements = partition._transporters
+    index, transporters = partition._transporters
     img = theta.images
     inverses: dict[int, Permutation] = {}
-    by_indices: dict[tuple[int, int], Permutation] = {}
-    interned: dict[tuple[int, ...], Permutation] = {}
-    assignments = {}
-    for a in range(n):
-        for b in range(n):
-            source = a * n + b
-            target = img[a] * n + img[b]
-            if colors[source] != colors[target]:
-                raise PreconditionError("pairs lie in different color classes")
-            key = (index[source], index[target])
-            g = by_indices.get(key)
-            if g is None:
-                inverse = inverses.get(key[0])
-                if inverse is None:
-                    inverse = inverses[key[0]] = elements[key[0]].inverse()
-                g = inverse * elements[key[1]]
-                g = by_indices[key] = interned.setdefault(g.images, g)
-            assignments[(a, b)] = g
-    return MembershipEvidence(assignments)
+    by_indices: dict[tuple[int, int], int] = {}
+    interned: dict[tuple[int, ...], int] = {}
+    elements: list[Permutation] = []
+    assignments = [0] * (n * n)
+    for source in range(n * n):
+        a, b = divmod(source, n)
+        target = img[a] * n + img[b]
+        if colors[source] != colors[target]:
+            raise PreconditionError("pairs lie in different color classes")
+        key = (index[source], index[target])
+        position = by_indices.get(key)
+        if position is None:
+            inverse = inverses.get(key[0])
+            if inverse is None:
+                inverse = inverses[key[0]] = transporters[key[0]].inverse()
+            g = inverse * transporters[key[1]]
+            position = by_indices[key] = interned.setdefault(g.images, len(elements))
+            if position == len(elements):
+                elements.append(g)
+        assignments[source] = position
+    return MembershipEvidence(elements, assignments)
 
 
 def _signature_classes(colors: tuple[int, ...], n: int) -> list[int]:

@@ -108,9 +108,6 @@ class Permutation:
     def conjugated_by(self, x: Permutation) -> Permutation:
         return x.inverse() * self * x
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i != j)
-
     def min_moved(self) -> int | None:
         for i, j in enumerate(self.images):
             if i != j:

@@ -2,9 +2,9 @@ import pytest
 
 from twoclosure.actions import (
     action_hom,
+    coprime_direct_factors,
     coset_action,
     disjoint_union_action,
-    product_action,
     quotient_action,
     raw_space,
     universal_embedding,
@@ -90,40 +90,11 @@ def test_disjoint_union_embed_moves_only_its_part():
             assert all(lifted.images[start + i] == start + j for i, j in enumerate(g.images))
 
 
-def test_product_action_c6():
-    c6 = build_group(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
-    h = build_group(6, (parse_cycles("(1,4)(2,5)(3,6)", 6),))
-    k = build_group(6, (parse_cycles("(1,3,5)(2,4,6)", 6),))
-    split = product_action(c6, h, k, 0)
-    assert split.h_orbit == (0, 3) and split.k_orbit == (0, 2, 4)
-    assert len(set(split.pair_of.values())) == 6
-
-
-def test_product_action_trivial_factor():
-    c3 = realize_name("C3")
-    split = product_action(c3, c3, trivial_group(3), 0)
-    assert all(split.pair_of[p] == (p, 0) for p in range(3))
-
-
-def test_product_action_regular_grid():
-    q8c3 = realize_name("Q8xC3")
-    regular = coset_action(q8c3, trivial_group(q8c3.degree))
-    group = regular.image
-    decomposition = sylow_decomposition(q8c3)
-    h = build_group(24, tuple(regular.embed(g) for g in decomposition.sylows[2].strong_generators))
-    k = build_group(24, tuple(regular.embed(g) for g in decomposition.sylows[3].strong_generators))
-    split = product_action(group, h, k, 0)
-    assert len(split.h_orbit) == 8 and len(split.k_orbit) == 3
-    assert set(split.pair_of.values()) == {
-        (a, b) for a in split.h_orbit for b in split.k_orbit
-    }
-
-
-def test_product_action_rejects_non_coprime():
+def test_coprime_direct_factors_rejects_non_coprime():
     v4 = realize_name("C2xC2")
     parts = sylow_decomposition(v4).sylows[2]
     with pytest.raises(PreconditionError):
-        product_action(v4, parts, parts, 0)
+        coprime_direct_factors(v4, parts, parts)
 
 
 def test_quotient_action_examples():

@@ -4,7 +4,7 @@ from twoclosure.actions import disjoint_union_action
 from twoclosure import witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import not_two_closed_witness
-from twoclosure.errors import GuardExceeded, PreconditionError
+from twoclosure.errors import ConstructionFailure, GuardExceeded, PreconditionError
 from twoclosure.group import build_group, center, is_cyclic, sylow_decomposition
 from twoclosure.perm import Permutation, identity
 from twoclosure.orbital import MembershipEvidence, two_closure
@@ -25,8 +25,8 @@ def assert_valid(cert: WitnessCertificate):
     assert check_certificate(cert) == []
     assert not cert.group.contains(cert.witness)
     assert len(cert.evidence.assignments) == cert.group.degree**2
-    # evidence elements are interned: pairs share at most |G| distinct objects
-    assert len({id(g) for g in cert.evidence.assignments.values()}) <= cert.group.order
+    # evidence elements are interned: pairs share at most |G| distinct elements
+    assert len(cert.evidence.elements) <= cert.group.order
 
 
 def test_abelian_basis_and_coordinates():
@@ -248,37 +248,58 @@ def test_certificates_survive_disjoint_union_transport():
 def test_check_certificate_reports_tampered_evidence():
     cert = center_witness(realize_name("Q8xC2"))
     theta = cert.witness
+    n = theta.degree
     moved = theta.min_moved()
-    pair = (moved, moved)
+    flat = moved * n + moved
+    pair = f"({moved + 1},{moved + 1})"
 
-    def tampered(element):
-        """Problems found once `pair` is given `element`, or dropped for None."""
-        assignments = dict(cert.evidence.assignments)
-        if element is None:
-            del assignments[pair]
-        else:
-            assignments[pair] = element
+    def tampered(position=None, element=None, drop=False):
+        """Problems found once `pair` gets `position`, or a new `element`, or is dropped."""
+        elements = list(cert.evidence.elements)
+        assignments = list(cert.evidence.assignments)
+        if element is not None:
+            elements.append(element)
+            position = len(elements) - 1
+        if drop:
+            del assignments[flat]
+        elif position is not None:
+            assignments[flat] = position
         return check_certificate(WitnessCertificate(
-            cert.group, cert.space, cert.witness, MembershipEvidence(assignments), cert.construction, cert.parameters,
+            cert.group, cert.space, cert.witness, MembershipEvidence(elements, assignments),
+            cert.construction, cert.parameters,
         ))
 
-    assert tampered(None) == ["evidence does not cover every ordered pair"]
+    uncovered = ["evidence does not cover every ordered pair"]
+    assert tampered(drop=True) == uncovered
+    assert tampered(position=len(cert.evidence.elements)) == uncovered
+    assert tampered(position=-1) == uncovered
     # theta moves the pair exactly as theta does, but is outside the group
-    assert tampered(theta) == [f"evidence element for pair ({moved + 1},{moved + 1}) is outside the group"]
+    assert tampered(element=theta) == [f"evidence element for pair {pair} is outside the group"]
     # the identity is in the group but fixes a pair that theta moves
-    assert tampered(identity(theta.degree)) == [
-        f"evidence element for pair ({moved + 1},{moved + 1}) moves it differently"
-    ]
+    assert tampered(element=identity(n)) == [f"evidence element for pair {pair} moves it differently"]
+
+
+def test_assemble_refuses_a_witness_in_the_group_or_outside_the_closure():
+    cert = abelian_p_witness(2, (1, 1))
+    generator = cert.group.generators[0]
+    with pytest.raises(ConstructionFailure, match="^witness sifts into the group$"):
+        witnesses._assemble(cert.group, cert.space, generator, cert.construction, cert.parameters)
+    outside = Permutation((2, 1, 0) + tuple(range(3, cert.group.degree)))
+    with pytest.raises(ConstructionFailure, match="fails definitional closure membership"):
+        witnesses._assemble(cert.group, cert.space, outside, cert.construction, cert.parameters)
 
 
 def test_check_certificate_accepts_evidence_copies():
-    # The membership cache is keyed by object identity: equal evidence
-    # elements that are distinct objects must each be checked and pass.
+    # Membership is tested once per position: equal elements stored at
+    # distinct positions must each be checked and pass.
     cert = center_witness(realize_name("Q8xC2"))
-    copies = {pair: Permutation(g.images) for pair, g in cert.evidence.assignments.items()}
-    assert len({id(g) for g in copies.values()}) == len(copies)
+    elements = cert.evidence.elements
+    copies = elements + [Permutation(g.images) for g in elements]
+    # odd flat pairs point at the copies
+    assignments = [p + len(elements) * (flat % 2) for flat, p in enumerate(cert.evidence.assignments)]
+    assert set(assignments) == set(range(len(copies)))
     copied = WitnessCertificate(
-        cert.group, cert.space, cert.witness, MembershipEvidence(copies), cert.construction, cert.parameters,
+        cert.group, cert.space, cert.witness, MembershipEvidence(copies, assignments), cert.construction, cert.parameters,
     )
     assert check_certificate(copied) == []
 
