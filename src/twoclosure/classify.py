@@ -22,8 +22,6 @@ from .orbital import two_closure
 from .witnesses import (
     WitnessCertificate,
     _guard_certificate_degree,
-    abelian_p_basis,
-    abelian_p_witness,
     center_witness,
     odd_p_witness,
     semidirect_witness,
@@ -108,15 +106,12 @@ def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
     return PermGroup(group.degree, m, _order=len(m)), PermGroup(group.degree, (one, x))
 
 
-def _center_route(group: PermGroup, decomposition) -> WitnessCertificate:
+def _center_route(group: PermGroup, sylows: dict[int, PermGroup]) -> WitnessCertificate:
     """Certificate for a nilpotent group with a noncyclic center, built on the
     Sylow subgroup carrying the noncyclic part of the center."""
-    z_sylows = sylow_decomposition(center(group)).sylows
+    z_sylows = sylow_decomposition(center(group))
     p = next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
-    target = decomposition.sylows[p]
-    if target.is_abelian():
-        return abelian_p_witness(p, abelian_p_basis(target, p)[1])
-    return center_witness(target)
+    return center_witness(sylows[p])
 
 
 def _route(group: PermGroup) -> tuple[str, WitnessCertificate] | None:
@@ -132,10 +127,9 @@ def _route(group: PermGroup) -> tuple[str, WitnessCertificate] | None:
     """
     if is_cyclic(group):
         return None
-    if not is_nilpotent(group):
+    sylows = sylow_decomposition(group)
+    if sylows is None:
         raise PreconditionError("witness routing requires a nilpotent group")
-    decomposition = sylow_decomposition(group)
-    sylows = decomposition.sylows
     bad = [
         p for p in sorted(sylows)
         if not is_cyclic(sylows[p]) and not (p == 2 and is_generalized_quaternion(sylows[p]))
@@ -143,7 +137,7 @@ def _route(group: PermGroup) -> tuple[str, WitnessCertificate] | None:
     if not bad:
         return None
     if not is_cyclic(center(group)):
-        return REASON_NONCYCLIC_CENTER, _center_route(group, decomposition)
+        return REASON_NONCYCLIC_CENTER, _center_route(group, sylows)
     reason = REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION if bad == [2] else REASON_NONCYCLIC_SYLOW_ODD
     p = bad[0]
     part = sylows[p]
@@ -199,9 +193,8 @@ def center_cyclic_test(group: PermGroup) -> CenterTest:
     """
     if is_cyclic(center(group)):
         return CenterTest(True, None)
-    decomposition = sylow_decomposition(group)
-    if decomposition.nilpotent:
-        return CenterTest(False, _center_route(group, decomposition))
+    if is_nilpotent(group):
+        return CenterTest(False, _center_route(group, sylow_decomposition(group)))
     return CenterTest(False, center_witness(group))
 
 

@@ -23,6 +23,8 @@ ENUMERATION_GUARD = 20000
 INDEX_GUARD = 256
 # Most ints a level keeps as explicit inverse tuples (|orbit| * degree).
 LEVEL_BUDGET = 1 << 16
+# Cache value of a property not yet computed, where None is a computed answer.
+_UNKNOWN = object()
 
 
 class _Level:
@@ -440,9 +442,7 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._center: PermGroup | None = None
         self._is_cyclic: bool | None = None
-        self._nilpotent: bool | None = None
-        self._generator_sylows: dict[int, PermGroup] | None = None
-        self._decomposition: SylowDecomposition | None = None
+        self._sylows: dict[int, PermGroup] | None | object = _UNKNOWN
         self._index: _ElementIndex | None = None
         self._partition = None  # orbital.OrbitalPartition, cached by orbital_partition
 
@@ -661,28 +661,21 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorization(n) == {n: 1}
 
 
-class SylowDecomposition:
-    __slots__ = ("nilpotent", "sylows")
+def sylow_decomposition(group: PermGroup) -> dict[int, PermGroup] | None:
+    """The Sylow subgroups of a nilpotent group, one per prime of its order,
+    or None when the group is not nilpotent.
 
-    def __init__(self, nilpotent: bool, sylows: dict[int, PermGroup]) -> None:
-        self.nilpotent, self.sylows = nilpotent, sylows
-
-
-def _generator_sylows(group: PermGroup) -> dict[int, PermGroup] | None:
-    """The subgroups H_p generated by the p-parts of the strong generators, one
-    per prime p of the order, if they show the group nilpotent; else None.
-
-    The p-part g^(o/p^k) of an element of order o generates the p-part's
+    A group of prime-power order is nilpotent and its own Sylow subgroup.
+    Otherwise H_p is generated by the p-parts of the strong generators: the
+    p-part g^(o/p^k) of an element of order o generates the p-part of its
     cyclic subgroup.  The group is nilpotent exactly when p-parts of
     different primes commute and each |H_p| is the full p-power of |G|; the
-    H_p are then its Sylow subgroups.  A group of prime-power order needs no
-    test.  No element is listed.
+    H_p are then its Sylow subgroups.  No element is listed.
     """
-    if group._nilpotent is None:
+    if group._sylows is _UNKNOWN:
         factors = prime_factorization(group.order)
         primes = sorted(factors)
         if len(primes) <= 1:
-            # A group of prime-power order is nilpotent and its own Sylow subgroup.
             sylows = {p: group for p in primes}
         else:
             parts: dict[int, list[Permutation]] = {p: [] for p in primes}
@@ -701,53 +694,13 @@ def _generator_sylows(group: PermGroup) -> dict[int, PermGroup] | None:
                 candidates = {p: PermGroup(group.degree, parts[p]) for p in primes}
                 if all(h.order == p ** factors[p] for p, h in candidates.items()):
                     sylows = candidates
-        group._nilpotent = sylows is not None
-        group._generator_sylows = sylows
-    return group._generator_sylows
+        group._sylows = sylows
+    return group._sylows
 
 
 def is_nilpotent(group: PermGroup) -> bool:
-    """Nilpotency decided from the generators alone (see `_generator_sylows`)."""
-    return _generator_sylows(group) is not None
-
-
-def _normal_sylows_by_enumeration(group: PermGroup) -> dict[int, PermGroup]:
-    """For each prime p, the p-power-order elements form the Sylow
-    p-subgroup exactly when that subgroup is normal; only those primes
-    appear."""
-    elements = group.elements()
-    orders = [g.order() for g in elements]
-    sylows: dict[int, PermGroup] = {}
-    for p, e in sorted(prime_factorization(group.order).items()):
-        target = p**e
-        # An element order divides the group order, so it is a power of p
-        # exactly when it divides p^e.
-        p_elements = [g for g, o in zip(elements, orders) if target % o == 0]
-        if len(p_elements) == target:
-            sylows[p] = PermGroup(group.degree, p_elements, _order=target)
-    return sylows
-
-
-def sylow_decomposition(group: PermGroup) -> SylowDecomposition:
-    """Normal Sylow subgroups; nilpotent iff every Sylow subgroup is normal.
-
-    Nilpotency and, for a nilpotent group, the Sylow subgroups come from the
-    generators.  Each Sylow subgroup is generated by its elements in
-    canonical order, so its chain is the same however it was found.  Only a
-    non-nilpotent group lists its elements, to report which Sylow subgroups
-    are normal.
-    """
-    if group._decomposition is None:
-        parts = _generator_sylows(group)
-        if parts is not None:
-            sylows = {p: PermGroup(group.degree, h.elements(), _order=h.order) for p, h in parts.items()}
-            group._decomposition = SylowDecomposition(True, sylows)
-        else:
-            sylows = _normal_sylows_by_enumeration(group)
-            if len(sylows) == len(prime_factorization(group.order)):
-                raise InternalDefect("every Sylow subgroup is normal, yet the generator test failed")
-            group._decomposition = SylowDecomposition(False, sylows)
-    return group._decomposition
+    """Nilpotency decided from the generators alone (see `sylow_decomposition`)."""
+    return sylow_decomposition(group) is not None
 
 
 def is_cyclic(group: PermGroup) -> bool:

@@ -362,9 +362,9 @@ def check_quotient_lemmas() -> list[CheckResult]:
             equivalence_checks.append(f"{name}: block images are not 2-equivalent")
 
     c6 = realize_name("C6")
-    qt_instance("C6|C3", c6, sylow_decomposition(c6).sylows[3])
+    qt_instance("C6|C3", c6, sylow_decomposition(c6)[3])
     q8c3 = realize_name("Q8xC3")
-    qt_instance("Q8xC3|C3", q8c3, sylow_decomposition(q8c3).sylows[3])
+    qt_instance("Q8xC3|C3", q8c3, sylow_decomposition(q8c3)[3])
     v4c3 = disjoint_union_action([realize_name("C2xC2"), realize_name("C3")])
     qt_instance("C2xC2|C3-part", v4c3.group, v4c3.embedded[0])
 
@@ -471,10 +471,8 @@ def check_positive_consistency(max_degree: int = 16) -> list[CheckResult]:
             if not two_closure(entry.action).same_group(entry.action):
                 closure_checks.append(f"{name}: a degree-{entry.degree} representation closed up")
     q8c3 = realize_name("Q8xC3")
-    decomposition = sylow_decomposition(q8c3)
-    certification = certify_coprime_product(
-        q8c3, decomposition.sylows[3], decomposition.sylows[2]
-    )
+    sylows = sylow_decomposition(q8c3)
+    certification = certify_coprime_product(q8c3, sylows[3], sylows[2])
     if not certification.certified:
         certization.append(f"coprime certification failed: {certification.detail}")
     if not two_closure(q8c3).same_group(q8c3):

@@ -34,7 +34,7 @@ from .group import (
     prime_factorization,
     sylow_decomposition,
 )
-from .orbital import MembershipEvidence, is_in_two_closure, membership_evidence, orbital_partition
+from .orbital import MembershipEvidence, membership_evidence, orbital_partition
 from .perm import Permutation, from_cycles, identity
 
 CONSTRUCTION_ABELIAN_P = "abelian-p"
@@ -109,10 +109,10 @@ def _assemble(
     construction: str,
     parameters: dict,
 ) -> WitnessCertificate:
-    partition = orbital_partition(group)
-    if not is_in_two_closure(witness, partition):
-        raise ConstructionFailure("constructed witness fails definitional closure membership")
-    evidence = membership_evidence(witness, partition)
+    try:
+        evidence = membership_evidence(witness, orbital_partition(group))
+    except PreconditionError as error:
+        raise ConstructionFailure("constructed witness fails definitional closure membership") from error
     cert = WitnessCertificate(group, space, witness, evidence, construction, parameters)
     if cert.problems:
         raise ConstructionFailure("; ".join(cert.problems))
@@ -538,7 +538,7 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
     z = center(group)
     if is_cyclic(z):
         raise PreconditionError("the center is cyclic")
-    z_sylows = sylow_decomposition(z).sylows
+    z_sylows = sylow_decomposition(z)
     chosen = None
     for p in sorted(z_sylows):
         if not is_cyclic(z_sylows[p]):

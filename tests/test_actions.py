@@ -92,7 +92,7 @@ def test_disjoint_union_embed_moves_only_its_part():
 
 def test_coprime_direct_factors_rejects_non_coprime():
     v4 = realize_name("C2xC2")
-    parts = sylow_decomposition(v4).sylows[2]
+    parts = sylow_decomposition(v4)[2]
     with pytest.raises(PreconditionError):
         coprime_direct_factors(v4, parts, parts)
 
@@ -108,7 +108,7 @@ def test_quotient_action_examples():
     assert trivial.image.order == c6.order
 
     q8c3 = realize_name("Q8xC3")
-    c3 = sylow_decomposition(q8c3).sylows[3]
+    c3 = sylow_decomposition(q8c3)[3]
     qa = quotient_action(q8c3, c3)
     assert len(qa.blocks) == 9
     assert qa.kernel.same_group(c3)

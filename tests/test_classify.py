@@ -18,7 +18,7 @@ from twoclosure.classify import (
     split_pair,
 )
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import build_group, is_cyclic, sylow_decomposition
+from twoclosure.group import PermGroup, build_group, is_cyclic, sylow_decomposition
 from twoclosure.orbital import two_closure
 from twoclosure.perm import Permutation, parse_cycles
 from twoclosure.witnesses import check_certificate
@@ -83,8 +83,8 @@ def test_center_cyclic_test_examples():
 
 def test_coprime_product_certification():
     q8c3 = realize_name("Q8xC3")
-    decomposition = sylow_decomposition(q8c3)
-    result = certify_coprime_product(q8c3, decomposition.sylows[3], decomposition.sylows[2])
+    sylows = sylow_decomposition(q8c3)
+    result = certify_coprime_product(q8c3, sylows[3], sylows[2])
     assert result.certified
     assert result.detail == {
         "abelian_factor_closed": True,
@@ -96,11 +96,11 @@ def test_coprime_product_certification():
 
 def test_coprime_certification_rejects_bad_hypotheses():
     q8c3 = realize_name("Q8xC3")
-    decomposition = sylow_decomposition(q8c3)
+    sylows = sylow_decomposition(q8c3)
     with pytest.raises(PreconditionError, match="abelian"):
-        certify_coprime_product(q8c3, decomposition.sylows[2], decomposition.sylows[3])
+        certify_coprime_product(q8c3, sylows[2], sylows[3])
     v4 = realize_name("C2xC2")
-    part = sylow_decomposition(v4).sylows[2]
+    part = sylow_decomposition(v4)[2]
     with pytest.raises(PreconditionError, match="coprime"):
         certify_coprime_product(v4, part, part)
 
@@ -152,7 +152,7 @@ def _lattice_choices(part, p):
 @pytest.mark.parametrize("seed", [None, 11, 12])
 @pytest.mark.parametrize("name,p", P_PART_FAMILIES)
 def test_direct_searches_pick_the_lattice_choices(name, p, seed):
-    part = sylow_decomposition(_relabelled(name, seed)).sylows[p]
+    part = sylow_decomposition(_relabelled(name, seed))[p]
     pp, split = _lattice_choices(part, p)
     found = normal_pp_subgroup(part, p)
     assert (found is None) == (pp is None)
@@ -187,3 +187,21 @@ def test_quaternion_test_runs_once_per_verdict(monkeypatch, name):
     monkeypatch.setattr(classify, "is_generalized_quaternion", counted)
     classify_nilpotent(realize_name(name))
     assert len(calls) == 1
+
+
+def test_sylow_subgroups_are_not_rebuilt_from_their_elements(monkeypatch):
+    group = realize_name("Q64xC3")
+    sizes = []
+    build = PermGroup.__init__
+
+    def counted(self, degree, generators, *args, **kwargs):
+        generators = tuple(generators)
+        sizes.append(len(generators))
+        build(self, degree, generators, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    verdict = classify_nilpotent(group)
+    assert verdict.reason == REASON_QUATERNION_TIMES_ODD_CYCLIC
+    assert sizes and max(sizes) < 8
+    q64 = realize_name("Q64")
+    assert sylow_decomposition(q64)[2] is q64

@@ -13,8 +13,12 @@ their subgroups from the lattice, and now pin the direct searches that
 replaced it.  The verify suites and `representations.json` pin the faithful
 representation sampler, the lattice's one remaining user.  The `closure_*`
 files were recorded before the orbital partition was cached on its group;
-their specs are in CLOSURE_SPECS.  A deliberate change to any of them is
-recorded in CHANGES.md.
+their specs are in CLOSURE_SPECS.  One field was re-recorded on purpose when
+Sylow subgroups stopped being rebuilt from their listed elements:
+`classify_D8xC3.json` `certificate.parameters.outer_coset_representative`
+went from "(1,2)(3,4)" to "(1,2,3,4)", because the transversal BFS in
+`universal_embedding` reads the Sylow subgroup's strong generators.  A
+deliberate change to any of them is recorded in CHANGES.md.
 """
 
 import json

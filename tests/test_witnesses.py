@@ -161,9 +161,9 @@ def test_semidirect_witness_d8_and_sd16():
 
 def test_semidirect_witness_rejects_normal_complement():
     c6 = realize_name("C6")
-    decomposition = sylow_decomposition(c6)
+    sylows = sylow_decomposition(c6)
     with pytest.raises(PreconditionError, match="core"):
-        semidirect_witness(c6, decomposition.sylows[3], decomposition.sylows[2])
+        semidirect_witness(c6, sylows[3], sylows[2])
 
 
 def test_center_witness_q8c2():
