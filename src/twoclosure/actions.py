@@ -128,8 +128,9 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
         len(representatives),
         tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
     )
+    # The kernel fixes the coset H, so it lies in H; both lists are sorted.
     kernel_elements = tuple(
-        e for e in group.elements() if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
+        e for e in sub_elements if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
     )
     kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
     expected = core(group, handle)

@@ -8,6 +8,7 @@ and ``x``-joined products such as ``Q16xC3`` or ``C2xC2``.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .actions import CosetAction, coset_action, disjoint_union_action
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -15,7 +16,6 @@ from .group import (
     INDEX_GUARD,
     PermGroup,
     SubgroupHandle,
-    _ElementIndex,
     is_prime,
     mask_indices,
     prime_factorization,
@@ -241,9 +241,11 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
     by cyclic subgroups, so all are reached.  A join extends the known
     subgroup's mask by the new generator under the right-regular table.
 
-    Each handle carries its mask and its core's mask, the AND of the mask's
-    conjugates; the list is sorted by order and then by canonical element
-    list, which is the order of element indices.
+    Each handle carries its mask and its core's mask, and builds its group
+    only when read.  The core is the largest subset of the subgroup that the
+    strong generators conjugate into itself: K <- K & K^s until no generator
+    s removes an element.  The list is sorted by order and then by canonical
+    element list, which is the order of element indices.
     """
     if group.order > LATTICE_GUARD:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
@@ -267,13 +269,18 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
                     fresh.append(joined)
         worklist = fresh
 
+    conjugations = table.conjugations()
+    gen_maps = [conjugations[table.position[s.images]] for s in group.strong_generators]
     handles = []
     for mask in sorted(gens_of, key=lambda m: (m.bit_count(), mask_indices(m))):
-        core_mask = mask
-        for conjugate in table.conjugates(mask):
-            core_mask &= conjugate
-        sub = PermGroup(group.degree, table.elements_of(mask), _order=mask.bit_count())
-        handles.append(SubgroupHandle(group, sub, mask, core_mask))
+        core_mask, stable = mask, False
+        while not stable:
+            stable = True
+            for conj in gen_maps:
+                kept = core_mask & sum(1 << conj[i] for i in mask_indices(core_mask))
+                if kept != core_mask:
+                    core_mask, stable = kept, False
+        handles.append(SubgroupHandle(group, None, mask, core_mask))
     return handles
 
 
@@ -294,13 +301,14 @@ class RepresentationSample:
         self.group, self.max_degree, self.entries = group, max_degree, entries
 
 
-def _conjugacy_key(table: _ElementIndex, masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple.
+def _conjugacy_key(conjugates: Callable[[int], list[int]], masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple;
+    `conjugates(mask)` lists a mask's conjugates in element index order.
 
     Two sets of subgroups get the same key exactly when one element conjugates
     the first onto the second.
     """
-    return min(tuple(sorted(same_g)) for same_g in zip(*map(table.conjugates, masks)))
+    return min(tuple(sorted(same_g)) for same_g in zip(*map(conjugates, masks)))
 
 
 def faithful_representations(group: PermGroup, max_degree: int) -> RepresentationSample:
@@ -315,6 +323,12 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
     table = group._element_index()
     entries: list[RepresentationEntry] = []
     actions: dict[int, CosetAction] = {}
+    conjugates_of: dict[int, list[int]] = {}
+
+    def conjugates(mask: int) -> list[int]:
+        if mask not in conjugates_of:
+            conjugates_of[mask] = table.conjugates(mask)
+        return conjugates_of[mask]
 
     def action_on(handle: SubgroupHandle) -> CosetAction:
         # Built at most once per subgroup; the point labels are not read.
@@ -324,10 +338,10 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
 
     seen_single = set()
     for handle in lattice:
-        index = group.order // handle.group.order
+        index = group.order // handle.mask.bit_count()
         if handle.core_mask != 1 or index > max_degree:
             continue
-        canon = _conjugacy_key(table, (handle.mask,))
+        canon = _conjugacy_key(conjugates, (handle.mask,))
         if canon in seen_single:
             continue
         seen_single.add(canon)
@@ -336,18 +350,18 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
 
     seen_pairs = set()
     for i, h1 in enumerate(lattice):
-        index1 = group.order // h1.group.order
+        index1 = group.order // h1.mask.bit_count()
         if index1 > max_degree:
             continue
         for h2 in lattice[i:]:
-            index2 = group.order // h2.group.order
+            index2 = group.order // h2.mask.bit_count()
             if index1 + index2 > max_degree:
                 continue
             if index1 == 1 and index2 == 1:
                 continue  # two copies of the one-point action say nothing
             if h1.core_mask & h2.core_mask != 1:
                 continue  # the cores share more than the identity (index 0)
-            canon = _conjugacy_key(table, (h1.mask, h2.mask))
+            canon = _conjugacy_key(conjugates, (h1.mask, h2.mask))
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)

@@ -48,10 +48,14 @@ class Verdict:
 
 
 def is_generalized_quaternion(group: PermGroup) -> bool:
-    """Noncyclic 2-group of order >= 8 with exactly one involution."""
+    """Noncyclic 2-group of order >= 8 with exactly one involution.
+
+    Such a group is nonabelian, so an abelian group is refused from its
+    strong generators before any element is listed.
+    """
     if prime_factorization(group.order).keys() != {2}:
         raise PreconditionError("input must be a nontrivial 2-group")
-    if group.order < 8 or is_cyclic(group):
+    if group.order < 8 or group.is_abelian():
         return False
     # g*g is the identity for the identity and for each involution.
     one = group.elements()[0]

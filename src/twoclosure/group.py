@@ -571,13 +571,24 @@ class SubgroupHandle:
     """A subgroup together with the group it lives in.
 
     Lattice handles also carry the masks of the subgroup and of its core over
-    the parent's element index; handles from `as_subgroup` carry neither.
+    the parent's element index, and build `group` from the mask on first
+    access; handles from `as_subgroup` carry a group and no masks.
     """
 
-    __slots__ = ("parent", "group", "mask", "core_mask")
+    __slots__ = ("parent", "_group", "mask", "core_mask")
 
-    def __init__(self, parent: PermGroup, group: PermGroup, mask: int | None = None, core_mask: int | None = None) -> None:
-        self.parent, self.group, self.mask, self.core_mask = parent, group, mask, core_mask
+    def __init__(
+        self, parent: PermGroup, group: PermGroup | None, mask: int | None = None, core_mask: int | None = None
+    ) -> None:
+        self.parent, self._group, self.mask, self.core_mask = parent, group, mask, core_mask
+
+    @property
+    def group(self) -> PermGroup:
+        if self._group is None:
+            mask = self.mask
+            elements = self.parent._element_index().elements_of(mask)
+            self._group = PermGroup(self.parent.degree, elements, _order=mask.bit_count())
+        return self._group
 
     @property
     def normal(self) -> bool | None:
@@ -620,9 +631,12 @@ def core(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
     """Largest normal subgroup of `group` inside `subgroup`.
 
     Fixpoint of "closed under conjugation by the generators" starting from the
-    subgroup's element set.
+    subgroup's element set; a lattice handle's core is read off its core mask.
     """
     handle = as_subgroup(group, subgroup)
+    if handle.core_mask is not None:
+        core_mask = handle.core_mask
+        return PermGroup(group.degree, group._element_index().elements_of(core_mask), _order=core_mask.bit_count())
     group.elements()  # refuses a group above the enumeration guard
     keep = set(handle.group.elements())
     conjugators = list(group.strong_generators)

@@ -204,10 +204,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
                 i += 1
                 skip_ws()
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in "0123456789":  # ASCII only: int() refuses some Unicode digits
                 i += 1
             if i == start:
                 raise CycleParseError("expected a point number", i + 1)
+            digits = text[start:i].lstrip("0")
+            if len(digits) > len(str(degree)):  # too long to convert, and above the degree
+                raise CycleParseError(f"point {digits[:12]}... exceeds degree {degree}", start + 1)
             point = int(text[start:i])
             if point < 1:
                 raise CycleParseError("points are 1-based", start + 1)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 
 from .actions import disjoint_union_action, quotient_action
-from .catalog import faithful_representations, realize_name
+from .catalog import RepresentationSample, faithful_representations, parse_family, realize_name
 from .cli import SUITE_FLAGS
 from .classify import (
     STATUS_NOT_TWO_CLOSED,
     STATUS_TWO_CLOSED,
+    Verdict,
     certify_coprime_product,
     center_cyclic_test,
     classify_nilpotent,
@@ -38,6 +39,7 @@ from .orbital import (
 )
 from .perm import Permutation
 from .witnesses import (
+    WitnessCertificate,
     abelian_p_witness,
     center_witness,
     check_certificate,
@@ -109,12 +111,13 @@ def random_groups(seed: int, samples: int, max_degree: int) -> list[PermGroup]:
 
 
 def catalog_realizations(max_degree: int) -> list[tuple[str, PermGroup]]:
-    out = []
-    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
-        group = realize_name(name)
-        if group.degree <= max_degree:
-            out.append((name, group))
-    return out
+    """The catalog families of degree at most max_degree, realized; the
+    degree is read from the family before any group is built."""
+    return [
+        (name, realize_name(name))
+        for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES
+        if parse_family(name).degree <= max_degree
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +440,80 @@ def suite_lemmas() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # classification suite
 
-def check_truth_table() -> list[CheckResult]:
+TRIVIAL_STABILIZER_FAMILIES = ["C2", "C3", "C4", "C5", "C7", "C8", "C9", "C16", "Q8", "Q16"]
+NONCYCLIC_ABELIAN_FAMILIES = ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2"]
+# Degree bound of the representations the classification checks close.
+REPRESENTATION_DEGREE = 16
+
+
+class _ClassificationRun:
+    """What the classification checks share within one suite run.
+
+    It holds each family's realization, the verdict status of each classified
+    family with the certificates of the noncyclic abelian ones, the
+    cyclic-center test's pass flags, and the degree-16 representation samples
+    of the trivial-stabilizer families until that check takes them.  Each
+    value is computed on first request, so a check run alone gets the same
+    answers as the suite.
+    """
+
+    __slots__ = ("groups", "statuses", "certificates", "center_flags", "samples")
+
+    def __init__(self) -> None:
+        self.groups: dict[str, PermGroup] = {}
+        self.statuses: dict[str, str] = {}
+        self.certificates: dict[str, WitnessCertificate | None] = {}
+        self.center_flags: dict[str, bool] = {}
+        self.samples: dict[str, RepresentationSample] = {}
+
+    def group(self, name: str) -> PermGroup:
+        if name not in self.groups:
+            self.groups[name] = realize_name(name)
+        return self.groups[name]
+
+    def classify(self, name: str) -> Verdict:
+        verdict = classify_nilpotent(self.group(name))
+        self.statuses[name] = verdict.status
+        if name in NONCYCLIC_ABELIAN_FAMILIES:
+            self.certificates[name] = verdict.certificate
+        return verdict
+
+    def status(self, name: str) -> str:
+        if name not in self.statuses:
+            self.classify(name)
+        return self.statuses[name]
+
+    def certificate(self, name: str) -> WitnessCertificate | None:
+        if name not in self.certificates:
+            self.classify(name)
+        return self.certificates[name]
+
+    def center_passes(self, name: str) -> bool:
+        if name not in self.center_flags:
+            self.center_flags[name] = center_cyclic_test(self.group(name)).passes
+        return self.center_flags[name]
+
+    def representations(self, name: str, max_degree: int) -> RepresentationSample:
+        sample = faithful_representations(self.group(name), max_degree)
+        if name in TRIVIAL_STABILIZER_FAMILIES and max_degree == REPRESENTATION_DEGREE:
+            self.samples[name] = sample
+        return sample
+
+    def take_representations(self, name: str) -> RepresentationSample:
+        """The family's degree-16 sample, no longer kept once taken."""
+        sample = self.samples.pop(name, None)
+        return sample if sample is not None else faithful_representations(self.group(name), REPRESENTATION_DEGREE)
+
+
+def check_truth_table(run: _ClassificationRun | None = None) -> list[CheckResult]:
+    run = run or _ClassificationRun()
     verdicts, certificates = [], []
     for name in TWO_CLOSED_FAMILIES:
-        verdict = classify_nilpotent(realize_name(name))
+        verdict = run.classify(name)
         if verdict.status != STATUS_TWO_CLOSED:
             verdicts.append(f"{name}: expected 2-closed, got {verdict.status}")
     for name in NOT_TWO_CLOSED_FAMILIES:
-        verdict = classify_nilpotent(realize_name(name))
+        verdict = run.classify(name)
         if verdict.status != STATUS_NOT_TWO_CLOSED:
             verdicts.append(f"{name}: expected not 2-closed, got {verdict.status}")
         elif verdict.certificate is None:
@@ -460,17 +529,18 @@ def check_truth_table() -> list[CheckResult]:
     ]
 
 
-def check_positive_consistency(max_degree: int = 16) -> list[CheckResult]:
+def check_positive_consistency(
+    max_degree: int = REPRESENTATION_DEGREE, run: _ClassificationRun | None = None
+) -> list[CheckResult]:
+    run = run or _ClassificationRun()
     closure_checks, certization = [], []
     rep_count = 0
     for name in TWO_CLOSED_FAMILIES:
-        group = realize_name(name)
-        sample = faithful_representations(group, max_degree)
-        for entry in sample.entries:
+        for entry in run.representations(name, max_degree).entries:
             rep_count += 1
             if not two_closure(entry.action).same_group(entry.action):
                 closure_checks.append(f"{name}: a degree-{entry.degree} representation closed up")
-    q8c3 = realize_name("Q8xC3")
+    q8c3 = run.group("Q8xC3")
     sylows = sylow_decomposition(q8c3)
     certification = certify_coprime_product(q8c3, sylows[3], sylows[2])
     if not certification.certified:
@@ -483,10 +553,11 @@ def check_positive_consistency(max_degree: int = 16) -> list[CheckResult]:
     ]
 
 
-def check_center_cyclic_suite() -> list[CheckResult]:
+def check_center_cyclic_suite(run: _ClassificationRun | None = None) -> list[CheckResult]:
+    run = run or _ClassificationRun()
     failures = []
     for name in ("Q8xC2", "C2xQ8xC3"):
-        test = center_cyclic_test(realize_name(name))
+        test = center_cyclic_test(run.group(name))
         if test.passes:
             failures.append(f"{name}: noncyclic center not detected")
         elif test.certificate is None or test.certificate.group.degree != 24:
@@ -495,55 +566,55 @@ def check_center_cyclic_suite() -> list[CheckResult]:
         elif check_certificate(test.certificate):
             failures.append(f"{name}: certificate failed validation")
     for name in [f"C{n}" for n in range(1, 31)] + ["Q8", "Q16", "Q32"]:
-        if not center_cyclic_test(realize_name(name)).passes:
+        if not run.center_passes(name):
             failures.append(f"{name}: cyclic center flagged as noncyclic")
     return [_result("cyclic-center-test", failures, "noncyclic fails at degree 24, cyclic passes")]
 
 
-def check_theorem_filter() -> list[CheckResult]:
+def check_theorem_filter(run: _ClassificationRun | None = None) -> list[CheckResult]:
     """Positive classification implies the cyclic-center test passes."""
+    run = run or _ClassificationRun()
     failures = []
     for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
-        group = realize_name(name)
-        verdict = classify_nilpotent(group)
-        if verdict.status == STATUS_TWO_CLOSED and not center_cyclic_test(group).passes:
+        if run.status(name) == STATUS_TWO_CLOSED and not run.center_passes(name):
             failures.append(f"{name}: 2-closed verdict with a noncyclic center")
     return [_result("cyclic-center-filter", failures, "whole catalog")]
 
 
-def check_trivial_stabilizer_instances() -> list[CheckResult]:
+def check_trivial_stabilizer_instances(run: _ClassificationRun | None = None) -> list[CheckResult]:
     """Cyclic p-groups and generalized quaternion groups: every sampled faithful
     representation has a point with trivial stabilizer and is closed."""
+    run = run or _ClassificationRun()
     failures = []
-    names = ["C2", "C3", "C4", "C5", "C7", "C8", "C9", "C16", "Q8", "Q16"]
-    for name in names:
-        group = realize_name(name)
-        for entry in faithful_representations(group, 16).entries:
+    for name in TRIVIAL_STABILIZER_FAMILIES:
+        for entry in run.take_representations(name).entries:
             action = entry.action
             if not any(action.point_stabilizer(p).order == 1 for p in range(action.degree)):
                 failures.append(f"{name}: a representation with no regular point")
             if not two_closure(action).same_group(action):
                 failures.append(f"{name}: a representation closed up")
-    return [_result("trivial-stabilizer-instances", failures, f"{len(names)} groups")]
+    return [_result("trivial-stabilizer-instances", failures, f"{len(TRIVIAL_STABILIZER_FAMILIES)} groups")]
 
 
-def check_noncyclic_abelian_instances() -> list[CheckResult]:
+def check_noncyclic_abelian_instances(run: _ClassificationRun | None = None) -> list[CheckResult]:
+    run = run or _ClassificationRun()
     failures = []
-    for name in ("C2xC2", "C2xC4", "C3xC3", "C2xC2xC2"):
-        cert = classify_nilpotent(realize_name(name)).certificate
+    for name in NONCYCLIC_ABELIAN_FAMILIES:
+        cert = run.certificate(name)
         if cert is None or check_certificate(cert):
             failures.append(f"{name}: no valid certificate")
     return [_result("noncyclic-abelian-certificates", failures, "4 groups")]
 
 
 def suite_classification() -> list[CheckResult]:
+    run = _ClassificationRun()
     results = []
-    results += check_truth_table()
-    results += check_positive_consistency()
-    results += check_center_cyclic_suite()
-    results += check_theorem_filter()
-    results += check_trivial_stabilizer_instances()
-    results += check_noncyclic_abelian_instances()
+    results += check_truth_table(run)
+    results += check_positive_consistency(run=run)
+    results += check_center_cyclic_suite(run)
+    results += check_theorem_filter(run)
+    results += check_trivial_stabilizer_instances(run)
+    results += check_noncyclic_abelian_instances(run)
     return results
 
 

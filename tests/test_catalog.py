@@ -12,6 +12,7 @@ from twoclosure.catalog import (
 )
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import (
+    PermGroup,
     as_subgroup,
     center,
     core,
@@ -195,6 +196,51 @@ def test_lattice_handles_carry_cores():
     assert sum(handle.normal for handle in lattice) == 6
     # Handles wrapped without masks know nothing about normality.
     assert as_subgroup(d8, lattice[1].group).normal is None
+
+
+def test_subgroup_lattice_builds_no_group(monkeypatch):
+    group = realize_name("Q16xC3")
+    group._element_index()  # the parent's index, built beforehand
+    built = []
+    init = PermGroup.__init__
+    monkeypatch.setattr(PermGroup, "__init__", lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    lattice = subgroup_lattice(group)
+    assert built == []
+    assert lattice[-1].group.order == group.order and len(built) == 1
+
+
+def chain_state(group):
+    chain = group._chain
+    return (
+        group.order,
+        [g.images for g in group.generators],
+        [g.images for g in chain.strong_generators()],
+        [list(level.orbit) for level in chain.levels],
+    )
+
+
+@pytest.mark.parametrize("name", ["D16", "Q16", "E27", "D8xC3", "Q16xC9"])
+def test_lazy_handle_groups_match_the_eager_build(name):
+    group = realize_name(name)
+    table = group._element_index()
+    for handle in subgroup_lattice(group):
+        eager = PermGroup(group.degree, table.elements_of(handle.mask), _order=handle.mask.bit_count())
+        assert chain_state(handle.group) == chain_state(eager), name
+        assert handle.group is handle.group
+
+
+@pytest.mark.parametrize("name", ["D16", "Q16", "E27", "D8xC3", "Q16xC9", "C2xC2xC2xC2"])
+def test_fixpoint_cores_are_the_and_of_all_conjugates(name):
+    group = realize_name(name)
+    table = group._element_index()
+    for handle in subgroup_lattice(group):
+        and_of_conjugates = handle.mask
+        for conjugate in table.conjugates(handle.mask):
+            and_of_conjugates &= conjugate
+        assert handle.core_mask == and_of_conjugates, name
+        # `core` reads a lattice handle's core mask; on the bare subgroup it
+        # runs its own element fixpoint.
+        assert core(group, handle).elements() == core(group, handle.group).elements(), name
 
 
 def test_lattice_masks_and_cores_take_no_permutation_products(monkeypatch):

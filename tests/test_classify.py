@@ -3,7 +3,8 @@ import random
 import pytest
 
 from twoclosure import classify
-from twoclosure.catalog import realize_name, subgroup_lattice
+from helpers import mulclose
+from twoclosure.catalog import parse_family, realize_name, subgroup_lattice
 from twoclosure.classify import (
     REASON_CYCLIC,
     REASON_QUATERNION_TIMES_ODD_CYCLIC,
@@ -20,7 +21,7 @@ from twoclosure.classify import (
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import PermGroup, build_group, is_cyclic, sylow_decomposition
 from twoclosure.orbital import two_closure
-from twoclosure.perm import Permutation, parse_cycles
+from twoclosure.perm import Permutation, identity, parse_cycles
 from twoclosure.witnesses import check_certificate
 
 
@@ -31,6 +32,39 @@ def test_generalized_quaternion_predicate():
     assert not is_generalized_quaternion(realize_name("D8"))
     with pytest.raises(PreconditionError):
         is_generalized_quaternion(realize_name("C6"))
+
+
+def _catalog_two_groups(limit: int = 256) -> list[str]:
+    """Every 2-power atom of the family syntax, and every product of two of
+    them, of order at most `limit`."""
+    atoms = [f"C{2**k}" for k in range(1, 9)]
+    atoms += [f"{prefix}{2**k}" for prefix, low in (("D", 3), ("SD", 4), ("Q", 3)) for k in range(low, 9)]
+    pairs = [f"{a}x{b}" for i, a in enumerate(atoms) for b in atoms[i:]]
+    return [name for name in atoms + pairs if parse_family(name).order <= limit]
+
+
+def test_generalized_quaternion_predicate_matches_the_involution_count():
+    # A 2-group with exactly one involution is cyclic or generalized
+    # quaternion; the oracle counts involutions on a plain BFS element list.
+    names = _catalog_two_groups()
+    assert len(names) > 100
+    for name in names:
+        group = realize_name(name)
+        elements = mulclose(group.degree, group.generators)
+        one = identity(group.degree)
+        involutions = sum(1 for g in elements if g != one and g * g == one)
+        cyclic = any(g.order() == len(elements) for g in elements)
+        expected = len(elements) >= 8 and involutions == 1 and not cyclic
+        assert is_generalized_quaternion(group) == expected, name
+
+
+def test_generalized_quaternion_predicate_lists_no_element_of_an_abelian_group(monkeypatch):
+    def refuse(self):
+        raise AssertionError("PermGroup.elements was called")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    for name in ("C4xC4", "C2xC2xC2", "C16xC16xC16xC16"):
+        assert not is_generalized_quaternion(realize_name(name))
 
 
 def test_classification_examples():

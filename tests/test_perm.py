@@ -124,3 +124,13 @@ def test_parse_errors_carry_columns():
         parse_cycles("1,2)", 4)
     assert parse_cycles("()", 4).is_identity()
     assert parse_cycles(" (1,2) (3,4) ", 4) == from_cycles(4, [(0, 1), (2, 3)])
+
+
+def test_points_are_ascii_numbers_of_any_length():
+    # int() refuses '²' and any run of more than 4300 digits; the parser
+    # refuses both, and every other non-ASCII digit, first.
+    for text in ("(1,²)", "(1,٣)", "(1," + "9" * 5000 + ")"):
+        with pytest.raises(CycleParseError) as err:
+            parse_cycles(text, 4)
+        assert err.value.column == 4
+    assert parse_cycles("(001,0004)", 4) == from_cycles(4, [(0, 3)])

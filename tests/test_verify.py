@@ -2,10 +2,13 @@
 force, and engines with planted faults that the suite must reject."""
 
 import itertools
+from collections import Counter
 
 from twoclosure import verify
 from twoclosure.orbital import orbital_partition, two_closure
 from twoclosure.verify import (
+    NOT_TWO_CLOSED_FAMILIES,
+    TWO_CLOSED_FAMILIES,
     _colour_preserving_count,
     catalog_realizations,
     check_closure_axioms,
@@ -61,3 +64,24 @@ def test_axioms_suite_rejects_an_engine_wrong_on_conjugated_inputs(monkeypatch):
     failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
     assert set(failures) == {"conjugation-equivariance"}
     assert failures["conjugation-equivariance"].endswith(": conjugation equivariance failed")
+
+
+def test_classification_suite_does_each_catalog_computation_once(monkeypatch):
+    realized, classified = Counter(), []
+    realize_name, classify_nilpotent = verify.realize_name, verify.classify_nilpotent
+    monkeypatch.setattr(verify, "realize_name", lambda name: realized.update([name]) or realize_name(name))
+    monkeypatch.setattr(verify, "classify_nilpotent", lambda group: classified.append(group) or classify_nilpotent(group))
+    assert failed(verify.suite_classification()) == {}
+    families = TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES
+    assert set(families) <= set(realized) and max(realized.values()) == 1
+    assert len(classified) == len(families) == 48
+
+
+def test_catalog_realizations_build_only_the_families_they_return(monkeypatch):
+    realized = []
+    realize_name = verify.realize_name
+    monkeypatch.setattr(verify, "realize_name", lambda name: realized.append(name) or realize_name(name))
+    population = catalog_realizations(12)
+    assert realized == [name for name, _ in population]
+    assert all(group.degree <= 12 for _, group in population)
+    assert len(population) == 23
