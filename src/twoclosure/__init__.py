@@ -19,16 +19,16 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "actions": "ActionHom ActionSpace CosetAction DisjointUnionAction EmbeddedAction "
+        "actions": "ActionHom CosetAction DisjointUnionAction EmbeddedAction "
         "QuotientAction action_hom coset_action disjoint_union_action quotient_action "
         "universal_embedding",
         "catalog": "FamilySpec faithful_representations parse_family realize realize_name subgroup_lattice",
         "classify": "CenterTest CoprimeCertification Verdict center_cyclic_test certify_coprime_product "
         "classify_nilpotent is_generalized_quaternion not_two_closed_witness",
         "errors": "ConstructionFailure CycleParseError GuardExceeded InternalDefect PreconditionError",
-        "group": "ENUMERATION_GUARD PermGroup SubgroupHandle as_subgroup build_group center centralizer core "
-        "is_cyclic is_nilpotent is_normal sylow_decomposition trivial_group",
-        "orbital": "CLOSURE_DEGREE_GUARD MembershipEvidence OrbitalPartition is_in_two_closure is_two_closed_on "
+        "group": "ENUMERATION_GUARD PermGroup SubgroupHandle as_subgroup center centralizer core "
+        "is_cyclic is_nilpotent is_normal sylow_decomposition",
+        "orbital": "CLOSURE_DEGREE_GUARD MembershipEvidence OrbitalPartition is_in_two_closure "
         "membership_evidence orbital_partition two_closure two_equivalent",
         "perm": "Permutation from_cycles identity parse_cycles",
         "witnesses": "CERTIFICATE_DEGREE_GUARD WitnessCertificate abelian_basis abelian_p_witness center_witness "

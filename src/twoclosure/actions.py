@@ -3,8 +3,11 @@ direct-factor check, block quotients, and the universal embedding of a group int
 wreath-style action on Delta x G/N built from a faithful action of a normal
 subgroup N.
 
-Every construction returns an ActionSpace recording where each point came
-from, so built actions stay auditable.
+Each builder fixes its 0-based point order by construction:
+- a coset action numbers the cosets by their sorted least representatives;
+- a disjoint union places part k at points offsets[k] .. offsets[k] + degree - 1;
+- a block quotient numbers the blocks in the normal subgroup's orbit order;
+- the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta.
 """
 
 from __future__ import annotations
@@ -24,71 +27,19 @@ from .group import (
 )
 from .perm import Permutation, identity
 
-# Label vocabulary (all nested tuples, hashable):
-#   ("raw", i)                      a bare point
-#   ("part", k, inner)              point `inner` of the k-th part of a union
-#   ("coset", tag, rep)             right coset tag*rep by its representative
-#   ("pair", inner, coset_label)    point of a product Delta x K
-#   ("block", points)               a block, as its sorted 1-based point tuple
-#   ("cell", k, i)                  point i of the k-th fresh cell of a witness
-
-
-class ActionSpace:
-    """A labeled point set; the label order defines the 0-based point order."""
-
-    __slots__ = ("labels", "_index")
-
-    def __init__(self, labels: tuple[object, ...]) -> None:
-        self.labels = labels
-        self._index = {label: i for i, label in enumerate(labels)}
-        if len(self._index) != len(labels):
-            raise PreconditionError("duplicate labels in action space")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: object) -> int:
-        return self._index[label]
-
-    def describe(self, point: int) -> str:
-        return describe_label(self.labels[point])
-
-
-def raw_space(n: int) -> ActionSpace:
-    return ActionSpace(tuple(("raw", i) for i in range(n)))
-
-
-def describe_label(label: object) -> str:
-    kind = label[0]
-    if kind == "raw":
-        return str(label[1] + 1)
-    if kind == "part":
-        return f"{label[1] + 1}:{describe_label(label[2])}"
-    if kind == "coset":
-        return f"{label[1]}{label[2].cycle_string()}"
-    if kind == "pair":
-        return f"({describe_label(label[1])},{describe_label(label[2])})"
-    if kind == "block":
-        return "{" + ",".join(str(p + 1) for p in label[1]) + "}"
-    if kind == "cell":
-        return f"c{label[1] + 1}.{label[2] + 1}"
-    return repr(label)
-
-
 # ---------------------------------------------------------------------------
 # coset actions
 
 class CosetAction:
     """Right-multiplication action of a group on the right cosets of a subgroup."""
 
-    __slots__ = ("source", "image", "space", "kernel", "representatives", "point_of_element")
+    __slots__ = ("image", "kernel", "representatives", "point_of_element")
 
     def __init__(
-        self, source: PermGroup, image: PermGroup, space: ActionSpace, kernel: PermGroup,
+        self, image: PermGroup, kernel: PermGroup,
         representatives: tuple[Permutation, ...], point_of_element: Mapping[Permutation, int],
     ) -> None:
-        self.source, self.image, self.space, self.kernel = source, image, space, kernel
+        self.image, self.kernel = image, kernel
         self.representatives, self.point_of_element = representatives, point_of_element
 
     def embed(self, x: Permutation) -> Permutation:
@@ -102,11 +53,11 @@ def _coset_permutation(
     return Permutation(tuple(point_of[rep * x] for rep in representatives))
 
 
-def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: str = "H") -> CosetAction:
+def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> CosetAction:
     """Action on right cosets; the kernel equals the core of the subgroup.
 
-    Coset labels use the lexicographically least permutation in each coset as
-    its canonical representative.
+    Each coset is represented by its lexicographically least permutation, and
+    the points follow the sorted representatives.
     """
     handle = as_subgroup(group, subgroup)
     if group.order > ENUMERATION_GUARD:
@@ -123,7 +74,6 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
     representatives = tuple(sorted(set(rep_of.values())))
     rep_index = {rep: i for i, rep in enumerate(representatives)}
     point_of = {e: rep_index[rep] for e, rep in rep_of.items()}
-    space = ActionSpace(tuple(("coset", tag, rep) for rep in representatives))
     image = PermGroup(
         len(representatives),
         tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
@@ -138,19 +88,17 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle, tag: st
         raise InternalDefect("coset action kernel disagrees with the subgroup core")
     if group.order != image.order * kernel.order:
         raise InternalDefect("coset action order bookkeeping failed")
-    return CosetAction(group, image, space, kernel, representatives, point_of)
+    return CosetAction(image, kernel, representatives, point_of)
 
 
 # ---------------------------------------------------------------------------
 # disjoint unions
 
 class DisjointUnionAction:
-    __slots__ = ("group", "space", "embedded", "offsets")
+    __slots__ = ("group", "embedded", "offsets")
 
-    def __init__(
-        self, group: PermGroup, space: ActionSpace, embedded: tuple[PermGroup, ...], offsets: tuple[int, ...]
-    ) -> None:
-        self.group, self.space, self.embedded, self.offsets = group, space, embedded, offsets
+    def __init__(self, group: PermGroup, embedded: tuple[PermGroup, ...], offsets: tuple[int, ...]) -> None:
+        self.group, self.embedded, self.offsets = group, embedded, offsets
 
     def embed(self, part: int, g: Permutation) -> Permutation:
         """A permutation of part `part` as an element moving only that part's points."""
@@ -164,24 +112,15 @@ def _shifted(g: Permutation, offset: int, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def disjoint_union_action(
-    parts: list[PermGroup] | tuple[PermGroup, ...],
-    spaces: list[ActionSpace] | None = None,
-) -> DisjointUnionAction:
+def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> DisjointUnionAction:
     """External direct product acting on the disjoint union of the part sets."""
     if not parts:
         raise PreconditionError("disjoint union needs at least one part")
     offsets = []
     total = 0
-    labels: list[object] = []
-    for k, part in enumerate(parts):
+    for part in parts:
         offsets.append(total)
-        inner = spaces[k].labels if spaces else [("raw", i) for i in range(part.degree)]
-        if len(inner) != part.degree:
-            raise PreconditionError("part space size disagrees with part degree")
-        labels.extend(("part", k, lab) for lab in inner)
         total += part.degree
-    space = ActionSpace(tuple(labels))
 
     gens = []
     embedded = []
@@ -194,7 +133,7 @@ def disjoint_union_action(
         expected *= part.order
     if group.order != expected:
         raise InternalDefect("disjoint union order is not the product of part orders")
-    return DisjointUnionAction(group, space, tuple(embedded), tuple(offsets))
+    return DisjointUnionAction(group, tuple(embedded), tuple(offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +167,12 @@ def coprime_direct_factors(
 class QuotientAction:
     """Action of a group on the orbits of a normal subgroup."""
 
-    __slots__ = ("source", "image", "space", "kernel", "block_of", "blocks")
+    __slots__ = ("image", "kernel", "block_of", "blocks")
 
     def __init__(
-        self, source: PermGroup, image: PermGroup, space: ActionSpace, kernel: PermGroup,
-        block_of: tuple[int, ...], blocks: tuple[tuple[int, ...], ...],
+        self, image: PermGroup, kernel: PermGroup, block_of: tuple[int, ...], blocks: tuple[tuple[int, ...], ...],
     ) -> None:
-        self.source, self.image, self.space, self.kernel = source, image, space, kernel
-        self.block_of, self.blocks = block_of, blocks
+        self.image, self.kernel, self.block_of, self.blocks = image, kernel, block_of, blocks
 
     def embed(self, x: Permutation) -> Permutation:
         return _block_permutation(x, self.blocks, self.block_of)
@@ -264,7 +201,6 @@ def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Q
         for p in block:
             block_of_list[p] = bi
     block_of = tuple(block_of_list)
-    space = ActionSpace(tuple(("block", block) for block in blocks))
     image = PermGroup(
         len(blocks),
         tuple(_block_permutation(g, blocks, block_of) for g in group.strong_generators),
@@ -277,7 +213,7 @@ def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Q
         if all(block_of[e.images[p]] == block_of[p] for p in range(group.degree))
     )
     kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
-    return QuotientAction(group, image, space, kernel, block_of, blocks)
+    return QuotientAction(image, kernel, block_of, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +222,16 @@ def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Q
 class ActionHom:
     """A faithful action of a group on a fresh point set, element by element."""
 
-    __slots__ = ("source", "degree", "mapping", "space")
+    __slots__ = ("source", "degree", "mapping")
 
-    def __init__(
-        self, source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation], space: ActionSpace | None = None
-    ) -> None:
-        self.source, self.degree, self.mapping, self.space = source, degree, mapping, space
+    def __init__(self, source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> None:
+        self.source, self.degree, self.mapping = source, degree, mapping
 
     def of(self, x: Permutation) -> Permutation:
         return self.mapping[x]
 
 
-def action_hom(
-    source: PermGroup,
-    degree: int,
-    mapping: Mapping[Permutation, Permutation],
-    space: ActionSpace | None = None,
-) -> ActionHom:
+def action_hom(source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> ActionHom:
     """Validate and wrap a faithful homomorphism into Sym(degree)."""
     elements = source.elements()
     if set(mapping) != set(elements):
@@ -318,74 +247,54 @@ def action_hom(
         raise PreconditionError("mapping is not a homomorphism")
     if len(set(mapping.values())) != len(elements):
         raise PreconditionError("action is not faithful")
-    if space is not None and space.size != degree:
-        raise PreconditionError("action space size disagrees with the degree")
-    return ActionHom(source, degree, dict(mapping), space)
+    return ActionHom(source, degree, dict(mapping))
 
 
-class EmbeddingData:
-    """Transversal, coset map and cocycle data behind a universal embedding.
+class EmbeddedAction:
+    """A group acting on Delta x G/N, with the transversal, coset map and
+    cocycle behind the action.
 
     The transversal is found by a breadth-first scan of the coset graph in
     canonical generator order, so the representative of the trivial coset is
     the identity and the whole structure is reproducible.
     """
 
+    __slots__ = ("image", "act", "transversal", "coset_of", "quotient_order")
+
     def __init__(
         self,
-        group: PermGroup,
-        normal: PermGroup,
         act: ActionHom,
         transversal: tuple[Permutation, ...],
         coset_of: dict[Permutation, int],
+        generators: tuple[Permutation, ...],
     ) -> None:
-        self.group = group
-        self.normal = normal
-        self.act = act
-        self.transversal = transversal
-        self.coset_of = coset_of
+        self.act, self.transversal, self.coset_of = act, transversal, coset_of
         self.quotient_order = len(transversal)
-        self.inner_degree = act.degree
-
-    def quotient_of(self, x: Permutation) -> int:
-        return self.coset_of[x]
+        self.image = PermGroup(act.degree * self.quotient_order, tuple(self.embed(g) for g in generators))
 
     def cocycle(self, x: Permutation, u: int) -> Permutation:
         """t_u * x * t_v^{-1} where v is the coset of t_u * x; lands in N."""
         e = self.transversal[u] * x
-        v = self.coset_of[e]
-        f = e * self.transversal[v].inverse()
+        f = e * self.transversal[self.coset_of[e]].inverse()
         if f not in self.act.mapping:
             raise InternalDefect("cocycle value escaped the normal subgroup")
         return f
 
     def embed(self, x: Permutation) -> Permutation:
-        """The action of x on Delta x K: (d, u) -> (d^{cocycle(x,u)}, u*psi(x))."""
-        d = self.inner_degree
-        images = [0] * (d * self.quotient_order)
-        for u in range(self.quotient_order):
-            e = self.transversal[u] * x
-            v = self.coset_of[e]
-            f_delta = self.act.mapping[e * self.transversal[v].inverse()]
-            base = u * d
-            tbase = v * d
-            for delta in range(d):
-                images[base + delta] = tbase + f_delta.images[delta]
+        """The action of x on Delta x G/N: (delta, u) -> (delta^cocycle(x, u), v),
+        where v is the coset of t_u * x."""
+        d = self.act.degree
+        images: list[int] = []
+        for u, t in enumerate(self.transversal):
+            base = self.coset_of[t * x] * d
+            images.extend(base + i for i in self.act.mapping[self.cocycle(x, u)].images)
         return Permutation(tuple(images))
-
-
-class EmbeddedAction:
-    __slots__ = ("image", "space", "data")
-
-    def __init__(self, image: PermGroup, space: ActionSpace, data: EmbeddingData) -> None:
-        self.image, self.space, self.data = image, space, data
 
 
 def universal_embedding(
     group: PermGroup,
     normal: PermGroup | SubgroupHandle,
     act: ActionHom,
-    tag: str = "N",
 ) -> EmbeddedAction:
     """Faithful action of a group on Delta x G/N from a faithful N-action.
 
@@ -417,19 +326,7 @@ def universal_embedding(
                     coset_of[x * e] = u
     if len(coset_of) != group.order:
         raise InternalDefect("coset scan did not cover the group")
-    data = EmbeddingData(group, n_group, act, tuple(transversal), coset_of)
-
-    inner_labels = act.space.labels if act.space is not None else tuple(("raw", d) for d in range(act.degree))
-    labels = []
-    for u, rep in enumerate(transversal):
-        coset_label = ("coset", tag, rep)
-        labels.extend(("pair", inner, coset_label) for inner in inner_labels)
-    space = ActionSpace(tuple(labels))
-
-    image = PermGroup(
-        act.degree * len(transversal),
-        tuple(data.embed(g) for g in group.strong_generators),
-    )
-    if image.order != group.order:
+    embedded = EmbeddedAction(act, tuple(transversal), coset_of, group.strong_generators)
+    if embedded.image.order != group.order:
         raise InternalDefect("embedded action is not faithful")
-    return EmbeddedAction(image, space, data)
+    return embedded

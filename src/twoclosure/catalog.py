@@ -331,7 +331,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
         return conjugates_of[mask]
 
     def action_on(handle: SubgroupHandle) -> CosetAction:
-        # Built at most once per subgroup; the point labels are not read.
+        # Built at most once per subgroup.
         if handle.mask not in actions:
             actions[handle.mask] = coset_action(group, handle)
         return actions[handle.mask]

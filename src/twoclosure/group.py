@@ -558,15 +558,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, <{gens}{more}>)"
 
 
-def build_group(degree: int, generators) -> PermGroup:
-    """Group generated by the given permutations, with a deterministic chain."""
-    return PermGroup(degree, tuple(generators))
-
-
-def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree, ())
-
-
 class SubgroupHandle:
     """A subgroup together with the group it lives in.
 
@@ -613,6 +604,9 @@ def as_subgroup(parent: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Subg
 
 
 def center(group: PermGroup) -> PermGroup:
+    """The center; an abelian group is its own center, with no element listed."""
+    if group._center is None and group.is_abelian():
+        group._center = group
     if group._center is None:
         sgens = group.strong_generators
         zs = tuple(g for g in group.elements() if all(g * s == s * g for s in sgens))

@@ -327,13 +327,3 @@ def _missing_generator(group: PermGroup, closure: PermGroup) -> Permutation | No
         if not group.contains(g):
             return g
     raise InternalDefect("closure is larger but no missing strong generator was found")
-
-
-def is_two_closed_on(group: PermGroup) -> tuple[bool, Permutation | None]:
-    """Whether the group equals its 2-closure on its point set.
-
-    When it does not, returns the first canonical strong generator of the
-    closure that fails membership in the group.
-    """
-    witness = _missing_generator(group, two_closure(group))
-    return witness is None, witness

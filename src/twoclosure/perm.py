@@ -56,9 +56,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: Permutation) -> Permutation:
         # Left-to-right composition: (p * q) moves a point by p, then by q.
         if other.degree != self.degree:
@@ -107,12 +104,6 @@ class Permutation:
 
     def conjugated_by(self, x: Permutation) -> Permutation:
         return x.inverse() * self * x
-
-    def min_moved(self) -> int | None:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles of length >= 2, 0-based, each starting at its least point."""

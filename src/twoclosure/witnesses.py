@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import (
-    ActionSpace,
-    action_hom,
-    coset_action,
-    raw_space,
-    universal_embedding,
-)
+from .actions import action_hom, coset_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     PermGroup,
@@ -62,13 +56,12 @@ class WitnessCertificate:
     `problems` is the `check_certificate` result, taken once when the
     certificate is built."""
 
-    __slots__ = ("group", "space", "witness", "evidence", "construction", "parameters", "problems")
+    __slots__ = ("group", "witness", "evidence", "construction", "parameters", "problems")
 
     def __init__(
-        self, group: PermGroup, space: ActionSpace, witness: Permutation, evidence: MembershipEvidence,
-        construction: str, parameters: dict,
+        self, group: PermGroup, witness: Permutation, evidence: MembershipEvidence, construction: str, parameters: dict,
     ) -> None:
-        self.group, self.space, self.witness, self.evidence = group, space, witness, evidence
+        self.group, self.witness, self.evidence = group, witness, evidence
         self.construction, self.parameters = construction, parameters
         self.problems = check_certificate(self)
 
@@ -77,8 +70,6 @@ def check_certificate(cert: WitnessCertificate) -> list[str]:
     """Re-validate a certificate from scratch; returns all violations found."""
     problems = []
     n = cert.group.degree
-    if cert.space.size != n:
-        problems.append("space size disagrees with the group degree")
     if cert.witness.degree != n:
         problems.append("witness degree mismatch")
         return problems
@@ -102,18 +93,12 @@ def check_certificate(cert: WitnessCertificate) -> list[str]:
     return problems
 
 
-def _assemble(
-    group: PermGroup,
-    space: ActionSpace,
-    witness: Permutation,
-    construction: str,
-    parameters: dict,
-) -> WitnessCertificate:
+def _assemble(group: PermGroup, witness: Permutation, construction: str, parameters: dict) -> WitnessCertificate:
     try:
         evidence = membership_evidence(witness, orbital_partition(group))
     except PreconditionError as error:
         raise ConstructionFailure("constructed witness fails definitional closure membership") from error
-    cert = WitnessCertificate(group, space, witness, evidence, construction, parameters)
+    cert = WitnessCertificate(group, witness, evidence, construction, parameters)
     if cert.problems:
         raise ConstructionFailure("; ".join(cert.problems))
     return cert
@@ -211,12 +196,9 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
     _guard_certificate_degree(sum(sizes))
     offsets = []
     total = 0
-    labels = []
-    for ci, size in enumerate(sizes):
+    for size in sizes:
         offsets.append(total)
-        labels.extend(("cell", ci, j) for j in range(size))
         total += size
-    space = ActionSpace(tuple(labels))
 
     def cell_cycle(ci: int) -> tuple[int, ...]:
         return tuple(range(offsets[ci], offsets[ci] + sizes[ci]))
@@ -240,7 +222,7 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
         "cell_sizes": sizes,
         "closure_order_lower_bound": p * group.order,
     }
-    return _assemble(group, space, witness, CONSTRUCTION_ABELIAN_P, parameters)
+    return _assemble(group, witness, CONSTRUCTION_ABELIAN_P, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -292,64 +274,45 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup | SubgroupHandl
             b: from_cycles(delta, [(2, 3)]),
             a * b: from_cycles(delta, [(0, 1), (2, 3)]),
         },
-        space=raw_space(delta),
     )
     centr = centralizer(group, n_group)
     if group.order != 2 * centr.order:
         raise InternalDefect("the four-subgroup centralizer must have index 2")
-    inner = universal_embedding(centr, as_subgroup(centr, n_group), act4, tag="N")
-    act_gamma = action_hom(
-        centr,
-        inner.image.degree,
-        {c: inner.data.embed(c) for c in centr.elements()},
-        space=inner.space,
-    )
-    outer = universal_embedding(group, as_subgroup(group, centr), act_gamma, tag="C")
+    inner = universal_embedding(centr, as_subgroup(centr, n_group), act4)
+    act_gamma = action_hom(centr, inner.image.degree, {c: inner.embed(c) for c in centr.elements()})
+    outer = universal_embedding(group, as_subgroup(group, centr), act_gamma)
 
-    swap = {2: 3, 3: 2}
-    images = []
-    for label in outer.space.labels:
-        _, gamma_label, outer_coset = label
-        _, delta_label, inner_coset = gamma_label
-        d = delta_label[1]
-        moved = ("raw", swap.get(d, d))
-        images.append(outer.space.index(("pair", ("pair", moved, inner_coset), outer_coset)))
-    witness = Permutation(tuple(images))
+    # Coset-major layout: point k*|Gamma| + s*4 + d is Delta point d of inner
+    # sheet s in outer sheet k, and theta swaps d = 2 and d = 3 in every sheet.
+    degree = outer.image.degree
+    witness = Permutation(tuple(p ^ 1 if p % delta >= 2 else p for p in range(degree)))
 
-    embed = outer.data.embed
-    phi_a, phi_b, phi_ab = embed(a), embed(b), embed(a * b)
-    sheets = outer.data.quotient_order
-    inner_sheets = inner.data.quotient_order
-    stab_checks = []
-    for k in range(sheets):
-        for s in range(inner_sheets):
-            base = k * inner.image.degree + s * delta
-            conj = phi_b if k == 0 else embed(outer.data.transversal[k] * b * outer.data.transversal[k].inverse())
-            for d, expected in ((0, conj), (1, conj), (2, phi_a), (3, phi_a)):
-                point = base + d
-                stab = outer.image.point_stabilizer(point)
-                want = {identity(outer.image.degree), expected}
-                stab_checks.append(set(stab.elements()) == want)
-    if not all(stab_checks):
-        raise InternalDefect("embedded point stabilizers disagree with the construction")
-    fixed_a = 0
-    fixed_b = inner.image.degree
-    joint = [
-        g
-        for g in outer.image.point_stabilizer(fixed_a).elements()
-        if outer.image.point_stabilizer(fixed_b).contains(g)
-    ]
-    if len(joint) != 1:
+    # Stab(x) = {1, e} exactly when the orbit of x has length |G|/2 and the
+    # nonidentity e fixes x.
+    orbit_length = [0] * degree
+    for orbit in outer.image.orbits():
+        for p in orbit:
+            orbit_length[p] = len(orbit)
+    phi_a, phi_b = outer.embed(a), outer.embed(b)
+    for k, t in enumerate(outer.transversal):
+        conj = outer.embed(t * b * t.inverse())
+        for p in range(k * inner.image.degree, (k + 1) * inner.image.degree):
+            expected = conj if p % delta < 2 else phi_a
+            if orbit_length[p] * 2 != group.order or expected.is_identity() or expected.images[p] != p:
+                raise InternalDefect("embedded point stabilizers disagree with the construction")
+    # Stab(0) = {1, phi(b)}, so the joint stabilizer of points 0 and |Gamma|
+    # is trivial exactly when phi(b) moves |Gamma|.
+    if phi_b.images[inner.image.degree] == inner.image.degree:
         raise InternalDefect("the two fixed sheets have nontrivial joint stabilizer")
 
     parameters = {
         "central_involution": a.cycle_string(),
         "moved_involution": b.cycle_string(),
-        "outer_coset_representative": outer.data.transversal[1].cycle_string(),
+        "outer_coset_representative": outer.transversal[1].cycle_string(),
         "centralizer_order": centr.order,
-        "inner_sheets": inner_sheets,
+        "inner_sheets": inner.quotient_order,
     }
-    return _assemble(outer.image, outer.space, witness, CONSTRUCTION_TWO_GROUP, parameters)
+    return _assemble(outer.image, witness, CONSTRUCTION_TWO_GROUP, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +360,7 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> 
     if core(group, h_sub).order != 1:
         raise InternalDefect("<b> must be core-free")
 
-    ca = coset_action(group, h_sub, tag="H")
+    ca = coset_action(group, h_sub)
     t_powers = [t**i for i in range(p)]
 
     def exponent_class(rep: Permutation) -> int:
@@ -446,7 +409,7 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> 
         "twist_residues": {str(i): s for i, s in sorted(twist_residues.items())},
         "bezout_cofactors": {str(i): l for i, l in sorted(bezout.items())},
     }
-    return _assemble(ca.image, ca.space, witness, CONSTRUCTION_ODD_P, parameters)
+    return _assemble(ca.image, witness, CONSTRUCTION_ODD_P, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +448,14 @@ def semidirect_witness(
     cell_orders = [h.order() for h in basis]
     _guard_certificate_degree(group.order // h_group.order + sum(cell_orders))
 
-    ca = coset_action(group, h_handle, tag="H")
+    ca = coset_action(group, h_handle)
     base_degree = ca.image.degree
     total = base_degree + sum(cell_orders)
-    labels = list(ca.space.labels)
     offsets = []
     off = base_degree
-    for ci, size in enumerate(cell_orders):
+    for size in cell_orders:
         offsets.append(off)
-        labels.extend(("cell", ci, j) for j in range(size))
         off += size
-    space = ActionSpace(tuple(labels))
 
     def lift(perm_on_cosets: Permutation, turned_cell: int | None) -> Permutation:
         images = list(range(total))
@@ -521,7 +481,7 @@ def semidirect_witness(
         "normal_part_order": m_group.order,
         "coset_degree": base_degree,
     }
-    return _assemble(redrawn, space, witness, CONSTRUCTION_SEMIDIRECT, parameters)
+    return _assemble(redrawn, witness, CONSTRUCTION_SEMIDIRECT, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -562,26 +522,26 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
         for h, k in zip(inner.group.generators, exps):
             img = img * h**k
         mapping[elem] = img
-    act = action_hom(n_group, inner.group.degree, mapping, space=inner.space)
-    emb = universal_embedding(group, as_subgroup(group, n_group), act, tag="N")
+    act = action_hom(n_group, inner.group.degree, mapping)
+    emb = universal_embedding(group, as_subgroup(group, n_group), act)
 
     d = inner.group.degree
     for x in n_group.elements():
-        moved = emb.data.embed(x)
+        moved = emb.embed(x)
         block = act.of(x)
-        for u in range(emb.data.quotient_order):
+        for u in range(emb.quotient_order):
             for delta in range(d):
                 if moved.images[u * d + delta] != u * d + block.images[delta]:
                     raise InternalDefect("central element moved the quotient coordinate")
 
     theta = inner.witness
-    images = [u * d + theta.images[delta] for u in range(emb.data.quotient_order) for delta in range(d)]
+    images = [u * d + theta.images[delta] for u in range(emb.quotient_order) for delta in range(d)]
     witness = Permutation(tuple(images))
     parameters = {
         "prime": p,
         "exponents": list(exponents),
         "inner_degree": d,
-        "quotient_order": emb.data.quotient_order,
+        "quotient_order": emb.quotient_order,
         "inner_parameters": inner.parameters,
     }
-    return _assemble(emb.image, emb.space, witness, CONSTRUCTION_CENTER, parameters)
+    return _assemble(emb.image, witness, CONSTRUCTION_CENTER, parameters)

@@ -8,7 +8,7 @@ against independent enumeration oracles; every tolerance is exact.
 import time
 
 from helpers import brute_two_closure
-from twoclosure.group import build_group
+from twoclosure.group import PermGroup
 from twoclosure.orbital import two_closure
 from twoclosure.perm import parse_cycles
 from twoclosure.verify import (
@@ -39,16 +39,16 @@ def report_results(number: int, name: str, results, started: float, budget: floa
 
 def test_a1_paired_involutions_closure():
     started = time.monotonic()
-    group = build_group(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
+    group = PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
     closure = two_closure(group)
-    expected = build_group(
+    expected = PermGroup(
         6, (parse_cycles("(1,2)", 6), parse_cycles("(3,4)", 6), parse_cycles("(5,6)", 6))
     )
     ok = closure.order == 8
     ok = ok and set(closure.elements()) == set(expected.elements())
     ok = ok and set(closure.elements()) == brute_two_closure(6, group.elements())
     for gen_text in ("(1,2)(3,4)", "(3,4)(5,6)"):
-        part = build_group(6, (parse_cycles(gen_text, 6),))
+        part = PermGroup(6, (parse_cycles(gen_text, 6),))
         ok = ok and two_closure(part).same_group(part)
     report(1, "closure-of-paired-involutions", ok, time.monotonic() - started, 1.0)
 

@@ -6,28 +6,21 @@ from twoclosure.actions import (
     coset_action,
     disjoint_union_action,
     quotient_action,
-    raw_space,
     universal_embedding,
 )
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.errors import PreconditionError
-from twoclosure.group import (
-    build_group,
-    center,
-    core,
-    sylow_decomposition,
-    trivial_group,
-)
+from twoclosure.group import PermGroup, center, core, sylow_decomposition
 from twoclosure.perm import identity, parse_cycles
 
 
 def d8():
-    return build_group(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)))
+    return PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)))
 
 
 def test_coset_action_examples():
     group = d8()
-    reflection = build_group(4, (parse_cycles("(1,3)", 4),))
+    reflection = PermGroup(4, (parse_cycles("(1,3)", 4),))
     ca = coset_action(group, reflection)
     assert ca.image.degree == 4
     assert ca.kernel.order == 1
@@ -35,12 +28,12 @@ def test_coset_action_examples():
 
     q8 = realize_name("Q8")
     minus_one = next(g for g in q8.elements() if g.order() == 2)
-    ca = coset_action(q8, build_group(8, (minus_one,)))
+    ca = coset_action(q8, PermGroup(8, (minus_one,)))
     assert ca.image.degree == 4
     assert ca.kernel.order == 2
     assert ca.kernel.contains(minus_one)
 
-    regular = coset_action(group, trivial_group(4))
+    regular = coset_action(group, PermGroup(4, ()))
     assert regular.image.degree == 8 and regular.kernel.order == 1
 
 
@@ -55,7 +48,7 @@ def test_coset_action_degree_times_subgroup_order():
 
 def test_coset_action_rejects_non_subgroup():
     with pytest.raises(PreconditionError):
-        coset_action(d8(), build_group(4, (parse_cycles("(1,2)", 4),)))
+        coset_action(d8(), PermGroup(4, (parse_cycles("(1,2)", 4),)))
 
 
 def test_disjoint_union_examples():
@@ -68,13 +61,6 @@ def test_disjoint_union_examples():
     assert single.group.same_group(c3)
     with pytest.raises(PreconditionError):
         disjoint_union_action([])
-
-
-def test_disjoint_union_space_labels():
-    union = disjoint_union_action([realize_name("C2"), realize_name("C3")])
-    assert union.space.labels[0] == ("part", 0, ("raw", 0))
-    assert union.space.labels[2] == ("part", 1, ("raw", 0))
-    assert union.space.describe(0) == "1:1"
 
 
 def test_disjoint_union_embed_moves_only_its_part():
@@ -98,12 +84,12 @@ def test_coprime_direct_factors_rejects_non_coprime():
 
 
 def test_quotient_action_examples():
-    c6 = build_group(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
-    c3_part = build_group(6, (parse_cycles("(1,3,5)(2,4,6)", 6),))
+    c6 = PermGroup(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
+    c3_part = PermGroup(6, (parse_cycles("(1,3,5)(2,4,6)", 6),))
     qa = quotient_action(c6, c3_part)
     assert len(qa.blocks) == 2 and qa.kernel.same_group(c3_part) and qa.image.order == 2
 
-    trivial = quotient_action(c6, trivial_group(6))
+    trivial = quotient_action(c6, PermGroup(6, ()))
     assert len(trivial.blocks) == 6 and trivial.kernel.order == 1
     assert trivial.image.order == c6.order
 
@@ -117,26 +103,21 @@ def test_quotient_action_examples():
 
 def test_quotient_action_rejects_non_normal():
     group = d8()
-    reflection = build_group(4, (parse_cycles("(1,3)", 4),))
+    reflection = PermGroup(4, (parse_cycles("(1,3)", 4),))
     with pytest.raises(PreconditionError):
         quotient_action(group, reflection)
 
 
 def test_universal_embedding_c4():
-    c4 = build_group(4, (parse_cycles("(1,2,3,4)", 4),))
-    n = build_group(4, (parse_cycles("(1,3)(2,4)", 4),))
-    act = action_hom(
-        n,
-        2,
-        {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)},
-        space=raw_space(2),
-    )
+    c4 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4),))
+    n = PermGroup(4, (parse_cycles("(1,3)(2,4)", 4),))
+    act = action_hom(n, 2, {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)})
     emb = universal_embedding(c4, n, act)
     assert emb.image.degree == 4 and emb.image.order == 4
     # the central subgroup moves only the inner coordinate
     for x in n.elements():
-        moved = emb.data.embed(x)
-        for u in range(emb.data.quotient_order):
+        moved = emb.embed(x)
+        for u in range(emb.quotient_order):
             for delta in range(2):
                 point = u * 2 + delta
                 assert moved.images[point] // 2 == u
@@ -144,9 +125,9 @@ def test_universal_embedding_c4():
 
 def test_universal_embedding_degenerate_quotient():
     v4 = realize_name("C2xC2")
-    act = action_hom(v4, v4.degree, {g: g for g in v4.elements()}, space=raw_space(v4.degree))
+    act = action_hom(v4, v4.degree, {g: g for g in v4.elements()})
     emb = universal_embedding(v4, v4, act)
-    assert emb.data.quotient_order == 1
+    assert emb.quotient_order == 1
     assert emb.image.same_group(v4)
 
 
@@ -156,12 +137,11 @@ def test_universal_embedding_respects_cocycle_identities():
     act = action_hom(z, 2, {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()})
     emb = universal_embedding(d16, z, act)
     assert emb.image.order == d16.order
-    data = emb.data
-    for u, rep in enumerate(data.transversal):
-        assert data.quotient_of(rep) == u
+    for u, rep in enumerate(emb.transversal):
+        assert emb.coset_of[rep] == u
     for x in d16.generators:
-        for u in range(data.quotient_order):
-            assert data.cocycle(x, u) in z.elements()
+        for u in range(emb.quotient_order):
+            assert emb.cocycle(x, u) in z.elements()
 
 
 def test_action_hom_validation():
@@ -187,6 +167,6 @@ def test_action_hom_rejects_swapped_images():
 
 def test_action_hom_rejects_a_moved_identity_on_the_trivial_group():
     # The trivial group has no strong generator to test products with.
-    one = trivial_group(2)
+    one = PermGroup(2, ())
     with pytest.raises(PreconditionError, match="not a homomorphism"):
         action_hom(one, 2, {identity(2): parse_cycles("(1,2)", 2)})

@@ -19,7 +19,6 @@ from twoclosure.group import (
     is_cyclic,
     is_normal,
     mask_indices,
-    trivial_group,
 )
 from twoclosure.perm import Permutation
 
@@ -273,7 +272,7 @@ def test_faithful_representations_v4_includes_degree_6():
 
 
 def test_faithful_representations_trivial_group():
-    sample = faithful_representations(trivial_group(1), 8)
+    sample = faithful_representations(PermGroup(1, ()), 8)
     assert [e.degree for e in sample.entries] == [1]
 
 

@@ -19,7 +19,7 @@ from twoclosure.classify import (
     split_pair,
 )
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import PermGroup, build_group, is_cyclic, sylow_decomposition
+from twoclosure.group import PermGroup, is_cyclic, sylow_decomposition
 from twoclosure.orbital import two_closure
 from twoclosure.perm import Permutation, identity, parse_cycles
 from twoclosure.witnesses import check_certificate
@@ -75,7 +75,7 @@ def test_classification_examples():
     assert verdict.certificate.construction == "center"
     assert verdict.certificate.group.degree == 24
     assert classify_nilpotent(realize_name("D8")).status == STATUS_NOT_TWO_CLOSED
-    s3 = build_group(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
+    s3 = PermGroup(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
     assert classify_nilpotent(s3).status == STATUS_NOT_NILPOTENT
 
 
@@ -239,3 +239,29 @@ def test_sylow_subgroups_are_not_rebuilt_from_their_elements(monkeypatch):
     assert sizes and max(sizes) < 8
     q64 = realize_name("Q64")
     assert sylow_decomposition(q64)[2] is q64
+
+
+# 2-groups on 16 points whose witnesses need one sheet per group element.
+TWO_GROUPS_ON_16 = {
+    64: ["(1,5)(2,6)(3,7)(4,8)(9,10)", "(1,15,5,11)(2,16,6,12)(3,13,8,9)(4,14,7,10)"],
+    128: ["(1,10,7,15)(2,9,8,16)(3,12,6,13)(4,11,5,14)", "(1,15,7,11)(2,16,8,12)(3,14,6,9)(4,13,5,10)"],
+    256: ["(1,9,4,12,2,10,3,11)(5,13,6,14)(7,15)(8,16)", "(1,8)(2,7)(3,5)(4,6)(9,15)(10,16)(11,14)(12,13)"],
+}
+
+
+@pytest.mark.parametrize("order", sorted(TWO_GROUPS_ON_16))
+def test_two_group_witness_lists_no_stabilizer_of_the_certificate_group(monkeypatch, order):
+    group = PermGroup(16, tuple(parse_cycles(text, 16) for text in TWO_GROUPS_ON_16[order]))
+    assert group.order == order
+    listed = []
+    for name in ("point_stabilizer", "elements"):
+        original = getattr(PermGroup, name)
+        monkeypatch.setattr(
+            PermGroup, name, lambda self, *args, _original=original: listed.append(self) or _original(self, *args)
+        )
+    verdict = classify_nilpotent(group)
+    cert = verdict.certificate
+    assert verdict.status == STATUS_NOT_TWO_CLOSED and cert.construction == "two-group"
+    assert cert.group.degree == order and cert.group.order == order
+    assert check_certificate(cert) == []
+    assert not any(g is cert.group for g in listed)

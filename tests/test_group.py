@@ -12,7 +12,6 @@ from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
     PermGroup,
     as_subgroup,
-    build_group,
     center,
     centralizer,
     core,
@@ -31,21 +30,21 @@ def cycles(text, degree):
 
 
 def test_build_group_examples():
-    g = build_group(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
+    g = PermGroup(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
     assert g.order == 4
-    assert build_group(5, ()).order == 1
-    assert build_group(4, (cycles("(1,2,3,4)", 4),)).order == 4
+    assert PermGroup(5, ()).order == 1
+    assert PermGroup(4, (cycles("(1,2,3,4)", 4),)).order == 4
 
 
 def test_build_group_rejects_degree_mismatch():
     with pytest.raises(PreconditionError):
-        build_group(4, (cycles("(1,2)", 5),))
+        PermGroup(4, (cycles("(1,2)", 5),))
 
 
 def test_deterministic_chains():
     gens = (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4))
-    a = build_group(4, gens)
-    b = build_group(4, gens)
+    a = PermGroup(4, gens)
+    b = PermGroup(4, gens)
     assert a.strong_generators == b.strong_generators
     assert [sorted(lv.orbit) for lv in a._chain.levels] == [
         sorted(lv.orbit) for lv in b._chain.levels
@@ -53,11 +52,11 @@ def test_deterministic_chains():
 
 
 def test_order_and_membership_examples():
-    g = build_group(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
+    g = PermGroup(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
     assert g.order == 4
     assert not g.contains(cycles("(1,2)", 6))
     assert g.contains(identity(6))
-    c4 = build_group(4, (cycles("(1,2,3,4)", 4),))
+    c4 = PermGroup(4, (cycles("(1,2,3,4)", 4),))
     assert c4.order == 4 and c4.contains(cycles("(1,3)(2,4)", 4))
 
 
@@ -70,7 +69,7 @@ def test_chain_order_matches_enumeration_on_random_groups():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(tuple(images)))
-        group = build_group(degree, tuple(gens))
+        group = PermGroup(degree, tuple(gens))
         enumerated = mulclose(degree, gens)
         assert group.order == len(enumerated)
         if group.order <= 20000:
@@ -78,11 +77,11 @@ def test_chain_order_matches_enumeration_on_random_groups():
 
 
 def test_orbit_stabilizer_examples():
-    c4 = build_group(4, (cycles("(1,2,3,4)", 4),))
+    c4 = PermGroup(4, (cycles("(1,2,3,4)", 4),))
     assert c4.orbit(0) == (0, 1, 2, 3) and c4.point_stabilizer(0).order == 1
-    g = build_group(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
+    g = PermGroup(6, (cycles("(1,2)(3,4)", 6), cycles("(3,4)(5,6)", 6)))
     assert g.orbit(0) == (0, 1) and g.point_stabilizer(0).order == 2
-    s3 = build_group(3, (cycles("(1,2,3)", 3), cycles("(1,2)", 3)))
+    s3 = PermGroup(3, (cycles("(1,2,3)", 3), cycles("(1,2)", 3)))
     assert s3.orbit(2) == (0, 1, 2) and s3.point_stabilizer(2).order == 2
 
 
@@ -97,12 +96,21 @@ def test_orbit_stabilizer_identity_everywhere():
 
 
 def test_subgroup_operator_examples():
-    d8 = build_group(4, (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4)))
+    d8 = PermGroup(4, (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4)))
     z = center(d8)
     assert z.order == 2 and z.contains(cycles("(1,3)(2,4)", 4))
-    h = build_group(4, (cycles("(1,3)", 4),))
+    h = PermGroup(4, (cycles("(1,3)", 4),))
     assert core(d8, h).order == 1
     assert centralizer(d8, d8).same_group(z)
+
+
+def test_abelian_group_is_its_own_center_with_no_element_listed(monkeypatch):
+    def refuse(self):
+        raise AssertionError("PermGroup.elements was called")
+
+    group = realize_name("C4xC4xC4")
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    assert center(group) is group
 
 
 def test_core_is_largest_normal_subgroup_inside():
@@ -122,18 +130,18 @@ def test_core_is_largest_normal_subgroup_inside():
 
 
 def test_subgroup_handle_rejects_non_subgroups():
-    d8 = build_group(4, (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4)))
+    d8 = PermGroup(4, (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4)))
     with pytest.raises(PreconditionError):
-        as_subgroup(d8, build_group(4, (cycles("(1,2)", 4),)))
+        as_subgroup(d8, PermGroup(4, (cycles("(1,2)", 4),)))
 
 
 def test_sylow_examples():
-    c6 = build_group(6, (cycles("(1,2,3,4,5,6)", 6),))
+    c6 = PermGroup(6, (cycles("(1,2,3,4,5,6)", 6),))
     sylows = sylow_decomposition(c6)
     assert sylows is not None
     assert {p: s.order for p, s in sylows.items()} == {2: 2, 3: 3}
 
-    s3 = build_group(3, (cycles("(1,2,3)", 3), cycles("(1,2)", 3)))
+    s3 = PermGroup(3, (cycles("(1,2,3)", 3), cycles("(1,2)", 3)))
     assert sylow_decomposition(s3) is None
 
     q8c3 = realize_name("Q8xC3")
@@ -232,7 +240,7 @@ def test_point_stabilizer_of_coprime_product_splits():
 
 def test_enumeration_guard():
     # Sym(9) has order 362880 > 20000: element listing must refuse.
-    s9 = build_group(9, (cycles("(1,2)", 9), cycles("(1,2,3,4,5,6,7,8,9)", 9)))
+    s9 = PermGroup(9, (cycles("(1,2)", 9), cycles("(1,2,3,4,5,6,7,8,9)", 9)))
     assert s9.order == 362880
     with pytest.raises(GuardExceeded):
         s9.elements()
@@ -246,7 +254,7 @@ def test_is_prime_matches_trial_division():
 
 
 def test_is_cyclic():
-    assert is_cyclic(build_group(6, (cycles("(1,2,3,4,5,6)", 6),)))
+    assert is_cyclic(PermGroup(6, (cycles("(1,2,3,4,5,6)", 6),)))
     assert is_cyclic(PermGroup(1, ()))
     assert not is_cyclic(realize_name("C2xC2"))
     assert not is_cyclic(realize_name("Q8"))

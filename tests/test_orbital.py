@@ -6,11 +6,11 @@ import pytest
 from helpers import brute_pair_orbit_count, brute_two_closure
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, PreconditionError
-from twoclosure.group import PermGroup, _Chain, build_group, center
+from twoclosure.group import PermGroup, _Chain, center
 from twoclosure.orbital import (
     _closure_generators,
+    _missing_generator,
     is_in_two_closure,
-    is_two_closed_on,
     membership_evidence,
     orbital_partition,
     two_closure,
@@ -20,13 +20,13 @@ from twoclosure.perm import Permutation, identity, parse_cycles
 
 
 def remark_group():
-    return build_group(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
+    return PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
 
 
 def test_rank_examples():
-    s3 = build_group(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
+    s3 = PermGroup(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
     assert orbital_partition(s3).rank == 2
-    c4 = build_group(4, (parse_cycles("(1,2,3,4)", 4),))
+    c4 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4),))
     assert orbital_partition(c4).rank == 4
     assert orbital_partition(remark_group()).rank == 12
 
@@ -40,7 +40,7 @@ def test_rank_matches_brute_force_enumeration():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(tuple(images)))
-        group = build_group(degree, tuple(gens))
+        group = PermGroup(degree, tuple(gens))
         partition = orbital_partition(group)
         assert partition.rank == brute_pair_orbit_count(degree, group.elements())
 
@@ -143,13 +143,13 @@ def test_two_equivalent_examples():
     group = remark_group()
     closure = two_closure(group)
     assert two_equivalent(group, closure)
-    other = build_group(
+    other = PermGroup(
         6, (parse_cycles("(1,2)", 6), parse_cycles("(3,4)", 6), parse_cycles("(5,6)", 6))
     )
     assert two_equivalent(group, other)
-    assert not two_equivalent(group, build_group(6, ()))
+    assert not two_equivalent(group, PermGroup(6, ()))
     with pytest.raises(PreconditionError):
-        two_equivalent(group, build_group(5, ()))
+        two_equivalent(group, PermGroup(5, ()))
 
 
 def test_membership_examples():
@@ -180,13 +180,13 @@ def test_closure_examples():
     group = remark_group()
     closure = two_closure(group)
     assert closure.order == 8
-    expected = build_group(
+    expected = PermGroup(
         6, (parse_cycles("(1,2)", 6), parse_cycles("(3,4)", 6), parse_cycles("(5,6)", 6))
     )
     assert closure.same_group(expected)
-    klein = build_group(4, (parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)))
+    klein = PermGroup(4, (parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)))
     assert two_closure(klein).same_group(klein)
-    s3 = build_group(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
+    s3 = PermGroup(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
     assert two_closure(s3).same_group(s3)
 
 
@@ -199,7 +199,7 @@ def test_closure_matches_brute_force_on_random_groups():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(tuple(images)))
-        group = build_group(degree, tuple(gens))
+        group = PermGroup(degree, tuple(gens))
         closure = two_closure(group)
         assert set(closure.elements()) == brute_two_closure(degree, group.elements())
 
@@ -214,7 +214,7 @@ def chain_state(group):
 def test_closure_extends_the_groups_chain_exactly():
     rng = random.Random(19)
     groups = [realize_name("D64"), realize_name("E125")]
-    groups.append(build_group(8, (parse_cycles("(1,2,3,4,5,6,7,8)", 8), parse_cycles("(1,2)", 8))))
+    groups.append(PermGroup(8, (parse_cycles("(1,2,3,4,5,6,7,8)", 8), parse_cycles("(1,2)", 8))))
     for _ in range(40):
         degree = rng.randint(3, 10)
         gens = []
@@ -224,7 +224,7 @@ def test_closure_extends_the_groups_chain_exactly():
             for a, b in zip(moved, rng.sample(moved, len(moved))):
                 images[a] = b
             gens.append(Permutation(tuple(images)))
-        groups.append(build_group(degree, tuple(gens)))
+        groups.append(PermGroup(degree, tuple(gens)))
     for group in groups:
         before = chain_state(group)
         # The generators a closure search finds from a chain built afresh
@@ -245,13 +245,16 @@ def test_closure_extends_the_groups_chain_exactly():
 
 
 def test_is_two_closed_examples():
-    d8 = build_group(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)))
-    assert is_two_closed_on(d8) == (True, None)
-    closed, witness = is_two_closed_on(remark_group())
-    assert not closed and witness is not None
-    assert not remark_group().contains(witness)
-    s4 = build_group(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)))
-    assert is_two_closed_on(s4)[0]
+    d8 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)))
+    d8_closure = two_closure(d8)
+    assert d8_closure.same_group(d8) and _missing_generator(d8, d8_closure) is None
+    remark = remark_group()
+    remark_closure = two_closure(remark)
+    witness = _missing_generator(remark, remark_closure)
+    assert not remark_closure.same_group(remark) and witness is not None
+    assert not remark.contains(witness)
+    s4 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)))
+    assert two_closure(s4).same_group(s4)
 
 
 def test_closure_invariants_on_catalog_groups():
@@ -286,7 +289,7 @@ def test_commuting_and_abelian_closures():
 
 
 def test_degree_guard():
-    big = build_group(33, (parse_cycles("(1,2)", 33),))
+    big = PermGroup(33, (parse_cycles("(1,2)", 33),))
     with pytest.raises(GuardExceeded):
         two_closure(big)
     # definitional membership has no degree guard
@@ -294,7 +297,7 @@ def test_degree_guard():
 
 
 def test_maximality_exhaustive_degree_5():
-    group = build_group(5, (parse_cycles("(1,2,3)", 5), parse_cycles("(4,5)", 5)))
+    group = PermGroup(5, (parse_cycles("(1,2,3)", 5), parse_cycles("(4,5)", 5)))
     partition = orbital_partition(group)
     closure = two_closure(group)
     for images in itertools.permutations(range(5)):

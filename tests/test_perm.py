@@ -39,7 +39,7 @@ def test_products_inverses_and_powers_equal_validated_permutations(a, b, n):
 def test_composition_is_apply_left_then_right():
     p = parse_cycles("(1,2)", 3)
     q = parse_cycles("(2,3)", 3)
-    assert (p * q).apply(0) == q.apply(p.apply(0))
+    assert (p * q).images[0] == q.images[p.images[0]]
     assert (p * q).cycle_string() == "(1,3,2)"
 
 

@@ -5,7 +5,7 @@ from twoclosure import witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import not_two_closed_witness
 from twoclosure.errors import ConstructionFailure, GuardExceeded, PreconditionError
-from twoclosure.group import build_group, center, is_cyclic, sylow_decomposition
+from twoclosure.group import PermGroup, center, is_cyclic, sylow_decomposition
 from twoclosure.perm import Permutation, identity
 from twoclosure.orbital import MembershipEvidence, two_closure
 from twoclosure.witnesses import (
@@ -97,7 +97,7 @@ def test_two_group_witness_rejects_cyclic_subgroup():
     c8 = realize_name("C8")
     involution = next(g for g in c8.elements() if g.order() == 2)
     with pytest.raises(PreconditionError):
-        two_group_witness(c8, build_group(8, (involution,)))
+        two_group_witness(c8, PermGroup(8, (involution,)))
 
 
 def test_odd_p_witness_e27():
@@ -216,7 +216,7 @@ def test_odd_p_witness_with_larger_centralizer():
     e27_part = union.embedded[0]
     z_gen = next(g for g in center(e27_part).elements() if not g.is_identity())
     b_gen = e27_part.generators[1] if len(e27_part.generators) > 1 else e27_part.strong_generators[1]
-    n_group = build_group(group.degree, (z_gen, b_gen))
+    n_group = PermGroup(group.degree, (z_gen, b_gen))
     assert n_group.order == 9 and not is_cyclic(n_group)
     cert = odd_p_witness(group, n_group)
     assert cert.group.degree == 27
@@ -249,7 +249,7 @@ def test_check_certificate_reports_tampered_evidence():
     cert = center_witness(realize_name("Q8xC2"))
     theta = cert.witness
     n = theta.degree
-    moved = theta.min_moved()
+    moved = next(i for i, j in enumerate(theta.images) if i != j)
     flat = moved * n + moved
     pair = f"({moved + 1},{moved + 1})"
 
@@ -265,7 +265,7 @@ def test_check_certificate_reports_tampered_evidence():
         elif position is not None:
             assignments[flat] = position
         return check_certificate(WitnessCertificate(
-            cert.group, cert.space, cert.witness, MembershipEvidence(elements, assignments),
+            cert.group, cert.witness, MembershipEvidence(elements, assignments),
             cert.construction, cert.parameters,
         ))
 
@@ -283,10 +283,10 @@ def test_assemble_refuses_a_witness_in_the_group_or_outside_the_closure():
     cert = abelian_p_witness(2, (1, 1))
     generator = cert.group.generators[0]
     with pytest.raises(ConstructionFailure, match="^witness sifts into the group$"):
-        witnesses._assemble(cert.group, cert.space, generator, cert.construction, cert.parameters)
+        witnesses._assemble(cert.group, generator, cert.construction, cert.parameters)
     outside = Permutation((2, 1, 0) + tuple(range(3, cert.group.degree)))
     with pytest.raises(ConstructionFailure, match="fails definitional closure membership"):
-        witnesses._assemble(cert.group, cert.space, outside, cert.construction, cert.parameters)
+        witnesses._assemble(cert.group, outside, cert.construction, cert.parameters)
 
 
 def test_check_certificate_accepts_evidence_copies():
@@ -299,7 +299,7 @@ def test_check_certificate_accepts_evidence_copies():
     assignments = [p + len(elements) * (flat % 2) for flat, p in enumerate(cert.evidence.assignments)]
     assert set(assignments) == set(range(len(copies)))
     copied = WitnessCertificate(
-        cert.group, cert.space, cert.witness, MembershipEvidence(copies, assignments), cert.construction, cert.parameters,
+        cert.group, cert.witness, MembershipEvidence(copies, assignments), cert.construction, cert.parameters,
     )
     assert check_certificate(copied) == []
 
