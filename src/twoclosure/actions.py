@@ -272,22 +272,27 @@ class EmbeddedAction:
         self.quotient_order = len(transversal)
         self.image = PermGroup(act.degree * self.quotient_order, tuple(self.embed(g) for g in generators))
 
-    def cocycle(self, x: Permutation, u: int) -> Permutation:
-        """t_u * x * t_v^{-1} where v is the coset of t_u * x; lands in N."""
+    def _step(self, x: Permutation, u: int) -> tuple[int, Permutation]:
+        """(v, t_u * x * t_v^{-1}) for v the coset of t_u * x; the cocycle lands in N."""
         e = self.transversal[u] * x
-        f = e * self.transversal[self.coset_of[e]].inverse()
+        v = self.coset_of[e]
+        f = e * self.transversal[v].inverse()
         if f not in self.act.mapping:
             raise InternalDefect("cocycle value escaped the normal subgroup")
-        return f
+        return v, f
+
+    def cocycle(self, x: Permutation, u: int) -> Permutation:
+        """t_u * x * t_v^{-1} where v is the coset of t_u * x; lands in N."""
+        return self._step(x, u)[1]
 
     def embed(self, x: Permutation) -> Permutation:
         """The action of x on Delta x G/N: (delta, u) -> (delta^cocycle(x, u), v),
         where v is the coset of t_u * x."""
         d = self.act.degree
         images: list[int] = []
-        for u, t in enumerate(self.transversal):
-            base = self.coset_of[t * x] * d
-            images.extend(base + i for i in self.act.mapping[self.cocycle(x, u)].images)
+        for u in range(self.quotient_order):
+            v, f = self._step(x, u)
+            images.extend(v * d + i for i in self.act.mapping[f].images)
         return Permutation(tuple(images))
 
 

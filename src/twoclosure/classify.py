@@ -7,6 +7,8 @@ negative verdict always carries a machine-checkable witness certificate.
 
 from __future__ import annotations
 
+from math import prod
+
 from .actions import coprime_direct_factors, quotient_action
 from .errors import InternalDefect, PreconditionError
 from .group import (
@@ -19,10 +21,12 @@ from .group import (
     sylow_decomposition,
 )
 from .orbital import two_closure
+from .perm import Permutation
 from .witnesses import (
     WitnessCertificate,
     _guard_certificate_degree,
     center_witness,
+    direct_factor_witness,
     odd_p_witness,
     semidirect_witness,
     two_group_witness,
@@ -110,50 +114,153 @@ def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
     return PermGroup(group.degree, m, _order=len(m)), PermGroup(group.degree, (one, x))
 
 
-def _center_route(group: PermGroup, sylows: dict[int, PermGroup]) -> WitnessCertificate:
-    """Certificate for a nilpotent group with a noncyclic center, built on the
-    Sylow subgroup carrying the noncyclic part of the center."""
+def _center_prime(group: PermGroup) -> int:
+    """The least prime whose Sylow subgroup of the center is noncyclic."""
     z_sylows = sylow_decomposition(center(group))
-    p = next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
-    return center_witness(sylows[p])
+    return next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
+
+
+def _bad_primes(sylows: dict[int, PermGroup]) -> list[int]:
+    """The primes, in order, whose Sylow subgroup is neither cyclic nor
+    generalized quaternion; empty exactly for a 2-closed nilpotent group."""
+    return [
+        p for p in sorted(sylows)
+        if not is_cyclic(sylows[p]) and not (p == 2 and is_generalized_quaternion(sylows[p]))
+    ]
+
+
+def _restriction(
+    generators: tuple[Permutation, ...] | list[Permutation], points: tuple[int, ...], order: int | None = None
+) -> PermGroup:
+    """The group the generators induce on `points`, a union of their orbits,
+    relabelled 0, 1, ... in increasing input order."""
+    label = {p: i for i, p in enumerate(points)}
+    return PermGroup(
+        len(points), tuple(Permutation(tuple(label[g.images[p]] for p in points)) for g in generators), _order=order
+    )
+
+
+def direct_factors(group: PermGroup) -> list[tuple[tuple[int, ...], PermGroup]] | None:
+    """The group as the direct product of its actions G^B on blocks B of
+    orbits, as (points of B, G^B) in order of the least point, or None when
+    its moved points do not split into two or more such blocks.
+
+    G embeds in the product of the G^B, so a split holds exactly when the
+    block orders multiply to |G|.  The orbits that are not fixed points are
+    tried first.  Failing that, each orbit joins every block found so far on
+    whose points, together with its own, the group acts with order below the
+    product of the two parts' orders, and the product test is made again:
+    tests between two blocks cannot decide it alone (C2 x C2 acting on three
+    pairs of points is the product of any two of its three actions, not of
+    all three).
+    """
+    orbits = [orbit for orbit in group.orbits() if len(orbit) > 1]
+    if len(orbits) < 2:
+        return None
+    blocks = [(orbit, _restriction(group.generators, orbit)) for orbit in orbits]
+    if prod(factor.order for _, factor in blocks) != group.order:
+        merged: list[tuple[tuple[int, ...], PermGroup]] = []
+        for points, factor in blocks:
+            kept = []
+            for other_points, other in merged:
+                joint_points = tuple(sorted(points + other_points))
+                joint = _restriction(group.generators, joint_points)
+                if joint.order < factor.order * other.order:
+                    points, factor = joint_points, joint
+                else:
+                    kept.append((other_points, other))
+            merged = kept + [(points, factor)]
+        blocks = merged
+    if len(blocks) < 2 or prod(factor.order for _, factor in blocks) != group.order:
+        return None
+    return sorted(blocks, key=lambda block: block[0])
+
+
+def _sylow_certificate(group: PermGroup, sylows: dict[int, PermGroup], bad: list[int]) -> WitnessCertificate:
+    """Certificate built on one Sylow subgroup P, lifted over the product Q of
+    the others when P is not the whole group.
+
+    A noncyclic center takes the center construction on the Sylow subgroup
+    carrying the noncyclic part of the center; otherwise P is the first
+    Sylow subgroup in prime order that is neither cyclic nor quaternion.
+    Such a p-group has a normal (p,p), or p = 2 and it is dihedral or
+    semidihedral (Gorenstein, *Finite Groups*, Thm 5.4.10).  Q acts on the
+    input points it moves.
+    """
+    if not is_cyclic(center(group)):
+        p = _center_prime(group)
+        inner = center_witness(sylows[p])
+    else:
+        p = bad[0]
+        part = sylows[p]
+        # Every p-part certificate has degree at least |P|/p.
+        _guard_certificate_degree(part.order // p)
+        subgroup = normal_pp_subgroup(part, p)
+        if subgroup is not None:
+            construct = two_group_witness if p == 2 else odd_p_witness
+            inner = construct(part, subgroup)
+        elif p == 2:
+            inner = semidirect_witness(part, *split_pair(part))
+        else:
+            raise InternalDefect("odd noncyclic p-group without a normal p x p subgroup")
+    if len(sylows) == 1:
+        return inner
+    others = [g for q in sorted(sylows) if q != p for g in sylows[q].generators]
+    moved = tuple(x for x in range(group.degree) if any(g.images[x] != x for g in others))
+    complement = _restriction(others, moved, group.order // sylows[p].order)
+    return direct_factor_witness(inner, complement, group.degree)
+
+
+def _certificate(group: PermGroup, sylows: dict[int, PermGroup], bad: list[int]) -> WitnessCertificate:
+    """Certificate for a nilpotent group that is not 2-closed.
+
+    When the group splits by orbits (`direct_factors`) and some factor
+    A = G^B is not 2-closed on its own, A is certified on its block and the
+    certificate is lifted over the action B^Y of G on the other blocks' points
+    Y: theta_A extended by the identity on Y (`direct_factor_witness`).  Of
+    the failing factors, the one of least order is taken, the first block on
+    a tie.  Otherwise, as when only the product fails (Q8 x C4), the
+    certificate comes from the Sylow subgroups.
+    """
+    blocks = direct_factors(group) or []
+    for i in sorted(range(len(blocks)), key=lambda i: blocks[i][1].order):
+        points, factor = blocks[i]
+        factor_sylows = sylow_decomposition(factor)
+        factor_bad = _bad_primes(factor_sylows)
+        if factor_bad:
+            inner = _sylow_certificate(factor, factor_sylows, factor_bad)
+            rest = tuple(sorted(q for j, (other, _) in enumerate(blocks) if j != i for q in other))
+            complement = _restriction(group.generators, rest, group.order // factor.order)
+            return direct_factor_witness(inner, complement, len(points))
+    return _sylow_certificate(group, sylows, bad)
 
 
 def _route(group: PermGroup) -> tuple[str, WitnessCertificate] | None:
     """Reason and certificate for a nilpotent group that is not 2-closed, or
     None for a 2-closed one (every Sylow subgroup cyclic or quaternion).
 
-    A noncyclic center takes the center route; otherwise the certificate is
-    built on the first Sylow subgroup in prime order that is neither.  Such
-    a p-group has a normal (p,p), or p = 2 and it is dihedral or
-    semidihedral (Gorenstein, *Finite Groups*, Thm 5.4.10).  A group
-    2-closed in every faithful representation forces the same of each
-    direct factor, so one Sylow subgroup suffices and keeps degrees minimal.
+    The reason is read off the whole group: a noncyclic center first, then
+    which Sylow subgroups fail.  The certificate is about the whole group,
+    with `group_order` |G|, and comes from `_certificate`.  A group 2-closed
+    in every faithful representation forces the same of each direct factor,
+    so one failing factor, lifted by the identity on the others' points,
+    keeps degrees small.
     """
     if is_cyclic(group):
         return None
     sylows = sylow_decomposition(group)
     if sylows is None:
         raise PreconditionError("witness routing requires a nilpotent group")
-    bad = [
-        p for p in sorted(sylows)
-        if not is_cyclic(sylows[p]) and not (p == 2 and is_generalized_quaternion(sylows[p]))
-    ]
+    bad = _bad_primes(sylows)
     if not bad:
         return None
     if not is_cyclic(center(group)):
-        return REASON_NONCYCLIC_CENTER, _center_route(group, sylows)
-    reason = REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION if bad == [2] else REASON_NONCYCLIC_SYLOW_ODD
-    p = bad[0]
-    part = sylows[p]
-    # Every p-part certificate has degree at least |P|/p.
-    _guard_certificate_degree(part.order // p)
-    subgroup = normal_pp_subgroup(part, p)
-    if subgroup is not None:
-        construct = two_group_witness if p == 2 else odd_p_witness
-        return reason, construct(part, subgroup)
-    if p == 2:
-        return reason, semidirect_witness(part, *split_pair(part))
-    raise InternalDefect("odd noncyclic p-group without a normal p x p subgroup")
+        reason = REASON_NONCYCLIC_CENTER
+    elif bad == [2]:
+        reason = REASON_TWO_GROUP_NOT_CYCLIC_OR_QUATERNION
+    else:
+        reason = REASON_NONCYCLIC_SYLOW_ODD
+    return reason, _certificate(group, sylows, bad)
 
 
 def not_two_closed_witness(group: PermGroup) -> WitnessCertificate:
@@ -198,7 +305,7 @@ def center_cyclic_test(group: PermGroup) -> CenterTest:
     if is_cyclic(center(group)):
         return CenterTest(True, None)
     if is_nilpotent(group):
-        return CenterTest(False, _center_route(group, sylow_decomposition(group)))
+        return CenterTest(False, center_witness(sylow_decomposition(group)[_center_prime(group)]))
     return CenterTest(False, center_witness(group))
 
 

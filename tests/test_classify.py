@@ -13,14 +13,17 @@ from twoclosure.classify import (
     center_cyclic_test,
     certify_coprime_product,
     classify_nilpotent,
+    direct_factors,
     is_generalized_quaternion,
     normal_pp_subgroup,
     not_two_closed_witness,
     split_pair,
 )
+from twoclosure.actions import coset_action
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import PermGroup, is_cyclic, sylow_decomposition
 from twoclosure.orbital import two_closure
+from twoclosure.verify import NOT_TWO_CLOSED_FAMILIES
 from twoclosure.perm import Permutation, identity, parse_cycles
 from twoclosure.witnesses import check_certificate
 
@@ -100,9 +103,11 @@ def test_witness_router_construction_choices():
     assert not_two_closed_witness(realize_name("D8")).construction == "two-group"
     assert not_two_closed_witness(realize_name("D16")).construction == "semidirect"
     assert not_two_closed_witness(realize_name("Q8xC2")).construction == "center"
-    # noncyclic odd part routes through the abelian Sylow subgroup
+    # noncyclic odd part routes through the abelian Sylow subgroup, lifted
+    # over Q8 on its 8 points
     cert = not_two_closed_witness(realize_name("Q8xC3xC3"))
-    assert cert.construction == "abelian-p" and cert.group.degree == 9
+    assert cert.construction == "direct-factor" and cert.group.degree == 17 and cert.group.order == 72
+    assert cert.parameters["inner_construction"] == "abelian-p" and cert.parameters["inner_degree"] == 9
 
 
 def test_center_cyclic_test_examples():
@@ -265,3 +270,79 @@ def test_two_group_witness_lists_no_stabilizer_of_the_certificate_group(monkeypa
     assert cert.group.degree == order and cert.group.order == order
     assert check_certificate(cert) == []
     assert not any(g is cert.group for g in listed)
+
+
+@pytest.mark.parametrize(
+    "name,degree,inner",
+    [("D16xD16xD16", 26, "semidirect"), ("D256xC2xC2", 134, "semidirect"), ("D32xC2", 20, "semidirect"),
+     ("E27xC3", 12, "odd-p"), ("D8xC3", 11, "two-group")],
+)
+def test_a_failing_orbit_factor_is_certified_and_lifted_by_the_identity(name, degree, inner):
+    group = realize_name(name)
+    cert = classify_nilpotent(group).certificate
+    assert cert.construction == "direct-factor" and cert.parameters["inner_construction"] == inner
+    assert cert.group.degree == degree and cert.group.order == group.order
+    assert check_certificate(cert) == []
+    # theta moves only the inner certificate's points
+    assert all(cert.witness.images[x] == x for x in range(cert.parameters["inner_degree"], degree))
+
+
+def test_direct_factors_split_by_orbits_and_relabel_in_input_order():
+    group = realize_name("D8xC3xD8")
+    blocks = direct_factors(group)
+    assert [points for points, _ in blocks] == [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9, 10)]
+    assert [factor.order for _, factor in blocks] == [8, 3, 8]
+    assert blocks[2][1].same_group(realize_name("D8"))
+    # Of two failing factors of equal order, the first block is certified.
+    cert = classify_nilpotent(group).certificate
+    assert cert.parameters["block_size"] == 4 and cert.group.order == 192
+    assert cert.group.degree == 8 + 7
+    # The complement keeps input order: C3 first, then the second D8.
+    assert cert.group.orbit(8) == (8, 9, 10)
+
+
+def test_linked_orbits_do_not_split():
+    # D8 acting diagonally on two copies of its 4 points: each copy carries
+    # all of D8, so the two orbits form one block and the certificate is
+    # the one the orbits' joint action gets today.
+    diagonal = PermGroup(8, (parse_cycles("(1,2,3,4)(5,6,7,8)", 8), parse_cycles("(1,3)(5,7)", 8)))
+    assert direct_factors(diagonal) is None
+    cert = classify_nilpotent(diagonal).certificate
+    assert cert.construction == "two-group" and cert.group.order == 8 and check_certificate(cert) == []
+    # Beside a C3 on three more points, the two linked orbits form one block.
+    generators = [Permutation(g.images + (8, 9, 10)) for g in diagonal.generators]
+    generators.append(Permutation(tuple(range(8)) + (9, 10, 8)))
+    product = PermGroup(11, generators)
+    blocks = direct_factors(product)
+    assert [points for points, _ in blocks] == [tuple(range(8)), (8, 9, 10)]
+    assert blocks[0][1].same_group(diagonal)
+    cert = classify_nilpotent(product).certificate
+    assert cert.construction == "direct-factor" and cert.parameters["block_size"] == 8
+    assert cert.group.order == 24 and cert.group.degree == 8 + 3
+
+
+def test_orbit_factors_must_multiply_to_the_group_order():
+    # C2 x C2 on three pairs of points, as {(a, b, a + b)}: any two orbits
+    # carry independent actions, all three do not.
+    group = PermGroup(6, (parse_cycles("(1,2)(5,6)", 6), parse_cycles("(3,4)(5,6)", 6)))
+    assert direct_factors(group) is None
+    cert = classify_nilpotent(group).certificate
+    assert cert.construction == "abelian-p" and cert.group.order == 4
+
+
+def test_a_group_without_an_orbit_split_is_lifted_over_its_other_sylow_subgroups():
+    d8c3 = realize_name("D8xC3")
+    regular = coset_action(d8c3, PermGroup(d8c3.degree, ())).image
+    assert regular.degree == 24 and direct_factors(regular) is None
+    cert = classify_nilpotent(regular).certificate
+    assert cert.construction == "direct-factor" and cert.parameters["inner_construction"] == "two-group"
+    assert cert.group.order == 24 and cert.group.degree == cert.parameters["inner_degree"] + 24
+    assert check_certificate(cert) == []
+
+
+def test_every_negative_truth_table_certificate_is_about_the_input():
+    for name in NOT_TWO_CLOSED_FAMILIES:
+        group = realize_name(name)
+        cert = classify_nilpotent(group).certificate
+        assert cert.group.order == group.order, name
+        assert check_certificate(cert) == [], name

@@ -188,14 +188,27 @@ def test_closure_degree_guard_fails_before_the_pair_partition(tmp_path, capsys):
 
 
 def test_center_route_certificate_degree_guard(capsys):
-    # Order 4096 with center C2^3: the center certificate would have degree
-    # (2+2+2+2)·512 = 4096 and 16 million evidence pairs.
+    # Order 2048 with center C2^3, and no factor fails on its own: the center
+    # certificate would have degree (2+2+2+2)·256 = 2048 and 4 million
+    # evidence pairs.
     started = time.perf_counter()
-    code, report = run_cli(capsys, "classify", "--family", "D16xD16xD16")
+    code, report = run_cli(capsys, "classify", "--family", "Q16xQ16xQ8")
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert report["error"]["kind"] == "precondition"
-    assert "degree 4096 exceeds the certificate degree guard (1024)" in report["error"]["message"]
+    assert "degree 2048 exceeds the certificate degree guard (1024)" in report["error"]["message"]
+
+
+def test_a_product_with_a_failing_factor_gets_a_small_certificate(capsys):
+    # Its center certificate would have degree 4096; D16 on its 8 points
+    # gets degree 10, lifted by the identity on the other 16 points.
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "classify", "--family", "D16xD16xD16")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    certificate = report["results"]["certificate"]
+    assert certificate["construction"] == "direct-factor" and certificate["degree"] == 26
+    assert certificate["group_order"] == report["results"]["order"] == 4096 and certificate["valid"]
 
 
 def test_unexpected_errors_are_reported_as_defects(monkeypatch, capsys):

@@ -17,8 +17,14 @@ their specs are in CLOSURE_SPECS.  One field was re-recorded on purpose when
 Sylow subgroups stopped being rebuilt from their listed elements:
 `classify_D8xC3.json` `certificate.parameters.outer_coset_representative`
 went from "(1,2)(3,4)" to "(1,2,3,4)", because the transversal BFS in
-`universal_embedding` reads the Sylow subgroup's strong generators.  A
-deliberate change to any of them is recorded in CHANGES.md.
+`universal_embedding` reads the Sylow subgroup's strong generators.  Five
+files were re-recorded on purpose when a product with a factor that fails
+on its own orbits started to get a `direct-factor` certificate of the whole
+input: `classify_D32xC3` and `classify_D8xC3` (the 2-part alone before,
+now `group_order` 96 and 24), and `witness_D16xC2`, `witness_D32xC2` and
+`witness_E27xC3` (center certificates of degree 48, 96 and 81 before, 12,
+20 and 12 now).  A deliberate change to any of them is recorded in
+CHANGES.md.
 """
 
 import json
@@ -99,3 +105,10 @@ def test_representation_entries_match_golden():
             for e in sample.entries
         ]
         assert entries == expected[f"{name}@{max_degree}"], name
+
+
+def test_golden_certificates_are_about_the_input():
+    for path in sorted(GOLDEN.glob("*_*.json")):
+        results = json.loads(path.read_text())
+        if isinstance(results, dict) and results.get("certificate"):
+            assert results["certificate"]["group_order"] == results["order"], path.name

@@ -14,6 +14,7 @@ from twoclosure.witnesses import (
     abelian_p_witness,
     center_witness,
     check_certificate,
+    direct_factor_witness,
     element_coordinates,
     odd_p_witness,
     semidirect_witness,
@@ -306,20 +307,46 @@ def test_check_certificate_accepts_evidence_copies():
 
 @pytest.mark.parametrize("name", ["C2xC4", "D8", "D16", "SD16", "E27", "Q8xC2", "E27xC3", "C2xQ8xC3"])
 def test_each_construction_predicts_its_certificate_degree(monkeypatch, name):
-    predicted = []
+    events = []
     guard = witnesses._guard_certificate_degree
 
     def record(degree):
-        predicted.append(degree)
+        events.append(("predict", degree))
         guard(degree)
 
+    def build(degree, *args, **kwargs):
+        events.append(("build", degree))
+        return PermGroup(degree, *args, **kwargs)
+
     monkeypatch.setattr(witnesses, "_guard_certificate_degree", record)
+    monkeypatch.setattr(witnesses, "PermGroup", build)
     cert = not_two_closed_witness(realize_name(name))
-    # The outer construction predicts first; a center certificate's inner
-    # cell witness predicts its own, smaller degree after it.
-    assert predicted[0] == cert.group.degree
+    predicted = [degree for kind, degree in events if kind == "predict"]
+    if cert.construction == "direct-factor":
+        # The inner construction predicts the inner degree first; the lift
+        # predicts the final degree last, before it builds its group.
+        assert predicted[0] == cert.parameters["inner_degree"]
+        assert predicted[-1] == cert.group.degree
+        last = len(events) - 1 - events[::-1].index(("predict", cert.group.degree))
+        assert ("build", cert.group.degree) in events[last + 1:]
+    else:
+        # The outer construction predicts first; a center certificate's inner
+        # cell witness predicts its own, smaller degree after it.
+        assert predicted[0] == cert.group.degree
 
 
 def test_certificate_degree_guard_names_value_and_limit():
     with pytest.raises(GuardExceeded, match=r"degree 1026 exceeds the certificate degree guard \(1024\)"):
         abelian_p_witness(2, (9, 9))
+
+
+def test_direct_factor_witness_guards_the_lifted_degree_before_building(monkeypatch):
+    inner = not_two_closed_witness(realize_name("D8"))
+    c3 = realize_name("C3")
+    cert = direct_factor_witness(inner, c3, 4)
+    assert_valid(cert)
+    assert cert.group.degree == inner.group.degree + 3 and cert.group.order == 24
+    monkeypatch.setattr(witnesses, "CERTIFICATE_DEGREE_GUARD", inner.group.degree + 2)
+    monkeypatch.setattr(witnesses, "PermGroup", lambda *args, **kwargs: pytest.fail("built a group"))
+    with pytest.raises(GuardExceeded, match=rf"degree {inner.group.degree + 3} exceeds"):
+        direct_factor_witness(inner, c3, 4)
