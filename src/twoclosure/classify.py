@@ -298,14 +298,15 @@ class CenterTest:
 def center_cyclic_test(group: PermGroup) -> CenterTest:
     """Cyclic-center necessary condition, with a certificate on failure.
 
-    For nilpotent groups the witness targets the Sylow subgroup carrying the
-    noncyclic part of the center, so odd cyclic factors never inflate the
-    certificate degree.
+    For a nilpotent group the witness is built on the Sylow subgroup carrying
+    the noncyclic part of the center and lifted over the others, as in
+    `_sylow_certificate`, so it certifies the input (`group_order` |G|) and
+    odd cyclic factors add only the points they move.
     """
     if is_cyclic(center(group)):
         return CenterTest(True, None)
     if is_nilpotent(group):
-        return CenterTest(False, center_witness(sylow_decomposition(group)[_center_prime(group)]))
+        return CenterTest(False, _sylow_certificate(group, sylow_decomposition(group), []))
     return CenterTest(False, center_witness(group))
 
 

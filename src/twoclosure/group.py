@@ -6,7 +6,8 @@ membership is decided by sifting alone, and the pointwise stabilizer of
 0..l-1 can be read off level l directly.
 
 A level whose |orbit| * degree exceeds LEVEL_BUDGET ints keeps its orbit as a
-Schreier vector (`_VectorOrbit`); the chain is the same either way.
+Schreier vector (`_VectorOrbit`), chosen before any tuple is stored; the
+chain is the same either way.
 """
 
 from __future__ import annotations
@@ -47,39 +48,41 @@ class _VectorOrbit(dict):
 
     Keys are the orbit points in BFS order, as in a plain orbit, so
     iteration, `len` and `in` are unchanged.  A value is u_p^-1's image tuple
-    where one is stored and None elsewhere.  Stored are the base point, the
-    points at every k-th BFS depth (k = ceil(|orbit| * degree / LEVEL_BUDGET),
-    about LEVEL_BUDGET ints when BFS layers are even), and each point requested
-    so far.  `[]` and
-    `get` walk the BFS tree from p to its nearest stored ancestor and apply
-    each run of one generator label as a power.  Since u_q = u_p * s along
-    the same tree, the tuple equals the one the explicit BFS stores.  Once
-    the walks outnumber the checkpoints, every point is stored, each from its
-    parent in BFS order, as the explicit BFS does.
+    where one is stored and None elsewhere.  `[]` and `get` walk the BFS tree
+    from p to its nearest stored ancestor and apply each run of one
+    generator label as a power.  Since u_q = u_p * s along the same tree,
+    the tuple equals the one the explicit BFS stores.
+
+    Stored are the base point, each point requested so far, and checkpoints:
+    the candidates, points at every k-th BFS depth (k = ceil(|orbit| *
+    degree / LEVEL_BUDGET)), except a candidate whose path back to its
+    nearest stored ancestor is one run of one label with no edge of another
+    label leaving it.  A walk crosses at most k + 1 runs, and a level of one
+    label, such as one long cycle, stores its base alone.  Once the walks
+    outnumber the candidates, every point is stored, each from its parent in
+    BFS order, as the explicit BFS does.
     """
 
     __slots__ = ("tree", "steps", "walks_left")
 
-    def __init__(self, base: int, points: tuple[int, ...], gens: list[tuple[int, ...]], inverses: list[tuple[int, ...]]) -> None:
+    def __init__(self, base: int, points: tuple[int, ...], tree: dict[int, tuple[int, int]], inverses: list[tuple[int, ...]]) -> None:
         super().__init__({base: points})
-        tree: dict[int, tuple[int, int]] = {}
-        depth = {base: 0}
-        queue = deque([base])
-        while queue:
-            p = queue.popleft()
-            for i, s in enumerate(gens):
-                q = s[p]
-                if q not in self:
-                    self[q] = None
-                    tree[q] = (p, i)
-                    depth[q] = depth[p] + 1
-                    queue.append(q)
+        self.update(dict.fromkeys(tree))
         self.tree, self.steps = tree, inverses
+        depth = {base: 0}
+        for q, (p, _) in tree.items():
+            depth[q] = depth[p] + 1
         k = -(-len(self) * len(points) // LEVEL_BUDGET)
-        checkpoints = [q for q in tree if depth[q] % k == 0]
-        for q in checkpoints:  # BFS order: each walk ends at the previous one
-            self[q] = self._walk(q)
-        self.walks_left = len(checkpoints)
+        candidates = [q for q in tree if depth[q] % k == 0]
+        # Points with a tree edge of another label than the one that found them.
+        forks = {p for p, i in tree.values() if p != base and tree[p][1] != i}
+        for q in candidates:  # BFS order: stored ancestors are placed first
+            p, i = tree[q]
+            while dict.__getitem__(self, p) is None and tree[p][1] == i:
+                p = tree[p][0]
+            if q in forks or dict.__getitem__(self, p) is None:  # else one power reaches q
+                self[q] = self._walk(q)
+        self.walks_left = len(candidates)
 
     def _walk(self, q: int) -> tuple[int, ...]:
         """u_q^-1 = s_m^-1 ... s_1^-1 * u_a^-1 for the tree path a, s_1, ..., s_m
@@ -107,6 +110,22 @@ class _VectorOrbit(dict):
 
     def get(self, q: int, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
         return self[q] if q in self else default
+
+
+def _orbit_tree(base: int, gens: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
+    """The BFS tree of base's orbit, found over int images alone: each point
+    but the base maps to (p, index of s) for the edge that found it first,
+    in BFS order."""
+    tree: dict[int, tuple[int, int]] = {}
+    queue = deque([base])
+    while queue:
+        p = queue.popleft()
+        for i, s in enumerate(gens):
+            q = s[p]
+            if q not in tree and q != base:
+                tree[q] = (p, i)
+                queue.append(q)
+    return tree
 
 
 def _power(images: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -223,16 +242,26 @@ class _Chain:
         u_q = u_p * s for q = p^s, stored as u_q^-1 = s^-1 * u_p^-1, whose
         images are u_p^-1 read along s^-1.  Also returns the BFS tree (a
         Schreier vector): each point q but the base maps to (p, index of s)
-        for the edge that found it first.  An orbit that outgrows
-        LEVEL_BUDGET ints stops here and becomes a `_VectorOrbit`.
+        for the edge that found it first.  When degree² exceeds LEVEL_BUDGET,
+        the tree is found over ints first, so an orbit whose tuples would
+        outgrow LEVEL_BUDGET ints becomes a `_VectorOrbit` before any is stored.
         """
         points = self.ident.images
+        if len(points) ** 2 > LEVEL_BUDGET:
+            tree = _orbit_tree(level, gens)
+            if len(tree) >= LEVEL_BUDGET // len(points):
+                orbit = _VectorOrbit(level, points, tree, inverses)
+            else:
+                orbit = {level: points}
+                for q, (p, i) in tree.items():  # BFS order: parents first
+                    orbit[q] = tuple(map(orbit[p].__getitem__, inverses[i]))
+            self.levels[level].orbit = orbit
+            return orbit, tree
         steps = list(zip(gens, inverses))
         orbit = {level: points}
-        tree: dict[int, tuple[int, int]] = {}
+        tree = {}
         queue = deque([level])
-        limit = LEVEL_BUDGET // len(points)
-        while queue and len(orbit) <= limit:
+        while queue:
             p = queue.popleft()
             inv_p = orbit[p]
             for i, (s, s_inv) in enumerate(steps):
@@ -241,9 +270,6 @@ class _Chain:
                     orbit[q] = tuple(map(inv_p.__getitem__, s_inv))
                     tree[q] = (p, i)
                     queue.append(q)
-        if len(orbit) > limit:
-            orbit = _VectorOrbit(level, points, gens, inverses)
-            tree = orbit.tree
         self.levels[level].orbit = orbit
         return orbit, tree
 

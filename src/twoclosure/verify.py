@@ -556,19 +556,20 @@ def check_positive_consistency(
 def check_center_cyclic_suite(run: _ClassificationRun | None = None) -> list[CheckResult]:
     run = run or _ClassificationRun()
     failures = []
-    for name in ("Q8xC2", "C2xQ8xC3"):
-        test = center_cyclic_test(run.group(name))
+    for name, degree in (("Q8xC2", 24), ("C2xQ8xC3", 27)):
+        group = run.group(name)
+        test = center_cyclic_test(group)
+        shape = (test.certificate.group.degree, test.certificate.group.order) if test.certificate else None
         if test.passes:
             failures.append(f"{name}: noncyclic center not detected")
-        elif test.certificate is None or test.certificate.group.degree != 24:
-            degree = test.certificate.group.degree if test.certificate else None
-            failures.append(f"{name}: expected a degree-24 certificate, got {degree}")
+        elif shape != (degree, group.order):
+            failures.append(f"{name}: expected a certificate of degree {degree} and order {group.order}, got {shape}")
         elif check_certificate(test.certificate):
             failures.append(f"{name}: certificate failed validation")
     for name in [f"C{n}" for n in range(1, 31)] + ["Q8", "Q16", "Q32"]:
         if not run.center_passes(name):
             failures.append(f"{name}: cyclic center flagged as noncyclic")
-    return [_result("cyclic-center-test", failures, "noncyclic fails at degree 24, cyclic passes")]
+    return [_result("cyclic-center-test", failures, "noncyclic fails at degree 24 and 27, cyclic passes")]
 
 
 def check_theorem_filter(run: _ClassificationRun | None = None) -> list[CheckResult]:

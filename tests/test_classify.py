@@ -112,9 +112,11 @@ def test_witness_router_construction_choices():
 
 def test_center_cyclic_test_examples():
     test = center_cyclic_test(realize_name("Q8xC2"))
-    assert not test.passes and test.certificate.group.degree == 24
+    assert not test.passes and (test.certificate.group.degree, test.certificate.group.order) == (24, 16)
+    # The center certificate of the Sylow 2-subgroup, lifted over C3.
     test = center_cyclic_test(realize_name("C2xQ8xC3"))
-    assert not test.passes and test.certificate.group.degree == 24
+    assert not test.passes and (test.certificate.group.degree, test.certificate.group.order) == (27, 48)
+    assert test.certificate.parameters["inner_construction"] == "center"
     assert check_certificate(test.certificate) == []
     assert center_cyclic_test(realize_name("C30")).passes
     assert center_cyclic_test(realize_name("D8")).passes  # cyclic center, inconclusive

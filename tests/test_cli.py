@@ -128,6 +128,8 @@ def test_classify_symmetric_group_above_the_enumeration_guard(tmp_path, capsys):
     assert code == 0
     assert report["results"]["order"] == 40320
     assert report["results"]["verdict"] == "NotNilpotent"
+    assert report["results"]["justified_by"] == "none"
+    assert report["results"]["certificate"] is None
 
 
 def test_input_degree_guard_fails_before_any_chain(tmp_path, capsys):

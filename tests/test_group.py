@@ -411,12 +411,78 @@ def test_vector_level_chains_equal_stored_chains(case, budget):
 def test_cyclic_classification_stores_few_level_tuples():
     from twoclosure.classify import classify_nilpotent
 
-    group = realize_name("C4000")
-    verdict = classify_nilpotent(group)
-    assert (verdict.status, verdict.reason) == ("TwoClosedGroup", "Cyclic")
-    orbit = group._chain.levels[0].orbit
-    assert len(orbit) == 4000
-    assert sum(inv is not None for inv in orbit.values()) <= group_module.LEVEL_BUDGET / 4000 + 2
+    for name in ("C1000", "C5000"):
+        group = realize_name(name)
+        verdict = classify_nilpotent(group)
+        assert (verdict.status, verdict.reason) == ("TwoClosedGroup", "Cyclic")
+        orbit = group._chain.levels[0].orbit
+        n = group.degree
+        assert isinstance(orbit, group_module._VectorOrbit) and len(orbit) == n
+        # One generator label and no fork: no checkpoint, so level 0 holds the
+        # base and the point the build's sifts asked for.
+        stored = {q for q, inv in orbit.items() if inv is not None}
+        assert 0 in stored and len(stored) <= 2
+        asked = {n // 3, n // 2, n - 2}
+        for q in asked:
+            # The n-cycle acts regularly: u_q^-1 is the -q-th power of 0 -> 1 -> 2 ...
+            assert orbit[q] == tuple((x - q) % n for x in range(n))
+        assert {q for q, inv in orbit.items() if inv is not None} == stored | asked
+
+
+def involution_path(n):
+    # <(0,1)(2,3)..., (1,2)(3,4)...>: level 0's tree is one path whose labels
+    # alternate, so every run has length 1.
+    return (from_cycles(n, [(i, i + 1) for i in range(0, n, 2)]), from_cycles(n, [(i, i + 1) for i in range(1, n - 1, 2)]))
+
+
+def rotation_and_reflection(n):
+    # <(0,1,...,n-1), x -> -x>: the rotation's two runs from the base have a
+    # reflection edge leaving every point.
+    return (from_cycles(n, [tuple(range(n))]), Permutation(tuple(-x % n for x in range(n))))
+
+
+@pytest.mark.parametrize("n, make", [(600, involution_path), (512, rotation_and_reflection)])
+def test_vector_level_keeps_checkpoints_off_bare_runs(n, make):
+    from itertools import groupby
+
+    gens = make(n)
+    # Dihedral of order 2n; the known order ends the build before it asks
+    # for level 0's points.
+    orbit = PermGroup(n, gens, _order=2 * n)._chain.levels[0].orbit
+    assert isinstance(orbit, group_module._VectorOrbit)
+    with mock.patch.object(group_module, "LEVEL_BUDGET", n * n):
+        explicit = PermGroup(n, gens, _order=2 * n)._chain.levels[0].orbit
+    assert not isinstance(explicit, group_module._VectorOrbit) and list(explicit) == list(orbit)
+    k = -(-n * n // group_module.LEVEL_BUDGET)
+    depth = {0: 0}
+    for q, (p, _) in orbit.tree.items():
+        depth[q] = depth[p] + 1
+    candidates = {q for q in orbit if depth[q] % k == 0}
+    parents = {p for p, _ in orbit.tree.values()}
+    stored = {q for q, inv in orbit.items() if inv is not None}
+    # No run is bare, so every candidate but a leaf stays a checkpoint, and the
+    # build's sifts asked for at most one more point.
+    assert candidates & parents <= stored and len(stored - candidates) <= 1
+    for q in orbit:
+        labels = []
+        while q not in stored:
+            q, i = orbit.tree[q]
+            labels.append(i)
+        assert len(list(groupby(labels))) <= k + 1
+    assert all(orbit[q] == inv for q, inv in explicit.items())
+
+
+def test_traced_peak_of_a_1000_cycle_chain():
+    import tracemalloc
+
+    realize_name("C10")  # first-use work of the catalog stays outside the trace
+    tracemalloc.start()
+    try:
+        realize_name("C1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_chain_of_a_20000_cycle():
