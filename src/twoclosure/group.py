@@ -242,34 +242,18 @@ class _Chain:
         u_q = u_p * s for q = p^s, stored as u_q^-1 = s^-1 * u_p^-1, whose
         images are u_p^-1 read along s^-1.  Also returns the BFS tree (a
         Schreier vector): each point q but the base maps to (p, index of s)
-        for the edge that found it first.  When degree² exceeds LEVEL_BUDGET,
-        the tree is found over ints first, so an orbit whose tuples would
-        outgrow LEVEL_BUDGET ints becomes a `_VectorOrbit` before any is stored.
+        for the edge that found it first.  The tree is found over ints first,
+        so an orbit whose tuples would outgrow LEVEL_BUDGET ints becomes a
+        `_VectorOrbit` before any is stored.
         """
         points = self.ident.images
-        if len(points) ** 2 > LEVEL_BUDGET:
-            tree = _orbit_tree(level, gens)
-            if len(tree) >= LEVEL_BUDGET // len(points):
-                orbit = _VectorOrbit(level, points, tree, inverses)
-            else:
-                orbit = {level: points}
-                for q, (p, i) in tree.items():  # BFS order: parents first
-                    orbit[q] = tuple(map(orbit[p].__getitem__, inverses[i]))
-            self.levels[level].orbit = orbit
-            return orbit, tree
-        steps = list(zip(gens, inverses))
-        orbit = {level: points}
-        tree = {}
-        queue = deque([level])
-        while queue:
-            p = queue.popleft()
-            inv_p = orbit[p]
-            for i, (s, s_inv) in enumerate(steps):
-                q = s[p]
-                if q not in orbit:
-                    orbit[q] = tuple(map(inv_p.__getitem__, s_inv))
-                    tree[q] = (p, i)
-                    queue.append(q)
+        tree = _orbit_tree(level, gens)
+        if len(tree) >= LEVEL_BUDGET // len(points):
+            orbit = _VectorOrbit(level, points, tree, inverses)
+        else:
+            orbit = {level: points}
+            for q, (p, i) in tree.items():  # BFS order: parents first
+                orbit[q] = tuple(map(orbit[p].__getitem__, inverses[i]))
         self.levels[level].orbit = orbit
         return orbit, tree
 
