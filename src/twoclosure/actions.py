@@ -19,10 +19,8 @@ from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     ENUMERATION_GUARD,
     PermGroup,
-    SubgroupHandle,
     as_subgroup,
     core,
-    intersection_elements,
     is_normal,
 )
 from .perm import Permutation, identity
@@ -53,16 +51,16 @@ def _coset_permutation(
     return Permutation(tuple(point_of[rep * x] for rep in representatives))
 
 
-def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> CosetAction:
+def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     """Action on right cosets; the kernel equals the core of the subgroup.
 
     Each coset is represented by its lexicographically least permutation, and
     the points follow the sorted representatives.
     """
-    handle = as_subgroup(group, subgroup)
+    as_subgroup(group, subgroup)
     if group.order > ENUMERATION_GUARD:
         raise GuardExceeded("group too large for coset enumeration")
-    sub_elements = handle.group.elements()
+    sub_elements = subgroup.elements()
     rep_of: dict[Permutation, Permutation] = {}
     for e in group.elements():
         if e in rep_of:
@@ -83,7 +81,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> Cose
         e for e in sub_elements if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
     )
     kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
-    expected = core(group, handle)
+    expected = core(group, subgroup)
     if not kernel.same_group(expected):
         raise InternalDefect("coset action kernel disagrees with the subgroup core")
     if group.order != image.order * kernel.order:
@@ -141,19 +139,18 @@ def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> Dis
 
 def coprime_direct_factors(
     group: PermGroup,
-    h_part: PermGroup | SubgroupHandle,
-    k_part: PermGroup | SubgroupHandle,
+    h_part: PermGroup,
+    k_part: PermGroup,
 ) -> tuple[PermGroup, PermGroup]:
     """Validate that the group is the internal direct product H x K of two
-    subgroups of coprime orders; returns (H, K)."""
-    h_group = as_subgroup(group, h_part).group
-    k_group = as_subgroup(group, k_part).group
+    subgroups of coprime orders; returns (H, K).  Coprime orders meet only
+    in the identity (Lagrange), so the intersection needs no check."""
+    h_group = as_subgroup(group, h_part)
+    k_group = as_subgroup(group, k_part)
     if gcd(h_group.order, k_group.order) != 1:
         raise PreconditionError("the factors must have coprime orders")
     if h_group.order * k_group.order != group.order:
         raise PreconditionError("the factor orders do not multiply to the group order")
-    if len(intersection_elements(h_group, k_group)) != 1:
-        raise PreconditionError("the factors intersect nontrivially")
     for a in h_group.strong_generators:
         for b in k_group.strong_generators:
             if a * b != b * a:
@@ -190,12 +187,11 @@ def _block_permutation(
     return Permutation(tuple(images))
 
 
-def quotient_action(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> QuotientAction:
+def quotient_action(group: PermGroup, subgroup: PermGroup) -> QuotientAction:
     """Action on the orbit blocks of a normal subgroup, with its exact kernel."""
-    handle = as_subgroup(group, subgroup)
-    if not is_normal(group, handle):
+    if not is_normal(group, subgroup):
         raise PreconditionError("subgroup is not normal, blocks would not be preserved")
-    blocks = handle.group.orbits()
+    blocks = subgroup.orbits()
     block_of_list = [0] * group.degree
     for bi, block in enumerate(blocks):
         for p in block:
@@ -298,7 +294,7 @@ class EmbeddedAction:
 
 def universal_embedding(
     group: PermGroup,
-    normal: PermGroup | SubgroupHandle,
+    normal: PermGroup,
     act: ActionHom,
 ) -> EmbeddedAction:
     """Faithful action of a group on Delta x G/N from a faithful N-action.
@@ -306,11 +302,10 @@ def universal_embedding(
     Points are ordered coset-major: index(u, delta) = u*|Delta| + delta.
     When N is central, every element of N moves only the Delta coordinate.
     """
-    handle = as_subgroup(group, normal)
-    n_group = handle.group
+    n_group = as_subgroup(group, normal)
     if group.order > ENUMERATION_GUARD:
         raise GuardExceeded("group too large for the embedding construction")
-    if not is_normal(group, handle):
+    if not is_normal(group, n_group):
         raise PreconditionError("subgroup is not normal")
     if not act.source.same_group(n_group):
         raise PreconditionError("the inner action is not an action of the normal subgroup")

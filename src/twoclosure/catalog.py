@@ -146,17 +146,20 @@ def family_syntax_examples() -> list[str]:
 # ---------------------------------------------------------------------------
 # realizations
 
+# An atom's chain is built with the order its family's definition fixes, so
+# it stops sifting there; tests check each realized order independently.
+
 def _realize_cyclic(n: int) -> PermGroup:
     if n == 1:
         return PermGroup(1, ())
-    return PermGroup(n, (from_cycles(n, [tuple(range(n))]),))
+    return PermGroup(n, (from_cycles(n, [tuple(range(n))]),), _order=n)
 
 
 def _realize_dihedral(order: int) -> PermGroup:
     n = order // 2
     rotation = from_cycles(n, [tuple(range(n))])
     reflection = Permutation(tuple((n - i) % n for i in range(n)))
-    return PermGroup(n, (rotation, reflection))
+    return PermGroup(n, (rotation, reflection), _order=order)
 
 
 def _realize_semidihedral(order: int) -> PermGroup:
@@ -164,7 +167,7 @@ def _realize_semidihedral(order: int) -> PermGroup:
     twist = m // 2 - 1
     rotation = from_cycles(m, [tuple(range(m))])
     reflection = Permutation(tuple((twist * i) % m for i in range(m)))
-    return PermGroup(m, (rotation, reflection))
+    return PermGroup(m, (rotation, reflection), _order=order)
 
 
 def _realize_quaternion(order: int) -> PermGroup:
@@ -182,7 +185,7 @@ def _realize_quaternion(order: int) -> PermGroup:
         a_images[point(i, 1)] = point((i - 1) % m, 1)
         b_images[point(i, 0)] = point(i, 1)
         b_images[point(i, 1)] = point((i + half) % m, 0)
-    return PermGroup(order, (Permutation(tuple(a_images)), Permutation(tuple(b_images))))
+    return PermGroup(order, (Permutation(tuple(a_images)), Permutation(tuple(b_images))), _order=order)
 
 
 def _realize_extraspecial(p: int) -> PermGroup:
@@ -197,7 +200,7 @@ def _realize_extraspecial(p: int) -> PermGroup:
         for z in range(p):
             a_images[point(x, z)] = point((x + 1) % p, z)
             b_images[point(x, z)] = point(x, (z + x) % p)
-    return PermGroup(p * p, (Permutation(tuple(a_images)), Permutation(tuple(b_images))))
+    return PermGroup(p * p, (Permutation(tuple(a_images)), Permutation(tuple(b_images))), _order=p**3)
 
 
 def realize(spec: FamilySpec) -> PermGroup:
@@ -280,7 +283,7 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
                 kept = core_mask & sum(1 << conj[i] for i in mask_indices(core_mask))
                 if kept != core_mask:
                     core_mask, stable = kept, False
-        handles.append(SubgroupHandle(group, None, mask, core_mask))
+        handles.append(SubgroupHandle(group, mask, core_mask))
     return handles
 
 
@@ -330,11 +333,11 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
             conjugates_of[mask] = table.conjugates(mask)
         return conjugates_of[mask]
 
-    def action_on(handle: SubgroupHandle) -> CosetAction:
+    def action_on(mask: int, subgroup: PermGroup) -> CosetAction:
         # Built at most once per subgroup.
-        if handle.mask not in actions:
-            actions[handle.mask] = coset_action(group, handle)
-        return actions[handle.mask]
+        if mask not in actions:
+            actions[mask] = coset_action(group, subgroup)
+        return actions[mask]
 
     seen_single = set()
     for handle in lattice:
@@ -345,7 +348,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
         if canon in seen_single:
             continue
         seen_single.add(canon)
-        action = action_on(handle).image
+        action = action_on(handle.mask, handle.group).image
         entries.append(RepresentationEntry((handle.group,), action, action.degree))
 
     seen_pairs = set()
@@ -365,7 +368,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)
-            ca1, ca2 = action_on(h1), action_on(h2)
+            ca1, ca2 = action_on(h1.mask, h1.group), action_on(h2.mask, h2.group)
             degree = ca1.image.degree + ca2.image.degree
 
             def splice(x: Permutation) -> Permutation:

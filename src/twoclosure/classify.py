@@ -13,7 +13,6 @@ from .actions import coprime_direct_factors, quotient_action
 from .errors import InternalDefect, PreconditionError
 from .group import (
     PermGroup,
-    SubgroupHandle,
     center,
     is_cyclic,
     is_nilpotent,
@@ -319,8 +318,8 @@ class CoprimeCertification:
 
 def certify_coprime_product(
     group: PermGroup,
-    abelian_part: PermGroup | SubgroupHandle,
-    other_part: PermGroup | SubgroupHandle,
+    abelian_part: PermGroup,
+    other_part: PermGroup,
 ) -> CoprimeCertification:
     """Certify 2-closedness of G = H x K on its points without closing G.
 

@@ -26,10 +26,12 @@ from .perm import parse_cycles
 
 # Largest input degree that `closure`, `classify` and `witness` accept.  A
 # chain level stores about 2**16 ints until it is used often, and an n-cycle's
-# top level only its base, so `classify --family` C1000, C4000 and C5000 take
-# about 0.2 s and 16.3, 18.0 and 18.5 MB; a transitive group whose top level
-# is used in full stores n tuples of n points there, and
-# `classify --family D10000` (degree 5000) takes about 8 s and 210 MB.
+# top level only its base and the points asked for, so `classify --family`
+# C1000, C4000 and C5000 take about 0.2 s and 16.3, 18.0 and 18.5 MB, and
+# C5000 with 19 membership tests 0.2 s and 18 MB.  A family is built with its
+# known order, so `classify --family D10000` (degree 5000) takes about 0.25 s
+# and 20 MB; from a spec file the same group's top level is used in full and
+# stores n tuples of n points: about 6.5 s and 210 MB.
 INPUT_DEGREE_GUARD = 5000
 
 # The `verify --suite` names, each with the flags that suite reads as keyword

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import groupby
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .perm import Permutation, _trusted, identity
@@ -60,7 +60,8 @@ class _VectorOrbit(dict):
     label leaving it.  A walk crosses at most k + 1 runs, and a level of one
     label, such as one long cycle, stores its base alone.  Once the walks
     outnumber the candidates, every point is stored, each from its parent in
-    BFS order, as the explicit BFS does.
+    BFS order, as the explicit BFS does; on a level of one label every walk
+    is a single power, so it never switches.
     """
 
     __slots__ = ("tree", "steps", "walks_left")
@@ -82,7 +83,7 @@ class _VectorOrbit(dict):
                 p = tree[p][0]
             if q in forks or dict.__getitem__(self, p) is None:  # else one power reaches q
                 self[q] = self._walk(q)
-        self.walks_left = len(candidates)
+        self.walks_left = len(candidates) if len({i for _, i in tree.values()}) > 1 else inf
 
     def _walk(self, q: int) -> tuple[int, ...]:
         """u_q^-1 = s_m^-1 ... s_1^-1 * u_a^-1 for the tree path a, s_1, ..., s_m
@@ -500,16 +501,7 @@ class PermGroup:
     def orbit(self, point: int) -> tuple[int, ...]:
         if not 0 <= point < self.degree:
             raise PreconditionError("point out of range")
-        seen = {point}
-        queue = deque([point])
-        while queue:
-            p = queue.popleft()
-            for s in self.strong_generators:
-                q = s.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return tuple(sorted(seen))
+        return tuple(sorted([point, *_orbit_tree(point, [s.images for s in self.strong_generators])]))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
@@ -525,20 +517,15 @@ class PermGroup:
         """Stabilizer of a point, via Schreier generators of its orbit."""
         if not 0 <= point < self.degree:
             raise PreconditionError("point out of range")
+        sgens = self.strong_generators
         transversal = {point: self._chain.ident}
-        queue = deque([point])
-        while queue:
-            p = queue.popleft()
-            for s in self.strong_generators:
-                q = s.images[p]
-                if q not in transversal:
-                    transversal[q] = transversal[p] * s
-                    queue.append(q)
+        for q, (p, i) in _orbit_tree(point, [s.images for s in sgens]).items():  # BFS order: parents first
+            transversal[q] = transversal[p] * sgens[i]
         gens = []
         seen = set()
         for p in sorted(transversal):
             up = transversal[p]
-            for s in self.strong_generators:
+            for s in sgens:
                 sg = up * s * transversal[s.images[p]].inverse()
                 if not sg.is_identity() and sg not in seen:
                     seen.add(sg)
@@ -569,19 +556,14 @@ class PermGroup:
 
 
 class SubgroupHandle:
-    """A subgroup together with the group it lives in.
-
-    Lattice handles also carry the masks of the subgroup and of its core over
-    the parent's element index, and build `group` from the mask on first
-    access; handles from `as_subgroup` carry a group and no masks.
-    """
+    """One entry of a subgroup lattice: the masks of the subgroup and of its
+    core over the parent's element index.  `group` is built from the mask
+    on first access."""
 
     __slots__ = ("parent", "_group", "mask", "core_mask")
 
-    def __init__(
-        self, parent: PermGroup, group: PermGroup | None, mask: int | None = None, core_mask: int | None = None
-    ) -> None:
-        self.parent, self._group, self.mask, self.core_mask = parent, group, mask, core_mask
+    def __init__(self, parent: PermGroup, mask: int, core_mask: int) -> None:
+        self.parent, self._group, self.mask, self.core_mask = parent, None, mask, core_mask
 
     @property
     def group(self) -> PermGroup:
@@ -592,25 +574,19 @@ class SubgroupHandle:
         return self._group
 
     @property
-    def normal(self) -> bool | None:
-        """Normality in the parent (the core is the whole subgroup), or None
-        for a handle without masks."""
-        if self.mask is None:
-            return None
+    def normal(self) -> bool:
+        """Normality in the parent: the core is the whole subgroup."""
         return self.core_mask == self.mask
 
 
-def as_subgroup(parent: PermGroup, subgroup: PermGroup | SubgroupHandle) -> SubgroupHandle:
-    """Wrap and validate: every generator of the subgroup must lie in the parent."""
-    if isinstance(subgroup, SubgroupHandle):
-        if subgroup.parent is parent:
-            return subgroup
-        subgroup = subgroup.group
+def as_subgroup(parent: PermGroup, subgroup: PermGroup) -> PermGroup:
+    """Validate that every generator of the subgroup lies in the parent, and
+    return the subgroup."""
     if subgroup.degree != parent.degree:
         raise PreconditionError("degree mismatch between subgroup and parent")
     if not subgroup.is_subgroup_of(parent):
         raise PreconditionError("not a subgroup: a generator fails membership in the parent")
-    return SubgroupHandle(parent, subgroup)
+    return subgroup
 
 
 def center(group: PermGroup) -> PermGroup:
@@ -624,41 +600,36 @@ def center(group: PermGroup) -> PermGroup:
     return group._center
 
 
-def centralizer(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
-    handle = as_subgroup(group, subgroup)
-    hgens = handle.group.strong_generators
+def centralizer(group: PermGroup, subgroup: PermGroup) -> PermGroup:
+    hgens = as_subgroup(group, subgroup).strong_generators
     cs = tuple(g for g in group.elements() if all(g * s == s * g for s in hgens))
     return PermGroup(group.degree, cs, _order=len(cs))
 
 
-def core(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> PermGroup:
+def core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
     """Largest normal subgroup of `group` inside `subgroup`.
 
     Fixpoint of "closed under conjugation by the generators" starting from the
-    subgroup's element set; a lattice handle's core is read off its core mask.
+    subgroup's element set.  A finite set that conjugation by s maps into
+    itself is mapped onto itself, so the inverses need no test.
     """
-    handle = as_subgroup(group, subgroup)
-    if handle.core_mask is not None:
-        core_mask = handle.core_mask
-        return PermGroup(group.degree, group._element_index().elements_of(core_mask), _order=core_mask.bit_count())
+    as_subgroup(group, subgroup)
     group.elements()  # refuses a group above the enumeration guard
-    keep = set(handle.group.elements())
-    conjugators = list(group.strong_generators)
-    conjugators += [g.inverse() for g in group.strong_generators]
+    keep = set(subgroup.elements())
     while True:
-        drop = {h for h in keep if any(h.conjugated_by(s) not in keep for s in conjugators)}
+        drop = {h for h in keep if any(h.conjugated_by(s) not in keep for s in group.strong_generators)}
         if not drop:
             break
         keep -= drop
     return PermGroup(group.degree, sorted(keep), _order=len(keep))
 
 
-def is_normal(group: PermGroup, subgroup: PermGroup | SubgroupHandle) -> bool:
-    handle = as_subgroup(group, subgroup)
+def is_normal(group: PermGroup, subgroup: PermGroup) -> bool:
+    as_subgroup(group, subgroup)
     return all(
-        handle.group.contains(h.conjugated_by(s))
+        subgroup.contains(h.conjugated_by(s))
         for s in group.strong_generators
-        for h in handle.group.strong_generators
+        for h in subgroup.strong_generators
     )
 
 

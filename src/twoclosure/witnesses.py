@@ -15,7 +15,6 @@ from .actions import _shifted, action_hom, coset_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     PermGroup,
-    SubgroupHandle,
     as_subgroup,
     center,
     centralizer,
@@ -237,7 +236,7 @@ def _first_outside(group: PermGroup, subgroup: PermGroup) -> Permutation:
     raise InternalDefect("no element outside the subgroup")
 
 
-def two_group_witness(group: PermGroup, four_subgroup: PermGroup | SubgroupHandle) -> WitnessCertificate:
+def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCertificate:
     """Witness for a 2-group with a normal four-subgroup meeting the center
     in exactly one involution.
 
@@ -247,13 +246,12 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup | SubgroupHandl
     action on which swapping points 3 and 4 in every sheet preserves all pair
     orbits but avoids the group.
     """
-    handle = as_subgroup(group, four_subgroup)
-    n_group = handle.group
+    n_group = as_subgroup(group, four_subgroup)
     if len(prime_factorization(group.order)) != 1 or group.order % 2:
         raise PreconditionError("group must be a nontrivial 2-group")
     if n_group.order != 4 or is_cyclic(n_group):
         raise PreconditionError("subgroup must be a four-group")
-    if not is_normal(group, handle):
+    if not is_normal(group, n_group):
         raise PreconditionError("four-subgroup must be normal")
     central = [g for g in intersection_elements(n_group, center(group)) if not g.is_identity()]
     if len(central) == 3:
@@ -280,9 +278,9 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup | SubgroupHandl
     centr = centralizer(group, n_group)
     if group.order != 2 * centr.order:
         raise InternalDefect("the four-subgroup centralizer must have index 2")
-    inner = universal_embedding(centr, as_subgroup(centr, n_group), act4)
+    inner = universal_embedding(centr, n_group, act4)
     act_gamma = action_hom(centr, inner.image.degree, {c: inner.embed(c) for c in centr.elements()})
-    outer = universal_embedding(group, as_subgroup(group, centr), act_gamma)
+    outer = universal_embedding(group, centr, act_gamma)
 
     # Coset-major layout: point k*|Gamma| + s*4 + d is Delta point d of inner
     # sheet s in outer sheet k, and theta swaps d = 2 and d = 3 in every sheet.
@@ -324,7 +322,7 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
     return x.inverse() * y.inverse() * x * y
 
 
-def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> WitnessCertificate:
+def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificate:
     """Witness for an odd p-group with a normal p x p subgroup meeting the
     center in exactly one subgroup of order p.
 
@@ -332,8 +330,7 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> 
     multiplies exactly one t-exponent class of cosets by the central
     generator a, a move each pair orbit cannot see.
     """
-    handle = as_subgroup(group, pp_subgroup)
-    n_group = handle.group
+    n_group = as_subgroup(group, pp_subgroup)
     factors = prime_factorization(group.order)
     if len(factors) != 1:
         raise PreconditionError("group must be a p-group")
@@ -342,7 +339,7 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> 
         raise PreconditionError("p must be odd; use the 2-group construction")
     if n_group.order != p * p or is_cyclic(n_group):
         raise PreconditionError("subgroup must be elementary abelian of order p^2")
-    if not is_normal(group, handle):
+    if not is_normal(group, n_group):
         raise PreconditionError("subgroup must be normal")
     central_part = [g for g in intersection_elements(n_group, center(group)) if not g.is_identity()]
     if len(central_part) == n_group.order - 1:
@@ -419,8 +416,8 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup | SubgroupHandle) -> 
 
 def semidirect_witness(
     group: PermGroup,
-    normal_part: PermGroup | SubgroupHandle,
-    complement: PermGroup | SubgroupHandle,
+    normal_part: PermGroup,
+    complement: PermGroup,
 ) -> WitnessCertificate:
     """Witness for a nilpotent group splitting over a normal subgroup with an
     abelian, core-free complement.
@@ -431,12 +428,11 @@ def semidirect_witness(
     first cell preserves every pair orbit without belonging to the redrawn
     group.
     """
-    m_handle = as_subgroup(group, normal_part)
-    h_handle = as_subgroup(group, complement)
-    m_group, h_group = m_handle.group, h_handle.group
+    m_group = as_subgroup(group, normal_part)
+    h_group = as_subgroup(group, complement)
     if not is_nilpotent(group):
         raise PreconditionError("group must be nilpotent")
-    if not is_normal(group, m_handle):
+    if not is_normal(group, m_group):
         raise PreconditionError("the first factor must be normal")
     if not h_group.is_abelian():
         raise PreconditionError("the complement must be abelian")
@@ -444,13 +440,13 @@ def semidirect_witness(
         raise PreconditionError("the factors must intersect trivially")
     if m_group.order * h_group.order != group.order:
         raise PreconditionError("the factors do not multiply up to the group")
-    if core(group, h_handle).order != 1:
+    if core(group, h_group).order != 1:
         raise PreconditionError("the complement must be core-free")
     basis = abelian_basis(h_group)
     cell_orders = [h.order() for h in basis]
     _guard_certificate_degree(group.order // h_group.order + sum(cell_orders))
 
-    ca = coset_action(group, h_handle)
+    ca = coset_action(group, h_group)
     base_degree = ca.image.degree
     total = base_degree + sum(cell_orders)
     offsets = []
@@ -525,7 +521,7 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
             img = img * h**k
         mapping[elem] = img
     act = action_hom(n_group, inner.group.degree, mapping)
-    emb = universal_embedding(group, as_subgroup(group, n_group), act)
+    emb = universal_embedding(group, n_group, act)
 
     d = inner.group.degree
     for x in n_group.elements():

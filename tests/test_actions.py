@@ -41,9 +41,9 @@ def test_coset_action_degree_times_subgroup_order():
     for name in ("D8", "Q8", "C6", "SD16"):
         group = realize_name(name)
         for handle in subgroup_lattice(group):
-            ca = coset_action(group, handle)
+            ca = coset_action(group, handle.group)
             assert ca.image.degree * handle.group.order == group.order
-            assert ca.kernel.same_group(core(group, handle))
+            assert ca.kernel.same_group(core(group, handle.group))
 
 
 def test_coset_action_rejects_non_subgroup():

@@ -95,6 +95,48 @@ def test_orbit_stabilizer_identity_everywhere():
             assert stab.is_subgroup_of(group)
 
 
+def reference_orbit_and_stabilizer(group, point):
+    """The orbit and stabilizer by a BFS over Permutation products: the
+    transversal u_q = u_p * s for the first edge (p, s) that reaches q, and
+    the distinct nonidentity Schreier generators u_p * s * u_(p^s)^-1 in
+    sorted order of p."""
+    transversal = {point: identity(group.degree)}
+    queue = [point]
+    for p in queue:
+        for s in group.strong_generators:
+            q = s.images[p]
+            if q not in transversal:
+                transversal[q] = transversal[p] * s
+                queue.append(q)
+    gens = []
+    for p in sorted(transversal):
+        for s in group.strong_generators:
+            sg = transversal[p] * s * transversal[s.images[p]].inverse()
+            if not sg.is_identity() and sg not in gens:
+                gens.append(sg)
+    return tuple(sorted(transversal)), PermGroup(group.degree, gens)
+
+
+def test_orbit_and_stabilizer_match_the_permutation_bfs():
+    rng = random.Random(2024)
+    groups = [realize_name(name) for name in ("D16", "Q16", "E27")]
+    for _ in range(50):
+        degree = rng.randint(2, 9)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images)))
+        groups.append(PermGroup(degree, gens))
+    for group in groups:
+        for point in range(group.degree):
+            orbit, reference = reference_orbit_and_stabilizer(group, point)
+            stab = group.point_stabilizer(point)
+            assert group.orbit(point) == orbit
+            assert stab.generators == reference.generators
+            assert chain_state(stab) == chain_state(reference)
+
+
 def test_subgroup_operator_examples():
     d8 = PermGroup(4, (cycles("(1,2,3,4)", 4), cycles("(1,3)", 4)))
     z = center(d8)
@@ -427,6 +469,26 @@ def test_cyclic_classification_stores_few_level_tuples():
             # The n-cycle acts regularly: u_q^-1 is the -q-th power of 0 -> 1 -> 2 ...
             assert orbit[q] == tuple((x - q) % n for x in range(n))
         assert {q for q, inv in orbit.items() if inv is not None} == stored | asked
+
+
+def test_one_label_vector_level_stores_only_the_points_asked_for():
+    import tracemalloc
+
+    realize_name("C10")  # first-use work of the catalog stays outside the trace
+    tracemalloc.start()
+    try:
+        group = realize_name("C5000")
+        g = group.generators[0]
+        asked = [1 + 263 * j for j in range(19)]
+        assert all(group.contains(g**k) for k in asked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each walk on a one-label level is one power, so the level never
+    # switches to storing all 5,000 tuples (about 200 MB).
+    orbit = group._chain.levels[0].orbit
+    assert {q for q, inv in orbit.items() if inv is not None} == {0, *asked}
+    assert peak < 10_000_000
 
 
 def involution_path(n):
