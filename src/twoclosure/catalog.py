@@ -297,13 +297,6 @@ class RepresentationEntry:
         self.subgroups, self.action, self.degree = subgroups, action, degree
 
 
-class RepresentationSample:
-    __slots__ = ("group", "max_degree", "entries")
-
-    def __init__(self, group: PermGroup, max_degree: int, entries: tuple[RepresentationEntry, ...]) -> None:
-        self.group, self.max_degree, self.entries = group, max_degree, entries
-
-
 def _conjugacy_key(conjugates: Callable[[int], list[int]], masks: tuple[int, ...]) -> tuple[int, ...]:
     """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple;
     `conjugates(mask)` lists a mask's conjugates in element index order.
@@ -314,7 +307,7 @@ def _conjugacy_key(conjugates: Callable[[int], list[int]], masks: tuple[int, ...
     return min(tuple(sorted(same_g)) for same_g in zip(*map(conjugates, masks)))
 
 
-def faithful_representations(group: PermGroup, max_degree: int) -> RepresentationSample:
+def faithful_representations(group: PermGroup, max_degree: int) -> tuple[RepresentationEntry, ...]:
     """All transitive faithful coset actions plus all 2-part intransitive ones.
 
     Transitive entries use core-free subgroups of index <= max_degree; 2-part
@@ -386,13 +379,12 @@ def faithful_representations(group: PermGroup, max_degree: int) -> Representatio
     for entry in entries:
         if entry.action.order != group.order:
             raise InternalDefect("sampled representation is not faithful")
-    return RepresentationSample(group, max_degree, tuple(entries))
+    return tuple(entries)
 
 
 __all__ = [
     "FamilySpec",
     "RepresentationEntry",
-    "RepresentationSample",
     "abelian",
     "cyclic",
     "dihedral",

@@ -23,6 +23,7 @@ from .orbital import two_closure
 from .perm import Permutation
 from .witnesses import (
     WitnessCertificate,
+    _center_prime,
     _guard_certificate_degree,
     center_witness,
     direct_factor_witness,
@@ -113,12 +114,6 @@ def split_pair(group: PermGroup) -> tuple[PermGroup, PermGroup]:
     return PermGroup(group.degree, m, _order=len(m)), PermGroup(group.degree, (one, x))
 
 
-def _center_prime(group: PermGroup) -> int:
-    """The least prime whose Sylow subgroup of the center is noncyclic."""
-    z_sylows = sylow_decomposition(center(group))
-    return next(q for q in sorted(z_sylows) if not is_cyclic(z_sylows[q]))
-
-
 def _bad_primes(sylows: dict[int, PermGroup]) -> list[int]:
     """The primes, in order, whose Sylow subgroup is neither cyclic nor
     generalized quaternion; empty exactly for a 2-closed nilpotent group."""
@@ -186,8 +181,9 @@ def _sylow_certificate(group: PermGroup, sylows: dict[int, PermGroup], bad: list
     semidihedral (Gorenstein, *Finite Groups*, Thm 5.4.10).  Q acts on the
     input points it moves.
     """
-    if not is_cyclic(center(group)):
-        p = _center_prime(group)
+    z = center(group)
+    if not is_cyclic(z):
+        p = _center_prime(z)[0]
         inner = center_witness(sylows[p])
     else:
         p = bad[0]

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 
 from .actions import disjoint_union_action, quotient_action
-from .catalog import RepresentationSample, faithful_representations, parse_family, realize_name
+from .catalog import faithful_representations, parse_family, realize_name
 from .cli import SUITE_FLAGS
 from .classify import (
     STATUS_NOT_TWO_CLOSED,
     STATUS_TWO_CLOSED,
-    Verdict,
+    CenterTest,
     certify_coprime_product,
     center_cyclic_test,
     classify_nilpotent,
@@ -37,9 +37,8 @@ from .orbital import (
     two_closure,
     two_equivalent,
 )
-from .perm import Permutation
+from .perm import Permutation, parse_cycles
 from .witnesses import (
-    WitnessCertificate,
     abelian_p_witness,
     center_witness,
     check_certificate,
@@ -213,8 +212,6 @@ def check_closure_axioms(seed: int = 7, samples: int = 200, max_degree: int = 7)
 
 def check_paired_involutions_example() -> list[CheckResult]:
     """The worked 6-point example: closure and sub-closures, exactly."""
-    from .perm import parse_cycles
-
     failures = []
     g1 = parse_cycles("(1,2)(3,4)", 6)
     g2 = parse_cycles("(3,4)(5,6)", 6)
@@ -358,10 +355,7 @@ def check_quotient_lemmas() -> list[CheckResult]:
         qa_closure = quotient_action(closure, h_part)
         if not qa_closure.kernel.same_group(h_closure):
             kernel_checks.append(f"{name}: closure block kernel differs from the factor closure")
-        if not two_equivalent(
-            PermGroup(qa.image.degree, tuple(qa.embed(g) for g in group.strong_generators)),
-            PermGroup(qa.image.degree, tuple(qa_closure.embed(g) for g in closure.strong_generators)),
-        ):
+        if not two_equivalent(qa.image, qa_closure.image):
             equivalence_checks.append(f"{name}: block images are not 2-equivalent")
 
     c6 = realize_name("C6")
@@ -371,8 +365,6 @@ def check_quotient_lemmas() -> list[CheckResult]:
     v4c3 = disjoint_union_action([realize_name("C2xC2"), realize_name("C3")])
     qt_instance("C2xC2|C3-part", v4c3.group, v4c3.embedded[0])
 
-    from .perm import parse_cycles
-
     remark = PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
     remark_closure = two_closure(remark)
     for sub in (PermGroup(remark.degree, (t,)) for t in remark.elements() if t.order() == 2):
@@ -381,12 +373,7 @@ def check_quotient_lemmas() -> list[CheckResult]:
             continue
         qa = quotient_action(remark, sub)
         qa_closure = quotient_action(remark_closure, sub)
-        if not two_equivalent(
-            PermGroup(qa.image.degree, tuple(qa.embed(g) for g in remark.strong_generators)),
-            PermGroup(
-                qa.image.degree, tuple(qa_closure.embed(g) for g in remark_closure.strong_generators)
-            ),
-        ):
+        if not two_equivalent(qa.image, qa_closure.image):
             equivalence_checks.append("embedded-four-group: block images are not 2-equivalent")
     context = "C6, Q8xC3, C2xC2 instances"
     return [
@@ -442,181 +429,102 @@ def suite_lemmas() -> list[CheckResult]:
 
 TRIVIAL_STABILIZER_FAMILIES = ["C2", "C3", "C4", "C5", "C7", "C8", "C9", "C16", "Q8", "Q16"]
 NONCYCLIC_ABELIAN_FAMILIES = ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2"]
-# Degree bound of the representations the classification checks close.
+_CYCLIC_CENTER_FAMILIES = [f"C{n}" for n in range(1, 31)] + ["Q8", "Q16", "Q32"]
+# Families with a noncyclic center, and the degree of their center certificate.
+_NONCYCLIC_CENTER_DEGREES = {"Q8xC2": 24, "C2xQ8xC3": 27}
+# Degree bound of the representations the classification suite closes.
 REPRESENTATION_DEGREE = 16
 
 
-class _ClassificationRun:
-    """What the classification checks share within one suite run.
-
-    It holds each family's realization, the verdict status of each classified
-    family with the certificates of the noncyclic abelian ones, the
-    cyclic-center test's pass flags, and the degree-16 representation samples
-    of the trivial-stabilizer families until that check takes them.  Each
-    value is computed on first request, so a check run alone gets the same
-    answers as the suite.
-    """
-
-    __slots__ = ("groups", "statuses", "certificates", "center_flags", "samples")
-
-    def __init__(self) -> None:
-        self.groups: dict[str, PermGroup] = {}
-        self.statuses: dict[str, str] = {}
-        self.certificates: dict[str, WitnessCertificate | None] = {}
-        self.center_flags: dict[str, bool] = {}
-        self.samples: dict[str, RepresentationSample] = {}
-
-    def group(self, name: str) -> PermGroup:
-        if name not in self.groups:
-            self.groups[name] = realize_name(name)
-        return self.groups[name]
-
-    def classify(self, name: str) -> Verdict:
-        verdict = classify_nilpotent(self.group(name))
-        self.statuses[name] = verdict.status
-        if name in NONCYCLIC_ABELIAN_FAMILIES:
-            self.certificates[name] = verdict.certificate
-        return verdict
-
-    def status(self, name: str) -> str:
-        if name not in self.statuses:
-            self.classify(name)
-        return self.statuses[name]
-
-    def certificate(self, name: str) -> WitnessCertificate | None:
-        if name not in self.certificates:
-            self.classify(name)
-        return self.certificates[name]
-
-    def center_passes(self, name: str) -> bool:
-        if name not in self.center_flags:
-            self.center_flags[name] = center_cyclic_test(self.group(name)).passes
-        return self.center_flags[name]
-
-    def representations(self, name: str, max_degree: int) -> RepresentationSample:
-        sample = faithful_representations(self.group(name), max_degree)
-        if name in TRIVIAL_STABILIZER_FAMILIES and max_degree == REPRESENTATION_DEGREE:
-            self.samples[name] = sample
-        return sample
-
-    def take_representations(self, name: str) -> RepresentationSample:
-        """The family's degree-16 sample, no longer kept once taken."""
-        sample = self.samples.pop(name, None)
-        return sample if sample is not None else faithful_representations(self.group(name), REPRESENTATION_DEGREE)
-
-
-def check_truth_table(run: _ClassificationRun | None = None) -> list[CheckResult]:
-    run = run or _ClassificationRun()
-    verdicts, certificates = [], []
-    for name in TWO_CLOSED_FAMILIES:
-        verdict = run.classify(name)
-        if verdict.status != STATUS_TWO_CLOSED:
-            verdicts.append(f"{name}: expected 2-closed, got {verdict.status}")
-    for name in NOT_TWO_CLOSED_FAMILIES:
-        verdict = run.classify(name)
-        if verdict.status != STATUS_NOT_TWO_CLOSED:
-            verdicts.append(f"{name}: expected not 2-closed, got {verdict.status}")
-        elif verdict.certificate is None:
-            certificates.append(f"{name}: negative verdict without a certificate")
-        else:
-            problems = check_certificate(verdict.certificate)
-            if problems:
-                certificates.append(f"{name}: {problems[0]}")
-    context = f"{len(TWO_CLOSED_FAMILIES)} positives, {len(NOT_TWO_CLOSED_FAMILIES)} negatives"
-    return [
-        _result("classification-truth-table", verdicts, context),
-        _result("negative-verdict-certificates", certificates, context),
-    ]
-
-
-def check_positive_consistency(
-    max_degree: int = REPRESENTATION_DEGREE, run: _ClassificationRun | None = None
-) -> list[CheckResult]:
-    run = run or _ClassificationRun()
-    closure_checks, certization = [], []
-    rep_count = 0
-    for name in TWO_CLOSED_FAMILIES:
-        for entry in run.representations(name, max_degree).entries:
-            rep_count += 1
-            if not two_closure(entry.action).same_group(entry.action):
-                closure_checks.append(f"{name}: a degree-{entry.degree} representation closed up")
-    q8c3 = run.group("Q8xC3")
-    sylows = sylow_decomposition(q8c3)
-    certification = certify_coprime_product(q8c3, sylows[3], sylows[2])
-    if not certification.certified:
-        certization.append(f"coprime certification failed: {certification.detail}")
-    if not two_closure(q8c3).same_group(q8c3):
-        certization.append("direct closure of the 11-point action disagrees")
-    return [
-        _result("positive-representations-closed", closure_checks, f"{rep_count} representations"),
-        _result("coprime-product-certification", certization, "Q8xC3 on 11 points"),
-    ]
-
-
-def check_center_cyclic_suite(run: _ClassificationRun | None = None) -> list[CheckResult]:
-    run = run or _ClassificationRun()
-    failures = []
-    for name, degree in (("Q8xC2", 24), ("C2xQ8xC3", 27)):
-        group = run.group(name)
-        test = center_cyclic_test(group)
-        shape = (test.certificate.group.degree, test.certificate.group.order) if test.certificate else None
-        if test.passes:
-            failures.append(f"{name}: noncyclic center not detected")
-        elif shape != (degree, group.order):
-            failures.append(f"{name}: expected a certificate of degree {degree} and order {group.order}, got {shape}")
-        elif check_certificate(test.certificate):
-            failures.append(f"{name}: certificate failed validation")
-    for name in [f"C{n}" for n in range(1, 31)] + ["Q8", "Q16", "Q32"]:
-        if not run.center_passes(name):
-            failures.append(f"{name}: cyclic center flagged as noncyclic")
-    return [_result("cyclic-center-test", failures, "noncyclic fails at degree 24 and 27, cyclic passes")]
-
-
-def check_theorem_filter(run: _ClassificationRun | None = None) -> list[CheckResult]:
-    """Positive classification implies the cyclic-center test passes."""
-    run = run or _ClassificationRun()
-    failures = []
-    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
-        if run.status(name) == STATUS_TWO_CLOSED and not run.center_passes(name):
-            failures.append(f"{name}: 2-closed verdict with a noncyclic center")
-    return [_result("cyclic-center-filter", failures, "whole catalog")]
-
-
-def check_trivial_stabilizer_instances(run: _ClassificationRun | None = None) -> list[CheckResult]:
-    """Cyclic p-groups and generalized quaternion groups: every sampled faithful
-    representation has a point with trivial stabilizer and is closed."""
-    run = run or _ClassificationRun()
-    failures = []
-    for name in TRIVIAL_STABILIZER_FAMILIES:
-        for entry in run.take_representations(name).entries:
-            action = entry.action
-            if not any(action.point_stabilizer(p).order == 1 for p in range(action.degree)):
-                failures.append(f"{name}: a representation with no regular point")
-            if not two_closure(action).same_group(action):
-                failures.append(f"{name}: a representation closed up")
-    return [_result("trivial-stabilizer-instances", failures, f"{len(TRIVIAL_STABILIZER_FAMILIES)} groups")]
-
-
-def check_noncyclic_abelian_instances(run: _ClassificationRun | None = None) -> list[CheckResult]:
-    run = run or _ClassificationRun()
-    failures = []
-    for name in NONCYCLIC_ABELIAN_FAMILIES:
-        cert = run.certificate(name)
-        if cert is None or check_certificate(cert):
-            failures.append(f"{name}: no valid certificate")
-    return [_result("noncyclic-abelian-certificates", failures, "4 groups")]
+def _noncyclic_center_failures(name: str, group: PermGroup, test: CenterTest) -> list[str]:
+    """The center test must fail with a valid certificate of the pinned degree
+    and the group's order."""
+    degree = _NONCYCLIC_CENTER_DEGREES[name]
+    shape = (test.certificate.group.degree, test.certificate.group.order) if test.certificate else None
+    if test.passes:
+        return [f"{name}: noncyclic center not detected"]
+    if shape != (degree, group.order):
+        return [f"{name}: expected a certificate of degree {degree} and order {group.order}, got {shape}"]
+    if check_certificate(test.certificate):
+        return [f"{name}: certificate failed validation"]
+    return []
 
 
 def suite_classification() -> list[CheckResult]:
-    run = _ClassificationRun()
-    results = []
-    results += check_truth_table(run)
-    results += check_positive_consistency(run=run)
-    results += check_center_cyclic_suite(run)
-    results += check_theorem_filter(run)
-    results += check_trivial_stabilizer_instances(run)
-    results += check_noncyclic_abelian_instances(run)
-    return results
+    """The nilpotent truth table and its consistency checks, in one pass over
+    the catalog.
+
+    Each family is realized and classified once.  The cyclic-center test runs
+    once on each family with a positive verdict or a pinned center.  Each
+    positive family's faithful representations of degree at most 16 are
+    sampled and closed once, and the sample is dropped before the next family.
+    """
+    verdicts, certificates, closed_up, certization = [], [], [], []
+    noncyclic_center, cyclic_center, center_filter, trivial, abelian = [], [], [], [], []
+    rep_count = 0
+    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
+        group = realize_name(name)
+        verdict = classify_nilpotent(group)
+        positive = verdict.status == STATUS_TWO_CLOSED
+        certificate = verdict.certificate
+        problems = check_certificate(certificate) if certificate is not None else []
+        if name in TWO_CLOSED_FAMILIES:
+            if not positive:
+                verdicts.append(f"{name}: expected 2-closed, got {verdict.status}")
+        elif verdict.status != STATUS_NOT_TWO_CLOSED:
+            verdicts.append(f"{name}: expected not 2-closed, got {verdict.status}")
+        elif certificate is None:
+            certificates.append(f"{name}: negative verdict without a certificate")
+        elif problems:
+            certificates.append(f"{name}: {problems[0]}")
+        if name in NONCYCLIC_ABELIAN_FAMILIES and (certificate is None or problems):
+            abelian.append(f"{name}: no valid certificate")
+
+        if positive or name in _CYCLIC_CENTER_FAMILIES or name in _NONCYCLIC_CENTER_DEGREES:
+            test = center_cyclic_test(group)
+            if name in _NONCYCLIC_CENTER_DEGREES:
+                noncyclic_center += _noncyclic_center_failures(name, group, test)
+            if name in _CYCLIC_CENTER_FAMILIES and not test.passes:
+                cyclic_center.append(f"{name}: cyclic center flagged as noncyclic")
+            if positive and not test.passes:
+                center_filter.append(f"{name}: 2-closed verdict with a noncyclic center")
+
+        if name in TWO_CLOSED_FAMILIES:
+            for entry in faithful_representations(group, REPRESENTATION_DEGREE):
+                action = entry.action
+                rep_count += 1
+                closed = two_closure(action).same_group(action)
+                if not closed:
+                    closed_up.append(f"{name}: a degree-{entry.degree} representation closed up")
+                # Cyclic p-groups and generalized quaternion groups: every
+                # faithful representation has a point with trivial stabilizer.
+                if name in TRIVIAL_STABILIZER_FAMILIES:
+                    if not any(action.point_stabilizer(p).order == 1 for p in range(action.degree)):
+                        trivial.append(f"{name}: a representation with no regular point")
+                    if not closed:
+                        trivial.append(f"{name}: a representation closed up")
+        if name == "Q8xC3":
+            sylows = sylow_decomposition(group)
+            certification = certify_coprime_product(group, sylows[3], sylows[2])
+            if not certification.certified:
+                certization.append(f"coprime certification failed: {certification.detail}")
+            if not two_closure(group).same_group(group):
+                certization.append("direct closure of the 11-point action disagrees")
+
+    group = realize_name("C2xQ8xC3")
+    noncyclic_center += _noncyclic_center_failures("C2xQ8xC3", group, center_cyclic_test(group))
+    table_context = f"{len(TWO_CLOSED_FAMILIES)} positives, {len(NOT_TWO_CLOSED_FAMILIES)} negatives"
+    center_context = "noncyclic fails at degree 24 and 27, cyclic passes"
+    return [
+        _result("classification-truth-table", verdicts, table_context),
+        _result("negative-verdict-certificates", certificates, table_context),
+        _result("positive-representations-closed", closed_up, f"{rep_count} representations"),
+        _result("coprime-product-certification", certization, "Q8xC3 on 11 points"),
+        _result("cyclic-center-test", noncyclic_center + cyclic_center, center_context),
+        _result("cyclic-center-filter", center_filter, "whole catalog"),
+        _result("trivial-stabilizer-instances", trivial, f"{len(TRIVIAL_STABILIZER_FAMILIES)} groups"),
+        _result("noncyclic-abelian-certificates", abelian, f"{len(NONCYCLIC_ABELIAN_FAMILIES)} groups"),
+    ]
 
 
 def suite_axioms(seed: int = 7, max_degree: int = 7, samples: int = 200) -> list[CheckResult]:

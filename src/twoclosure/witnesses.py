@@ -485,6 +485,16 @@ def semidirect_witness(
 # ---------------------------------------------------------------------------
 # noncyclic centers
 
+def _center_prime(z: PermGroup) -> tuple[int, PermGroup]:
+    """The least prime p whose Sylow p-subgroup of a noncyclic center z is
+    noncyclic, and that subgroup."""
+    z_sylows = sylow_decomposition(z)
+    for p in sorted(z_sylows):
+        if not is_cyclic(z_sylows[p]):
+            return p, z_sylows[p]
+    raise InternalDefect("noncyclic abelian group has no noncyclic Sylow subgroup")
+
+
 def center_witness(group: PermGroup) -> WitnessCertificate:
     """Witness for any group whose center is noncyclic.
 
@@ -496,16 +506,7 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
     z = center(group)
     if is_cyclic(z):
         raise PreconditionError("the center is cyclic")
-    z_sylows = sylow_decomposition(z)
-    chosen = None
-    for p in sorted(z_sylows):
-        if not is_cyclic(z_sylows[p]):
-            chosen = p
-            break
-    if chosen is None:
-        raise InternalDefect("noncyclic abelian group has no noncyclic Sylow subgroup")
-    p = chosen
-    n_group = z_sylows[p]
+    p, n_group = _center_prime(z)
     basis, exponents = abelian_p_basis(n_group, p)
     _guard_certificate_degree((sum(p**k for k in exponents) + p) * (group.order // n_group.order))
 

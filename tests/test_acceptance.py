@@ -7,18 +7,18 @@ against independent enumeration oracles; every tolerance is exact.
 
 import time
 
+import pytest
+
 from helpers import brute_two_closure
 from twoclosure.group import PermGroup
-from twoclosure.orbital import two_closure
 from twoclosure.perm import parse_cycles
 from twoclosure.verify import (
-    check_center_cyclic_suite,
     check_closure_axioms,
     check_commutation_and_center,
-    check_positive_consistency,
+    check_paired_involutions_example,
     check_quotient_lemmas,
-    check_truth_table,
     check_witness_certificates,
+    suite_classification,
 )
 
 
@@ -29,28 +29,22 @@ def report(number: int, name: str, passed: bool, elapsed: float, budget: float):
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget ({elapsed:.2f}s)"
 
 
-def report_results(number: int, name: str, results, started: float, budget: float):
+def report_results(number: int, name: str, results, elapsed: float, budget: float):
     """Report a criterion backed by verify checks, printing each failing detail."""
     for r in results:
         if not r.passed:
             print(f"  {r.name}: {r.detail}")
-    report(number, name, all(r.passed for r in results), time.monotonic() - started, budget)
+    report(number, name, all(r.passed for r in results), elapsed, budget)
 
 
 def test_a1_paired_involutions_closure():
     started = time.monotonic()
+    results = check_paired_involutions_example()
+    # The check pins the closure to <(1,2),(3,4),(5,6)>; so does brute force.
     group = PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
-    closure = two_closure(group)
-    expected = PermGroup(
-        6, (parse_cycles("(1,2)", 6), parse_cycles("(3,4)", 6), parse_cycles("(5,6)", 6))
-    )
-    ok = closure.order == 8
-    ok = ok and set(closure.elements()) == set(expected.elements())
-    ok = ok and set(closure.elements()) == brute_two_closure(6, group.elements())
-    for gen_text in ("(1,2)(3,4)", "(3,4)(5,6)"):
-        part = PermGroup(6, (parse_cycles(gen_text, 6),))
-        ok = ok and two_closure(part).same_group(part)
-    report(1, "closure-of-paired-involutions", ok, time.monotonic() - started, 1.0)
+    expected = PermGroup(6, tuple(parse_cycles(t, 6) for t in ("(1,2)", "(3,4)", "(5,6)")))
+    assert brute_two_closure(6, group.elements()) == set(expected.elements())
+    report_results(1, "closure-of-paired-involutions", results, time.monotonic() - started, 1.0)
 
 
 def test_a2_closure_axioms_suite():
@@ -65,30 +59,48 @@ def test_a2_closure_axioms_suite():
 
 def test_a3_commutation_and_center_suite():
     started = time.monotonic()
-    report_results(3, "commutation-and-center", check_commutation_and_center(), started, 60.0)
+    results = check_commutation_and_center()
+    report_results(3, "commutation-and-center", results, time.monotonic() - started, 60.0)
 
 
 def test_a4_witness_certificates():
     started = time.monotonic()
-    report_results(4, "witness-certificates", check_witness_certificates(), started, 120.0)
+    results = check_witness_certificates()
+    report_results(4, "witness-certificates", results, time.monotonic() - started, 120.0)
 
 
-def test_a5_classification_truth_table():
+@pytest.fixture(scope="module")
+def classification():
+    """One `verify --suite classification` run: its results by check name, and
+    the time it took."""
     started = time.monotonic()
-    report_results(5, "nilpotent-truth-table", check_truth_table(), started, 300.0)
+    results = suite_classification()
+    return {r.name: r for r in results}, time.monotonic() - started
 
 
-def test_a6_positive_side_consistency():
-    started = time.monotonic()
-    results = check_positive_consistency(max_degree=16)
-    report_results(6, "positive-side-consistency", results, started, 300.0)
+def report_classification(number: int, name: str, classification, checks: list[str], budget: float):
+    """Report the named checks of the one classification run, against the
+    run's time."""
+    results, elapsed = classification
+    report_results(number, name, [results[check] for check in checks], elapsed, budget)
 
 
-def test_a7_cyclic_center_suite():
-    started = time.monotonic()
-    report_results(7, "cyclic-center-suite", check_center_cyclic_suite(), started, 120.0)
+def test_a5_classification_truth_table(classification):
+    checks = ["classification-truth-table", "negative-verdict-certificates", "noncyclic-abelian-certificates"]
+    report_classification(5, "nilpotent-truth-table", classification, checks, 300.0)
+
+
+def test_a6_positive_side_consistency(classification):
+    checks = ["positive-representations-closed", "coprime-product-certification", "trivial-stabilizer-instances"]
+    report_classification(6, "positive-side-consistency", classification, checks, 300.0)
+
+
+def test_a7_cyclic_center_suite(classification):
+    checks = ["cyclic-center-test", "cyclic-center-filter"]
+    report_classification(7, "cyclic-center-suite", classification, checks, 120.0)
 
 
 def test_a8_block_quotient_lemmas():
     started = time.monotonic()
-    report_results(8, "block-quotient-lemmas", check_quotient_lemmas(), started, 60.0)
+    results = check_quotient_lemmas()
+    report_results(8, "block-quotient-lemmas", results, time.monotonic() - started, 60.0)

@@ -282,28 +282,27 @@ def test_lattice_masks_and_cores_take_no_permutation_products(monkeypatch):
 
 
 def test_faithful_representations_q8():
-    sample = faithful_representations(realize_name("Q8"), 8)
-    assert len(sample.entries) == 1
-    entry = sample.entries[0]
+    entries = faithful_representations(realize_name("Q8"), 8)
+    assert len(entries) == 1
+    entry = entries[0]
     assert entry.degree == 8 and entry.subgroups[0].order == 1
 
 
 def test_faithful_representations_v4_includes_degree_6():
-    sample = faithful_representations(realize_name("C2xC2"), 8)
-    assert all(e.action.order == 4 for e in sample.entries)
-    assert any(e.degree == 6 for e in sample.entries)
-    assert any(e.degree == 4 and len(e.subgroups) == 1 for e in sample.entries)
+    entries = faithful_representations(realize_name("C2xC2"), 8)
+    assert all(e.action.order == 4 for e in entries)
+    assert any(e.degree == 6 for e in entries)
+    assert any(e.degree == 4 and len(e.subgroups) == 1 for e in entries)
 
 
 def test_faithful_representations_trivial_group():
-    sample = faithful_representations(PermGroup(1, ()), 8)
-    assert [e.degree for e in sample.entries] == [1]
+    entries = faithful_representations(PermGroup(1, ()), 8)
+    assert [e.degree for e in entries] == [1]
 
 
 def test_representations_are_faithful_and_bounded():
     for name in ("C12", "D8", "Q8xC3"):
         group = realize_name(name)
-        sample = faithful_representations(group, 14)
-        for entry in sample.entries:
+        for entry in faithful_representations(group, 14):
             assert entry.action.order == group.order
             assert entry.degree <= 14

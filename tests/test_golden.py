@@ -95,14 +95,13 @@ def test_representation_entries_match_golden():
     expected = json.loads((GOLDEN / "representations.json").read_text())
     assert list(expected) == [f"{name}@{max_degree}" for name, max_degree in REPRESENTATION_CASES]
     for name, max_degree in REPRESENTATION_CASES:
-        sample = faithful_representations(realize_name(name), max_degree)
         entries = [
             {
                 "degree": e.degree,
                 "subgroups": [[g.cycle_string() for g in s.strong_generators] for s in e.subgroups],
                 "action": [g.cycle_string() for g in e.action.strong_generators],
             }
-            for e in sample.entries
+            for e in faithful_representations(realize_name(name), max_degree)
         ]
         assert entries == expected[f"{name}@{max_degree}"], name
 

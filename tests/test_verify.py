@@ -67,14 +67,22 @@ def test_axioms_suite_rejects_an_engine_wrong_on_conjugated_inputs(monkeypatch):
 
 
 def test_classification_suite_does_each_catalog_computation_once(monkeypatch):
-    realized, classified = Counter(), []
-    realize_name, classify_nilpotent = verify.realize_name, verify.classify_nilpotent
+    realized, calls = Counter(), Counter()
+    realize_name = verify.realize_name
     monkeypatch.setattr(verify, "realize_name", lambda name: realized.update([name]) or realize_name(name))
-    monkeypatch.setattr(verify, "classify_nilpotent", lambda group: classified.append(group) or classify_nilpotent(group))
+    for name in ("classify_nilpotent", "two_closure", "center_cyclic_test", "faithful_representations"):
+        monkeypatch.setattr(
+            verify, name, lambda *args, _n=name, _f=getattr(verify, name): calls.update([_n]) or _f(*args)
+        )
     assert failed(verify.suite_classification()) == {}
     families = TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES
     assert set(families) <= set(realized) and max(realized.values()) == 1
-    assert len(classified) == len(families) == 48
+    assert calls["classify_nilpotent"] == len(families) == 48
+    # One closure per sampled representation (81), and Q8xC3's direct one.
+    assert calls["two_closure"] == 82
+    # The 37 positive families, Q8xC2 and C2xQ8xC3.
+    assert calls["center_cyclic_test"] == 39
+    assert calls["faithful_representations"] == len(TWO_CLOSED_FAMILIES) == 37
 
 
 def test_catalog_realizations_build_only_the_families_they_return(monkeypatch):
