@@ -8,6 +8,9 @@ Each builder fixes its 0-based point order by construction:
 - a disjoint union places part k at points offsets[k] .. offsets[k] + degree - 1;
 - a block quotient numbers the blocks in the normal subgroup's orbit order;
 - the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta.
+
+Each hypothesis is checked once: a coset action's subgroup by `core`, a normal
+subgroup by `is_normal`, and an embedding's inner action by `action_hom`.
 """
 
 from __future__ import annotations
@@ -52,14 +55,14 @@ def _coset_permutation(
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
-    """Action on right cosets; the kernel equals the core of the subgroup.
+    """Action on right cosets; the kernel is the core of the subgroup.
 
     Each coset is represented by its lexicographically least permutation, and
-    the points follow the sorted representatives.
+    the points follow the sorted representatives.  The kernel is taken from
+    `core`, which validates the subgroup and the enumeration guard; the core
+    fixes every coset, so with |G| = |image|*|core| it is the whole kernel.
     """
-    as_subgroup(group, subgroup)
-    if group.order > ENUMERATION_GUARD:
-        raise GuardExceeded("group too large for coset enumeration")
+    kernel = core(group, subgroup)
     sub_elements = subgroup.elements()
     rep_of: dict[Permutation, Permutation] = {}
     for e in group.elements():
@@ -76,14 +79,8 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
         len(representatives),
         tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
     )
-    # The kernel fixes the coset H, so it lies in H; both lists are sorted.
-    kernel_elements = tuple(
-        e for e in sub_elements if all(point_of[rep * e] == i for i, rep in enumerate(representatives))
-    )
-    kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
-    expected = core(group, subgroup)
-    if not kernel.same_group(expected):
-        raise InternalDefect("coset action kernel disagrees with the subgroup core")
+    if any(point_of[rep * k] != i for k in kernel.strong_generators for i, rep in enumerate(representatives)):
+        raise InternalDefect("the subgroup core moves a coset")
     if group.order != image.order * kernel.order:
         raise InternalDefect("coset action order bookkeeping failed")
     return CosetAction(image, kernel, representatives, point_of)
@@ -215,20 +212,8 @@ def quotient_action(group: PermGroup, subgroup: PermGroup) -> QuotientAction:
 # ---------------------------------------------------------------------------
 # universal embedding on Delta x G/N
 
-class ActionHom:
-    """A faithful action of a group on a fresh point set, element by element."""
-
-    __slots__ = ("source", "degree", "mapping")
-
-    def __init__(self, source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> None:
-        self.source, self.degree, self.mapping = source, degree, mapping
-
-    def of(self, x: Permutation) -> Permutation:
-        return self.mapping[x]
-
-
-def action_hom(source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> ActionHom:
-    """Validate and wrap a faithful homomorphism into Sym(degree)."""
+def action_hom(source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> dict[Permutation, Permutation]:
+    """Validate a faithful homomorphism into Sym(degree); returns it as a dict."""
     elements = source.elements()
     if set(mapping) != set(elements):
         raise PreconditionError("action must be defined on exactly the group elements")
@@ -243,11 +228,12 @@ def action_hom(source: PermGroup, degree: int, mapping: Mapping[Permutation, Per
         raise PreconditionError("mapping is not a homomorphism")
     if len(set(mapping.values())) != len(elements):
         raise PreconditionError("action is not faithful")
-    return ActionHom(source, degree, dict(mapping))
+    return dict(mapping)
 
 
 class EmbeddedAction:
-    """A group acting on Delta x G/N, with the transversal, coset map and
+    """A group acting on Delta x G/N, with the inner action of N on Delta
+    (`mapping`, of degree `degree`) and the transversal, coset map and
     cocycle behind the action.
 
     The transversal is found by a breadth-first scan of the coset graph in
@@ -255,25 +241,26 @@ class EmbeddedAction:
     the identity and the whole structure is reproducible.
     """
 
-    __slots__ = ("image", "act", "transversal", "coset_of", "quotient_order")
+    __slots__ = ("image", "mapping", "degree", "transversal", "coset_of", "quotient_order")
 
     def __init__(
         self,
-        act: ActionHom,
+        mapping: dict[Permutation, Permutation],
+        degree: int,
         transversal: tuple[Permutation, ...],
         coset_of: dict[Permutation, int],
         generators: tuple[Permutation, ...],
     ) -> None:
-        self.act, self.transversal, self.coset_of = act, transversal, coset_of
+        self.mapping, self.degree, self.transversal, self.coset_of = mapping, degree, transversal, coset_of
         self.quotient_order = len(transversal)
-        self.image = PermGroup(act.degree * self.quotient_order, tuple(self.embed(g) for g in generators))
+        self.image = PermGroup(degree * self.quotient_order, tuple(self.embed(g) for g in generators))
 
     def _step(self, x: Permutation, u: int) -> tuple[int, Permutation]:
         """(v, t_u * x * t_v^{-1}) for v the coset of t_u * x; the cocycle lands in N."""
         e = self.transversal[u] * x
         v = self.coset_of[e]
         f = e * self.transversal[v].inverse()
-        if f not in self.act.mapping:
+        if f not in self.mapping:
             raise InternalDefect("cocycle value escaped the normal subgroup")
         return v, f
 
@@ -284,33 +271,34 @@ class EmbeddedAction:
     def embed(self, x: Permutation) -> Permutation:
         """The action of x on Delta x G/N: (delta, u) -> (delta^cocycle(x, u), v),
         where v is the coset of t_u * x."""
-        d = self.act.degree
+        d = self.degree
         images: list[int] = []
         for u in range(self.quotient_order):
             v, f = self._step(x, u)
-            images.extend(v * d + i for i in self.act.mapping[f].images)
+            images.extend(v * d + i for i in self.mapping[f].images)
         return Permutation(tuple(images))
 
 
 def universal_embedding(
     group: PermGroup,
     normal: PermGroup,
-    act: ActionHom,
+    degree: int,
+    mapping: Mapping[Permutation, Permutation],
 ) -> EmbeddedAction:
-    """Faithful action of a group on Delta x G/N from a faithful N-action.
+    """Faithful action of a group on Delta x G/N from a faithful action of N
+    on Delta = {0..degree-1}, given element by element and validated by
+    `action_hom`.
 
     Points are ordered coset-major: index(u, delta) = u*|Delta| + delta.
     When N is central, every element of N moves only the Delta coordinate.
     """
-    n_group = as_subgroup(group, normal)
     if group.order > ENUMERATION_GUARD:
         raise GuardExceeded("group too large for the embedding construction")
-    if not is_normal(group, n_group):
+    if not is_normal(group, normal):
         raise PreconditionError("subgroup is not normal")
-    if not act.source.same_group(n_group):
-        raise PreconditionError("the inner action is not an action of the normal subgroup")
+    inner = action_hom(normal, degree, mapping)
 
-    n_elements = n_group.elements()
+    n_elements = normal.elements()
     transversal: list[Permutation] = [identity(group.degree)]
     coset_of: dict[Permutation, int] = {x: 0 for x in n_elements}
     head = 0
@@ -326,7 +314,7 @@ def universal_embedding(
                     coset_of[x * e] = u
     if len(coset_of) != group.order:
         raise InternalDefect("coset scan did not cover the group")
-    embedded = EmbeddedAction(act, tuple(transversal), coset_of, group.strong_generators)
+    embedded = EmbeddedAction(inner, degree, tuple(transversal), coset_of, group.strong_generators)
     if embedded.image.order != group.order:
         raise InternalDefect("embedded action is not faithful")
     return embedded

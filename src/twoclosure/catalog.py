@@ -371,8 +371,6 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
                 return Permutation(tuple(images))
 
             action = PermGroup(degree, tuple(splice(g) for g in group.strong_generators))
-            if action.order != group.order:
-                raise InternalDefect("sampled 2-part representation is not faithful")
             entries.append(RepresentationEntry((h1.group, h2.group), action, degree))
 
     entries.sort(key=lambda e: (e.degree, len(e.subgroups), tuple(g.order for g in e.subgroups)))

@@ -594,9 +594,7 @@ def center(group: PermGroup) -> PermGroup:
     if group._center is None and group.is_abelian():
         group._center = group
     if group._center is None:
-        sgens = group.strong_generators
-        zs = tuple(g for g in group.elements() if all(g * s == s * g for s in sgens))
-        group._center = PermGroup(group.degree, zs, _order=len(zs))
+        group._center = centralizer(group, group)
     return group._center
 
 

@@ -252,9 +252,9 @@ def check_commutation_and_center() -> list[CheckResult]:
             for y in closure_b.strong_generators:
                 if x * y != y * x:
                     commute.append(f"{name}: commuting parts have non-commuting closures")
-        if group.is_abelian() and not two_closure(group).is_abelian():
-            abelian.append(f"{name}: abelian group has non-abelian closure")
         closure = two_closure(group)
+        if group.is_abelian() and not closure.is_abelian():
+            abelian.append(f"{name}: abelian group has non-abelian closure")
         for z in center(group).elements():
             if any(z * s != s * z for s in closure.strong_generators):
                 lifting.append(f"{name}: a central element fails to centralize the closure")
@@ -527,8 +527,8 @@ def suite_classification() -> list[CheckResult]:
     ]
 
 
-def suite_axioms(seed: int = 7, max_degree: int = 7, samples: int = 200) -> list[CheckResult]:
-    return check_closure_axioms(seed=seed, samples=samples, max_degree=max_degree)
+def suite_axioms(seed: int = 7, max_degree: int = 7) -> list[CheckResult]:
+    return check_closure_axioms(seed=seed, samples=200, max_degree=max_degree)
 
 
 # The suite function `suite_<name>` of each `verify --suite` name.

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import _shifted, action_hom, coset_action, universal_embedding
+from .actions import _shifted, coset_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     PermGroup,
-    as_subgroup,
     center,
     centralizer,
-    core,
     intersection_elements,
     is_cyclic,
     is_nilpotent,
@@ -236,6 +234,30 @@ def _first_outside(group: PermGroup, subgroup: PermGroup) -> Permutation:
     raise InternalDefect("no element outside the subgroup")
 
 
+def _noncentral_pp(group: PermGroup, subgroup: PermGroup) -> tuple[int, Permutation, Permutation]:
+    """Validate the hypothesis of the 2-group and odd-p constructions: a
+    p-group with a normal subgroup N of type (p,p) that meets the center in
+    order p.  Returns (p, a, b): a is the least nonidentity central element of
+    N, and b the first nonidentity element of N outside <a>."""
+    factors = prime_factorization(group.order)
+    if len(factors) != 1:
+        raise PreconditionError("group must be a nontrivial p-group")
+    p = next(iter(factors))
+    if subgroup.order != p * p or is_cyclic(subgroup):
+        raise PreconditionError("subgroup must be elementary abelian of order p^2")
+    if not is_normal(group, subgroup):
+        raise PreconditionError("subgroup must be normal")
+    central = [g for g in intersection_elements(subgroup, center(group)) if not g.is_identity()]
+    if len(central) == p * p - 1:
+        raise PreconditionError("subgroup is central; use the center construction instead")
+    if len(central) != p - 1:
+        raise InternalDefect("a normal subgroup of a p-group must meet the center")
+    a = min(central)
+    a_powers = {a**k for k in range(1, p)}
+    b = next(g for g in subgroup.elements() if not g.is_identity() and g not in a_powers)
+    return p, a, b
+
+
 def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCertificate:
     """Witness for a 2-group with a normal four-subgroup meeting the center
     in exactly one involution.
@@ -246,41 +268,23 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCert
     action on which swapping points 3 and 4 in every sheet preserves all pair
     orbits but avoids the group.
     """
-    n_group = as_subgroup(group, four_subgroup)
-    if len(prime_factorization(group.order)) != 1 or group.order % 2:
-        raise PreconditionError("group must be a nontrivial 2-group")
-    if n_group.order != 4 or is_cyclic(n_group):
-        raise PreconditionError("subgroup must be a four-group")
-    if not is_normal(group, n_group):
-        raise PreconditionError("four-subgroup must be normal")
-    central = [g for g in intersection_elements(n_group, center(group)) if not g.is_identity()]
-    if len(central) == 3:
-        raise PreconditionError(
-            "four-subgroup is central; use the center construction instead"
-        )
-    if len(central) != 1:
-        raise InternalDefect("a normal subgroup of a 2-group must meet the center")
+    prime, a, b = _noncentral_pp(group, four_subgroup)
+    if prime != 2:
+        raise PreconditionError("group must be a 2-group; use the odd-p construction")
     _guard_certificate_degree(group.order)
-    a = central[0]
-    b = next(g for g in n_group.elements() if not g.is_identity() and g != a)
 
     delta = 4
-    act4 = action_hom(
-        n_group,
-        delta,
-        {
-            identity(group.degree): identity(delta),
-            a: from_cycles(delta, [(0, 1)]),
-            b: from_cycles(delta, [(2, 3)]),
-            a * b: from_cycles(delta, [(0, 1), (2, 3)]),
-        },
-    )
-    centr = centralizer(group, n_group)
+    act4 = {
+        identity(group.degree): identity(delta),
+        a: from_cycles(delta, [(0, 1)]),
+        b: from_cycles(delta, [(2, 3)]),
+        a * b: from_cycles(delta, [(0, 1), (2, 3)]),
+    }
+    centr = centralizer(group, four_subgroup)
     if group.order != 2 * centr.order:
         raise InternalDefect("the four-subgroup centralizer must have index 2")
-    inner = universal_embedding(centr, n_group, act4)
-    act_gamma = action_hom(centr, inner.image.degree, {c: inner.embed(c) for c in centr.elements()})
-    outer = universal_embedding(group, centr, act_gamma)
+    inner = universal_embedding(centr, four_subgroup, delta, act4)
+    outer = universal_embedding(group, centr, inner.image.degree, {c: inner.embed(c) for c in centr.elements()})
 
     # Coset-major layout: point k*|Gamma| + s*4 + d is Delta point d of inner
     # sheet s in outer sheet k, and theta swaps d = 2 and d = 3 in every sheet.
@@ -330,36 +334,18 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
     multiplies exactly one t-exponent class of cosets by the central
     generator a, a move each pair orbit cannot see.
     """
-    n_group = as_subgroup(group, pp_subgroup)
-    factors = prime_factorization(group.order)
-    if len(factors) != 1:
-        raise PreconditionError("group must be a p-group")
-    p = next(iter(factors))
+    p, a, b = _noncentral_pp(group, pp_subgroup)
     if p == 2:
         raise PreconditionError("p must be odd; use the 2-group construction")
-    if n_group.order != p * p or is_cyclic(n_group):
-        raise PreconditionError("subgroup must be elementary abelian of order p^2")
-    if not is_normal(group, n_group):
-        raise PreconditionError("subgroup must be normal")
-    central_part = [g for g in intersection_elements(n_group, center(group)) if not g.is_identity()]
-    if len(central_part) == n_group.order - 1:
-        raise PreconditionError("subgroup is central; use the abelian construction instead")
-    if len(central_part) != p - 1:
-        raise InternalDefect("subgroup must meet the center in order exactly p")
     _guard_certificate_degree(group.order // p)
-    a = min(central_part)
-    a_powers = {a**k for k in range(1, p)}
-    b = next(g for g in n_group.elements() if not g.is_identity() and g not in a_powers)
-
-    centr = centralizer(group, n_group)
+    centr = centralizer(group, pp_subgroup)
     if group.order != p * centr.order:
         raise InternalDefect("the subgroup centralizer must have index p")
     t = _first_outside(group, centr)
-    h_sub = PermGroup(group.degree, (b,))
-    if core(group, h_sub).order != 1:
-        raise InternalDefect("<b> must be core-free")
 
-    ca = coset_action(group, h_sub)
+    ca = coset_action(group, PermGroup(group.degree, (b,)))
+    if ca.kernel.order != 1:
+        raise InternalDefect("<b> must be core-free")
     t_powers = [t**i for i in range(p)]
 
     def exponent_class(rep: Permutation) -> int:
@@ -428,25 +414,23 @@ def semidirect_witness(
     first cell preserves every pair orbit without belonging to the redrawn
     group.
     """
-    m_group = as_subgroup(group, normal_part)
-    h_group = as_subgroup(group, complement)
     if not is_nilpotent(group):
         raise PreconditionError("group must be nilpotent")
-    if not is_normal(group, m_group):
+    if not is_normal(group, normal_part):
         raise PreconditionError("the first factor must be normal")
-    if not h_group.is_abelian():
+    if not complement.is_abelian():
         raise PreconditionError("the complement must be abelian")
-    if len(intersection_elements(m_group, h_group)) != 1:
+    if len(intersection_elements(normal_part, complement)) != 1:
         raise PreconditionError("the factors must intersect trivially")
-    if m_group.order * h_group.order != group.order:
+    if normal_part.order * complement.order != group.order:
         raise PreconditionError("the factors do not multiply up to the group")
-    if core(group, h_group).order != 1:
-        raise PreconditionError("the complement must be core-free")
-    basis = abelian_basis(h_group)
+    basis = abelian_basis(complement)
     cell_orders = [h.order() for h in basis]
-    _guard_certificate_degree(group.order // h_group.order + sum(cell_orders))
+    _guard_certificate_degree(group.order // complement.order + sum(cell_orders))
 
-    ca = coset_action(group, h_group)
+    ca = coset_action(group, complement)
+    if ca.kernel.order != 1:
+        raise PreconditionError("the complement must be core-free")
     base_degree = ca.image.degree
     total = base_degree + sum(cell_orders)
     offsets = []
@@ -465,7 +449,7 @@ def semidirect_witness(
                 images[off + j] = off + (j + 1) % size
         return Permutation(tuple(images))
 
-    gens = [lift(ca.embed(m), None) for m in m_group.strong_generators]
+    gens = [lift(ca.embed(m), None) for m in normal_part.strong_generators]
     gens += [lift(ca.embed(h), ci) for ci, h in enumerate(basis)]
     redrawn = PermGroup(total, tuple(gens))
     if redrawn.order != group.order:
@@ -476,7 +460,7 @@ def semidirect_witness(
     parameters = {
         "complement_factor_orders": cell_orders,
         "complement_factors": [h.cycle_string() for h in basis],
-        "normal_part_order": m_group.order,
+        "normal_part_order": normal_part.order,
         "coset_degree": base_degree,
     }
     return _assemble(redrawn, witness, CONSTRUCTION_SEMIDIRECT, parameters)
@@ -514,20 +498,18 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
     if n_group.same_group(group):
         return inner
 
+    d = inner.group.degree
     coords = element_coordinates(n_group, basis)
     mapping = {}
     for elem, exps in coords.items():
-        img = identity(inner.group.degree)
+        img = identity(d)
         for h, k in zip(inner.group.generators, exps):
             img = img * h**k
         mapping[elem] = img
-    act = action_hom(n_group, inner.group.degree, mapping)
-    emb = universal_embedding(group, n_group, act)
-
-    d = inner.group.degree
+    emb = universal_embedding(group, n_group, d, mapping)
     for x in n_group.elements():
         moved = emb.embed(x)
-        block = act.of(x)
+        block = mapping[x]
         for u in range(emb.quotient_order):
             for delta in range(d):
                 if moved.images[u * d + delta] != u * d + block.images[delta]:

@@ -1,5 +1,6 @@
 import pytest
 
+from twoclosure import actions
 from twoclosure.actions import (
     action_hom,
     coprime_direct_factors,
@@ -37,11 +38,24 @@ def test_coset_action_examples():
     assert regular.image.degree == 8 and regular.kernel.order == 1
 
 
-def test_coset_action_degree_times_subgroup_order():
+def test_coset_action_degree_times_subgroup_order(monkeypatch):
+    # The kernel is `core` itself: one call, and no comparison of two kernels.
+    calls = {"core": 0, "same_group": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(actions, "core", counted("core", actions.core))
+    monkeypatch.setattr(PermGroup, "same_group", counted("same_group", PermGroup.same_group))
     for name in ("D8", "Q8", "C6", "SD16"):
         group = realize_name(name)
         for handle in subgroup_lattice(group):
+            calls.update(core=0, same_group=0)
             ca = coset_action(group, handle.group)
+            assert calls == {"core": 1, "same_group": 0}, name
             assert ca.image.degree * handle.group.order == group.order
             assert ca.kernel.same_group(core(group, handle.group))
 
@@ -111,8 +125,7 @@ def test_quotient_action_rejects_non_normal():
 def test_universal_embedding_c4():
     c4 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4),))
     n = PermGroup(4, (parse_cycles("(1,3)(2,4)", 4),))
-    act = action_hom(n, 2, {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)})
-    emb = universal_embedding(c4, n, act)
+    emb = universal_embedding(c4, n, 2, {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)})
     assert emb.image.degree == 4 and emb.image.order == 4
     # the central subgroup moves only the inner coordinate
     for x in n.elements():
@@ -125,8 +138,7 @@ def test_universal_embedding_c4():
 
 def test_universal_embedding_degenerate_quotient():
     v4 = realize_name("C2xC2")
-    act = action_hom(v4, v4.degree, {g: g for g in v4.elements()})
-    emb = universal_embedding(v4, v4, act)
+    emb = universal_embedding(v4, v4, v4.degree, {g: g for g in v4.elements()})
     assert emb.quotient_order == 1
     assert emb.image.same_group(v4)
 
@@ -134,14 +146,27 @@ def test_universal_embedding_degenerate_quotient():
 def test_universal_embedding_respects_cocycle_identities():
     d16 = realize_name("D16")
     z = center(d16)
-    act = action_hom(z, 2, {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()})
-    emb = universal_embedding(d16, z, act)
+    flip = {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()}
+    emb = universal_embedding(d16, z, 2, flip)
     assert emb.image.order == d16.order
     for u, rep in enumerate(emb.transversal):
         assert emb.coset_of[rep] == u
     for x in d16.generators:
         for u in range(emb.quotient_order):
             assert emb.cocycle(x, u) in z.elements()
+
+
+def test_universal_embedding_validates_its_inner_action():
+    d16 = realize_name("D16")
+    z = center(d16)
+    with pytest.raises(PreconditionError, match="exactly the group elements"):
+        universal_embedding(d16, z, 2, {identity(d16.degree): identity(2)})
+    flip = {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()}
+    with pytest.raises(PreconditionError, match="degree mismatch"):
+        universal_embedding(d16, z, 3, flip)
+    reflection = next(g for g in d16.generators if g.order() == 2)
+    with pytest.raises(PreconditionError, match="not normal"):
+        universal_embedding(d16, PermGroup(d16.degree, (reflection,)), 2, flip)
 
 
 def test_action_hom_validation():
@@ -162,7 +187,7 @@ def test_action_hom_rejects_swapped_images():
         mapping[elements[a]], mapping[elements[b]] = elements[b], elements[a]
         with pytest.raises(PreconditionError, match="not a homomorphism"):
             action_hom(d8, d8.degree, mapping)
-    assert action_hom(d8, d8.degree, {g: g for g in elements}).of(elements[3]) == elements[3]
+    assert action_hom(d8, d8.degree, {g: g for g in elements})[elements[3]] == elements[3]
 
 
 def test_action_hom_rejects_a_moved_identity_on_the_trivial_group():

@@ -6,6 +6,9 @@ raises PreconditionError.
 Documents are arbitrary JSON, arbitrary text, and objects shaped like a
 group spec with wrong or nearly right fields.  Shaped specs stay at degree
 at most 9 or go above a guard, so every run is quick.
+
+`classify -i` is fuzzed with real groups: random words in the generators of
+the catalog families of degree at most 16, with the points relabelled.
 """
 
 import contextlib
@@ -13,14 +16,18 @@ import io
 import json
 import os
 import tempfile
+from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twoclosure.catalog import parse_family, realize_name
 from twoclosure.cli import INPUT_DEGREE_GUARD, main, parse_group_document
 from twoclosure.errors import PreconditionError
 from twoclosure.group import PermGroup
 from twoclosure.orbital import CLOSURE_DEGREE_GUARD
+from twoclosure.perm import Permutation, identity
+from twoclosure.verify import NOT_TWO_CLOSED_FAMILIES, TWO_CLOSED_FAMILIES
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
@@ -63,18 +70,65 @@ def test_parse_group_document_returns_a_group_or_a_precondition_error(text):
     assert isinstance(group, PermGroup) and echo["degree"] == group.degree
 
 
-@FUZZ
-@given(documents)
-def test_closure_command_is_total_on_any_document(text):
+def run_cli(argv: list[str], text: str) -> tuple[int, str, str]:
+    """Run the CLI on a spec file holding `text`; returns the exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "group.json")
         with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
             handle.write(text)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["closure", "-i", path])
-    assert code in (0, 1, 2), stdout.getvalue()
-    report = json.loads(stdout.getvalue())  # exactly one document: trailing text fails
+            code = main(argv + [path])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@FUZZ
+@given(documents)
+def test_closure_command_is_total_on_any_document(text):
+    code, out, err = run_cli(["closure", "-i"], text)
+    assert code in (0, 1, 2), out
+    report = json.loads(out)  # exactly one document: trailing text fails
     assert report["command"] == "closure"
     assert ("results" in report) == (code == 0)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in err
+
+
+# Both halves of the truth table are drawn from alike, so that the 30 cyclic
+# families do not crowd out the negatives.
+small_families = st.one_of(
+    st.sampled_from([name for name in names if parse_family(name).degree <= 16])
+    for names in (TWO_CLOSED_FAMILIES, NOT_TWO_CLOSED_FAMILIES)
+)
+realized = lru_cache(maxsize=None)(realize_name)
+
+
+@st.composite
+def catalog_words(draw) -> str:
+    """A spec of the subgroup generated by up to three random words in a
+    catalog group's generators, on relabelled points."""
+    name = draw(small_families)
+    group = realized(name)
+    n, gens = group.degree, group.generators
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    words = draw(st.lists(st.lists(st.sampled_from(gens), min_size=1, max_size=4), min_size=1, max_size=3)) if gens else []
+    generators = []
+    for word in words:
+        g = identity(n)
+        for letter in word:
+            g = g * letter
+        generators.append(g.conjugated_by(relabel).cycle_string())
+    return json.dumps({"degree": n, "generators": generators, "name": name})
+
+
+@settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(catalog_words())
+def test_classify_command_is_total_on_catalog_subgroups(text):
+    code, out, err = run_cli(["classify", "-i"], text)
+    assert code in (0, 2), out
+    report = json.loads(out)  # exactly one document: trailing text fails
+    assert report["command"] == "classify"
+    assert "Traceback" not in err
+    if code == 0 and report["results"]["certificate"] is not None:
+        certificate = report["results"]["certificate"]
+        assert certificate["valid"] is True
+        assert certificate["group_order"] == report["results"]["order"]

@@ -101,6 +101,33 @@ def test_two_group_witness_rejects_cyclic_subgroup():
         two_group_witness(c8, PermGroup(8, (involution,)))
 
 
+def _element_of_order(order):
+    return lambda group: PermGroup(group.degree, (next(g for g in group.elements() if g.order() == order),))
+
+
+def _non_normal_four_subgroup(group):
+    return next(h.group for h in subgroup_lattice(group) if not h.normal and h.group.order == 4 and not is_cyclic(h.group))
+
+
+@pytest.mark.parametrize("construction", [two_group_witness, odd_p_witness], ids=["two-group", "odd-p"])
+@pytest.mark.parametrize(
+    "family, subgroup, message",
+    [
+        pytest.param("C8", _element_of_order(4), r"subgroup must be elementary abelian of order p\^2", id="cyclic-C8"),
+        pytest.param("C9xC3", _element_of_order(9), r"subgroup must be elementary abelian of order p\^2", id="cyclic-C9xC3"),
+        pytest.param("Q8xC2", center, "subgroup is central; use the center construction", id="central-Q8xC2"),
+        pytest.param("C3xC3", lambda group: group, "subgroup is central; use the center construction", id="central-C3xC3"),
+        pytest.param("D16", _non_normal_four_subgroup, "subgroup must be normal", id="non-normal-D16"),
+    ],
+)
+def test_pp_constructions_reject_a_bad_subgroup_alike(construction, family, subgroup, message):
+    # One validator checks the (p,p) hypothesis for both constructions, so
+    # each rejects a bad subgroup of either parity with the same message.
+    group = realize_name(family)
+    with pytest.raises(PreconditionError, match=f"^{message}"):
+        construction(group, subgroup(group))
+
+
 def test_odd_p_witness_e27():
     e27 = realize_name("E27")
     pp = next(
