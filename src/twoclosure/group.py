@@ -7,14 +7,16 @@ membership is decided by sifting alone, and the pointwise stabilizer of
 
 A level whose |orbit| * degree exceeds LEVEL_BUDGET ints keeps its orbit as a
 Schreier vector (`_VectorOrbit`), chosen before any tuple is stored; the
-chain is the same either way.
+chain is the same either way.  A level check stops sifting once its orbit
+sizes multiply to the known order, or to |Sym| or |Alt| of the points it
+moves; the chain is the same as from full checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import groupby
-from math import inf, isqrt, lcm
+from math import factorial, inf, isqrt, lcm, prod
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .perm import Permutation, _trusted, identity
@@ -26,6 +28,8 @@ INDEX_GUARD = 256
 LEVEL_BUDGET = 1 << 16
 # Cache value of a property not yet computed, where None is a computed answer.
 _UNKNOWN = object()
+# Cache value for "the group itself", so a group is freed without the cycle collector.
+_SELF = object()
 
 
 class _Level:
@@ -141,6 +145,11 @@ def _power(images: tuple[int, ...], r: int) -> tuple[int, ...]:
         images = tuple(map(images.__getitem__, images))
 
 
+def _is_even(g: Permutation) -> bool:
+    """Whether g is even: a k-cycle is a product of k - 1 transpositions."""
+    return sum(len(c) - 1 for c in g.cycles()) % 2 == 0
+
+
 def _inverse(images: tuple[int, ...], points: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of an image tuple, with its ints taken from `points` (the
     identity's), so no new int objects are made for points above 256."""
@@ -160,7 +169,11 @@ class _Chain:
     generators once it reaches that order.  Each stored orbit is an orbit of
     a subgroup of its level's group, so the orbit sizes multiply to at most
     the order generated so far: reaching |G| means every level is complete,
-    so every Schreier generator left would sift to the identity.
+    so every Schreier generator left would sift to the identity.  The order
+    bound does the same without a target: the levels >= l generate a group K
+    on the m = degree - l points >= l, so |K| <= m!, or m!/2 when all their
+    generators are even, and orbit sizes multiplying to that bound make
+    those levels complete.  Sym(n) and Alt(n) chains stop there.
     """
 
     def __init__(self, degree: int, target: int | None = None) -> None:
@@ -268,6 +281,10 @@ class _Chain:
         off the tree.  Returns the level where a missing residue was
         deposited, or None if the level verified clean or the chain has
         reached its target order.
+
+        It also returns None, forming no Schreier generator, when the orbit
+        sizes of levels >= level reach the order bound (see the class
+        docstring): then the full check would deposit nothing.
         """
         own = len(self.levels[level].gens)
         if not own:
@@ -278,6 +295,12 @@ class _Chain:
         orbit, tree = self._rebuild_orbit(level, gens, [t for lv in upper for t in lv.inverses])
         if self.target is not None and self.order() == self.target:
             return None
+        m = self.degree - level
+        if len(orbit) == m:
+            product = prod(len(lv.orbit) for lv in upper)  # at most |K| <= m! (see the class docstring)
+            full = factorial(m)
+            if product == full or (2 * product == full and all(_is_even(g) for lv in upper for g in lv.gens)):
+                return None
         points = self.ident.images
         for beta in sorted(orbit):
             u_beta = None
@@ -451,7 +474,7 @@ class PermGroup:
         self.order: int = chain.order()
         self._strong: tuple[Permutation, ...] | None = None
         self._elements: tuple[Permutation, ...] | None = None
-        self._center: PermGroup | None = None
+        self._center: PermGroup | object | None = None
         self._is_cyclic: bool | None = None
         self._sylows: dict[int, PermGroup] | None | object = _UNKNOWN
         self._index: _ElementIndex | None = None
@@ -591,15 +614,17 @@ def as_subgroup(parent: PermGroup, subgroup: PermGroup) -> PermGroup:
 
 def center(group: PermGroup) -> PermGroup:
     """The center; an abelian group is its own center, with no element listed."""
-    if group._center is None and group.is_abelian():
-        group._center = group
     if group._center is None:
-        group._center = centralizer(group, group)
-    return group._center
+        group._center = _SELF if group.is_abelian() else _centralizing(group, group.strong_generators)
+    return group if group._center is _SELF else group._center
 
 
 def centralizer(group: PermGroup, subgroup: PermGroup) -> PermGroup:
-    hgens = as_subgroup(group, subgroup).strong_generators
+    return _centralizing(group, as_subgroup(group, subgroup).strong_generators)
+
+
+def _centralizing(group: PermGroup, hgens: tuple[Permutation, ...]) -> PermGroup:
+    """The subgroup of the group's elements that commute with each of hgens."""
     cs = tuple(g for g in group.elements() if all(g * s == s * g for s in hgens))
     return PermGroup(group.degree, cs, _order=len(cs))
 
@@ -663,24 +688,24 @@ def sylow_decomposition(group: PermGroup) -> dict[int, PermGroup] | None:
         factors = prime_factorization(group.order)
         primes = sorted(factors)
         if len(primes) <= 1:
-            sylows = {p: group for p in primes}
-        else:
-            parts: dict[int, list[Permutation]] = {p: [] for p in primes}
-            for g in group.strong_generators:
-                o = g.order()
-                for p, k in prime_factorization(o).items():
-                    parts[p].append(g ** (o // p**k))
-            sylows = None
-            if all(
-                a * b == b * a
-                for i, p in enumerate(primes)
-                for q in primes[i + 1:]
-                for a in parts[p]
-                for b in parts[q]
-            ):
-                candidates = {p: PermGroup(group.degree, parts[p]) for p in primes}
-                if all(h.order == p ** factors[p] for p, h in candidates.items()):
-                    sylows = candidates
+            # Not cached: the entry would make the group refer to itself.
+            return {p: group for p in primes}
+        parts: dict[int, list[Permutation]] = {p: [] for p in primes}
+        for g in group.strong_generators:
+            o = g.order()
+            for p, k in prime_factorization(o).items():
+                parts[p].append(g ** (o // p**k))
+        sylows = None
+        if all(
+            a * b == b * a
+            for i, p in enumerate(primes)
+            for q in primes[i + 1:]
+            for a in parts[p]
+            for b in parts[q]
+        ):
+            candidates = {p: PermGroup(group.degree, parts[p]) for p in primes}
+            if all(h.order == p ** factors[p] for p, h in candidates.items()):
+                sylows = candidates
         group._sylows = sylows
     return group._sylows
 

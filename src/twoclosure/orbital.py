@@ -217,6 +217,35 @@ def _signature_classes(colors: tuple[int, ...], n: int) -> list[int]:
     return classes
 
 
+def _extend_from(colors: tuple[int, ...], classes: list[int], n: int, images: list[int], used: list[bool], pos: int) -> bool:
+    """Depth-first step of `_extend_automorphism`: True once images of pos..n-1 are found."""
+    if pos == n:
+        return True
+    cls = classes[pos]
+    base = pos * n
+    for v in range(n):
+        if used[v] or classes[v] != cls:
+            continue
+        ok = True
+        for j in range(pos):
+            w = images[j]
+            if (
+                colors[j * n + pos] != colors[w * n + v]
+                or colors[base + j] != colors[v * n + w]
+            ):
+                ok = False
+                break
+        if not ok:
+            continue
+        images[pos] = v
+        used[v] = True
+        if _extend_from(colors, classes, n, images, used, pos + 1):
+            return True
+        used[v] = False
+    images[pos] = pos
+    return False
+
+
 def _extend_automorphism(
     colors: tuple[int, ...], classes: list[int], n: int, level: int, target: int
 ) -> Permutation | None:
@@ -232,34 +261,7 @@ def _extend_automorphism(
         used[j] = True
     used[target] = True
 
-    def dfs(pos: int) -> bool:
-        if pos == n:
-            return True
-        cls = classes[pos]
-        base = pos * n
-        for v in range(n):
-            if used[v] or classes[v] != cls:
-                continue
-            ok = True
-            for j in range(pos):
-                w = images[j]
-                if (
-                    colors[j * n + pos] != colors[w * n + v]
-                    or colors[base + j] != colors[v * n + w]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[pos] = v
-            used[v] = True
-            if dfs(pos + 1):
-                return True
-            used[v] = False
-        images[pos] = pos
-        return False
-
-    if dfs(level + 1):
+    if _extend_from(colors, classes, n, images, used, level + 1):
         return Permutation(tuple(images))
     return None
 

@@ -122,30 +122,28 @@ def catalog_realizations(max_degree: int) -> list[tuple[str, PermGroup]]:
 # ---------------------------------------------------------------------------
 # axioms suite
 
+def _extensions(colors: tuple[int, ...], n: int, images: list[int], k: int) -> int:
+    """Colour-keeping extensions of the image prefix `images` of points 0..k-1."""
+    if k == n:
+        return 1
+    count = 0
+    for v in range(n):
+        if v in images or colors[k * n + k] != colors[v * n + v] or any(
+            colors[j * n + k] != colors[w * n + v] or colors[k * n + j] != colors[v * n + w]
+            for j, w in enumerate(images)
+        ):
+            continue
+        images.append(v)
+        count += _extensions(colors, n, images, k + 1)
+        images.pop()
+    return count
+
+
 def _colour_preserving_count(partition) -> int:
     """Number of permutations of the points that keep every pair colour,
     counted by extending image prefixes that keep the colours of the pairs
     among their own points."""
-    n = partition.degree
-    colors = partition.colors
-    images: list[int] = []
-
-    def extensions(k: int) -> int:
-        if k == n:
-            return 1
-        count = 0
-        for v in range(n):
-            if v in images or colors[k * n + k] != colors[v * n + v] or any(
-                colors[j * n + k] != colors[w * n + v] or colors[k * n + j] != colors[v * n + w]
-                for j, w in enumerate(images)
-            ):
-                continue
-            images.append(v)
-            count += extensions(k + 1)
-            images.pop()
-        return count
-
-    return extensions(0)
+    return _extensions(partition.colors, partition.degree, [], 0)
 
 
 def check_closure_axioms(seed: int = 7, samples: int = 200, max_degree: int = 7) -> list[CheckResult]:

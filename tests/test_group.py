@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -153,6 +156,33 @@ def test_abelian_group_is_its_own_center_with_no_element_listed(monkeypatch):
     group = realize_name("C4xC4xC4")
     monkeypatch.setattr(PermGroup, "elements", refuse)
     assert center(group) is group
+
+
+def test_center_of_a_nonabelian_group_sifts_no_generator_into_itself(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("PermGroup.is_subgroup_of was called")
+
+    group = realize_name("D8xC3")
+    monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
+    z = center(group)
+    assert z.order == 6 and center(group) is z
+
+
+@pytest.mark.parametrize("name", ["C2xC4", "D8", "Q8xC3", "D12"])
+def test_group_with_cached_center_and_sylows_dies_without_the_cycle_collector(name):
+    # C2xC4 is its own center and Sylow subgroup, D8 its own Sylow subgroup;
+    # Q8xC3 caches two Sylow subgroups, D12 the answer "not nilpotent".
+    group = realize_name(name)
+    center(group)
+    sylow_decomposition(group)
+    group._element_index()
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_core_is_largest_normal_subgroup_inside():
@@ -396,6 +426,51 @@ def test_wrong_known_order_raises():
         with pytest.raises(InternalDefect):
             PermGroup(8, rotations + [outside], _order=len(rotations))
     assert PermGroup(8, rotations, _order=len(rotations)).order == 8
+
+
+def sym_and_alt_cases():
+    """Sym(20) from (1,2) and a 20-cycle, Alt(11) from (1,2,3) and an
+    11-cycle, and 200 seeded groups of degree 3-16 from 1-3 random
+    generators, every second one from even generators only."""
+    cases = [
+        (20, (cycles("(1,2)", 20), from_cycles(20, [tuple(range(20))]))),
+        (11, (cycles("(1,2,3)", 11), from_cycles(11, [tuple(range(11))]))),
+    ]
+    rng = random.Random(2022)
+    for i in range(200):
+        degree = rng.randint(3, 16)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            g = Permutation(tuple(images))
+            if i % 2 == 0 and not group_module._is_even(g):
+                g = g * cycles("(1,2)", degree)
+            gens.append(g)
+        cases.append((degree, tuple(gens)))
+    return cases
+
+
+def test_order_bound_leaves_every_chain_unchanged(monkeypatch):
+    cases = sym_and_alt_cases()
+    bounded = [PermGroup(degree, gens) for degree, gens in cases]
+    # No level's orbit sizes multiply to 0: every level check runs in full.
+    monkeypatch.setattr(group_module, "factorial", lambda m: 0)
+    full = [PermGroup(degree, gens) for degree, gens in cases]
+    kinds = set()
+    for (degree, gens), a, b in zip(cases, bounded, full):
+        assert chain_state(a) == chain_state(b), (degree, gens)
+        kinds.add(math.factorial(degree) // a.order)
+    assert {1, 2} <= kinds  # Sym and Alt levels both occur
+
+
+def test_sym20_chain_sifts_few_schreier_generators(monkeypatch):
+    sifts = []
+    sift = group_module._Chain._sift
+    monkeypatch.setattr(group_module._Chain, "_sift", lambda self, h, start: sifts.append(start) or sift(self, h, start))
+    group = PermGroup(20, (cycles("(1,2)", 20), from_cycles(20, [tuple(range(20))])))
+    assert group.order == math.factorial(20)
+    assert len(sifts) < 100  # 2,178 when every level check runs in full
 
 
 # Vector levels: LEVEL_BUDGET 1 makes every level with more than one point a

@@ -7,6 +7,7 @@ cyclicity test, center and centralizer check the group operators, those
 that list elements and those that read generators alike.
 """
 
+import math
 import random
 
 import pytest
@@ -177,3 +178,34 @@ def test_schreier_vector_membership_matches_sympy_on_p_groups(monkeypatch):
         group = realize_name(name)
         assert group.order <= 256 and len(prime_factorization(group.order)) == 1, name
         assert_membership_matches_sympy(group, rng, 10)
+
+
+def random_permutation(rng, degree, even=None):
+    """A seeded random permutation; of the given parity unless `even` is None."""
+    images = list(range(degree))
+    rng.shuffle(images)
+    g = Permutation(tuple(images))
+    if even is not None and (sum(len(c) - 1 for c in g.cycles()) % 2 == 0) != even:
+        images[0], images[1] = images[1], images[0]
+        g = Permutation(tuple(images))
+    return g
+
+
+def test_sym_and_alt_chains_match_sympy():
+    # Two random generators of degree 10-20 almost always generate Sym(n),
+    # or Alt(n) when both are even: the groups whose chains stop at the
+    # order bound n! or n!/2.  Membership of odd and even permutations
+    # catches a chain that took an incomplete level for Alt(n).
+    rng = random.Random(65)
+    kinds = []
+    for i in range(12):
+        degree = rng.randint(10, 20)
+        gens = [random_permutation(rng, degree, even=True if i % 2 == 0 else None) for _ in range(2)]
+        group = PermGroup(degree, gens)
+        reference = sympy_combinatorics.PermutationGroup([as_sympy(g) for g in gens])
+        assert group.order == reference.order(), gens
+        kinds.append(math.factorial(degree) // group.order)
+        for k in range(50):
+            x = random_permutation(rng, degree, even=k % 2 == 0)
+            assert group.contains(x) == reference.contains(as_sympy(x)), (gens, x)
+    assert kinds.count(1) >= 4 and kinds.count(2) >= 4, kinds
