@@ -54,7 +54,7 @@ def _coset_permutation(
     return Permutation(tuple(point_of[rep * x] for rep in representatives))
 
 
-def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
+def coset_action(group: PermGroup, subgroup: PermGroup, *, _kernel: PermGroup | None = None) -> CosetAction:
     """Action on right cosets; the kernel is the core of the subgroup.
 
     Each coset is represented by its lexicographically least permutation, and
@@ -62,7 +62,9 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     `core`, which validates the subgroup and the enumeration guard; the core
     fixes every coset, so with |G| = |image|*|core| it is the whole kernel.
     """
-    kernel = core(group, subgroup)
+    # `_kernel`: the core, where the caller holds it (the core mask of a
+    # lattice subgroup, a subgroup by construction); the checks below verify it.
+    kernel = core(group, subgroup) if _kernel is None else _kernel
     sub_elements = subgroup.elements()
     rep_of: dict[Permutation, Permutation] = {}
     for e in group.elements():

@@ -326,11 +326,13 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
             conjugates_of[mask] = table.conjugates(mask)
         return conjugates_of[mask]
 
-    def action_on(mask: int, subgroup: PermGroup) -> CosetAction:
-        # Built at most once per subgroup.
-        if mask not in actions:
-            actions[mask] = coset_action(group, subgroup)
-        return actions[mask]
+    def action_on(handle: SubgroupHandle) -> CosetAction:
+        # Built at most once per subgroup, with the kernel read from the core mask.
+        if handle.mask not in actions:
+            core_mask = handle.core_mask
+            kernel = PermGroup(group.degree, table.elements_of(core_mask), _order=core_mask.bit_count())
+            actions[handle.mask] = coset_action(group, handle.group, _kernel=kernel)
+        return actions[handle.mask]
 
     seen_single = set()
     for handle in lattice:
@@ -341,7 +343,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
         if canon in seen_single:
             continue
         seen_single.add(canon)
-        action = action_on(handle.mask, handle.group).image
+        action = action_on(handle).image
         entries.append(RepresentationEntry((handle.group,), action, action.degree))
 
     seen_pairs = set()
@@ -361,7 +363,7 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
             if canon in seen_pairs:
                 continue
             seen_pairs.add(canon)
-            ca1, ca2 = action_on(h1.mask, h1.group), action_on(h2.mask, h2.group)
+            ca1, ca2 = action_on(h1), action_on(h2)
             degree = ca1.image.degree + ca2.image.degree
 
             def splice(x: Permutation) -> Permutation:

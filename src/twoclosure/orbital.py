@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import PermGroup, _Chain
@@ -138,17 +139,22 @@ def two_equivalent(a: PermGroup, b: PermGroup) -> bool:
 
 
 def is_in_two_closure(theta: Permutation, partition: OrbitalPartition) -> bool:
-    """Definitional membership: theta preserves every pair color."""
+    """Definitional membership: theta preserves every pair color.
+
+    Row theta(a) of the color table, read at the columns theta(0..n-1), must
+    equal row a: whole rows are compared, stopping at the first that differs.
+    """
     n = partition.degree
     if theta.degree != n:
         raise PreconditionError("degree mismatch")
+    if n < 2:
+        return True  # the identity is the only permutation
     colors = partition.colors
-    img = theta.images
-    return all(
-        colors[img[a] * n + img[b]] == colors[a * n + b]
-        for a in range(n)
-        for b in range(n)
-    )
+    read = itemgetter(*theta.images)
+    for a, u in enumerate(theta.images):
+        if read(colors[u * n:u * n + n]) != colors[a * n:a * n + n]:
+            return False
+    return True
 
 
 class MembershipEvidence:
@@ -211,7 +217,7 @@ def _signature_classes(colors: tuple[int, ...], n: int) -> list[int]:
     classes = []
     for v in range(n):
         row = tuple(sorted(colors[v * n:(v + 1) * n]))
-        col = tuple(sorted(colors[v + u * n] for u in range(n)))
+        col = tuple(sorted(colors[v::n]))
         key = (colors[v * n + v], row, col)
         classes.append(table.setdefault(key, len(table)))
     return classes

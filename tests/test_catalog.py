@@ -1,5 +1,6 @@
 import pytest
 
+from twoclosure import actions, catalog
 from twoclosure.catalog import (
     abelian,
     extraspecial_exponent_p,
@@ -21,6 +22,7 @@ from twoclosure.group import (
     mask_indices,
 )
 from twoclosure.perm import Permutation
+from twoclosure.verify import NOT_TWO_CLOSED_FAMILIES, REPRESENTATION_DEGREE, TWO_CLOSED_FAMILIES
 
 
 def test_parse_family_syntax():
@@ -306,3 +308,26 @@ def test_representations_are_faithful_and_bounded():
         for entry in faithful_representations(group, 14):
             assert entry.action.order == group.order
             assert entry.degree <= 14
+
+
+def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
+    # The sampler passes each coset action the core its lattice handle holds,
+    # so the element fixpoint `core` never runs; every kernel passed is the core.
+    def no_core(*args):
+        raise AssertionError("the sampler computed a core")
+
+    passed = []
+
+    def recording(group, subgroup, **kwargs):
+        passed.append((group, subgroup, kwargs["_kernel"]))
+        return coset_action(group, subgroup, **kwargs)
+
+    coset_action = catalog.coset_action
+    monkeypatch.setattr(actions, "core", no_core)
+    monkeypatch.setattr(catalog, "coset_action", recording)
+    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
+        faithful_representations(realize_name(name), REPRESENTATION_DEGREE)
+    monkeypatch.undo()
+    assert len(passed) == 179
+    for group, subgroup, kernel in passed:
+        assert kernel.same_group(core(group, subgroup))

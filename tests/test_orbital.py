@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_pair_orbit_count, brute_two_closure
 from twoclosure.catalog import realize_name
@@ -17,6 +19,7 @@ from twoclosure.orbital import (
     two_equivalent,
 )
 from twoclosure.perm import Permutation, identity, parse_cycles
+from twoclosure.verify import catalog_realizations
 
 
 def remark_group():
@@ -158,6 +161,58 @@ def test_membership_examples():
     assert is_in_two_closure(parse_cycles("(1,2)", 6), partition)
     assert not is_in_two_closure(parse_cycles("(1,3)", 6), partition)
     assert is_in_two_closure(identity(6), partition)
+
+
+def pairwise_membership(theta, partition) -> bool:
+    """The definition, pair by pair: theta keeps the colour of every ordered pair."""
+    n, colors, img = partition.degree, partition.colors, theta.images
+    return all(colors[img[a] * n + img[b]] == colors[a * n + b] for a in range(n) for b in range(n))
+
+
+def random_permutation(rng, degree):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def check_membership_against_definition(group, rng):
+    """Members (the closure's strong generators and the identity), random
+    permutations and members times a random transposition, which move only
+    two points' rows, get the definition's answer; a wrong degree is refused."""
+    n = group.degree
+    partition = orbital_partition(group)
+    members = two_closure(group).strong_generators + (identity(n),)
+    for theta in members:
+        assert is_in_two_closure(theta, partition) and pairwise_membership(theta, partition)
+    others = [random_permutation(rng, n) for _ in range(20)]
+    for theta in members if n > 1 else ():
+        images = list(range(n))
+        a, b = rng.sample(range(n), 2)
+        images[a], images[b] = b, a
+        others.append(theta * Permutation(tuple(images)))
+    for theta in others:
+        assert is_in_two_closure(theta, partition) == pairwise_membership(theta, partition)
+    with pytest.raises(PreconditionError):
+        is_in_two_closure(identity(n + 1), partition)
+
+
+def random_group(rng, degree):
+    return PermGroup(degree, tuple(random_permutation(rng, degree) for _ in range(rng.randint(0, 2))))
+
+
+def test_membership_matches_the_pairwise_definition():
+    rng = random.Random(23)
+    groups = [random_group(rng, degree) for degree in range(13) for _ in range(3)]
+    groups += [group for _, group in catalog_realizations(12)]
+    for group in groups:
+        check_membership_against_definition(group, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_membership_matches_the_pairwise_definition_on_any_seed(seed):
+    rng = random.Random(seed)
+    check_membership_against_definition(random_group(rng, rng.randint(0, 12)), rng)
 
 
 def test_membership_evidence_is_checkable():

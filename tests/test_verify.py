@@ -6,6 +6,7 @@ from collections import Counter
 
 from twoclosure import verify
 from twoclosure.orbital import orbital_partition, two_closure
+from twoclosure.perm import Permutation
 from twoclosure.verify import (
     NOT_TWO_CLOSED_FAMILIES,
     TWO_CLOSED_FAMILIES,
@@ -64,6 +65,50 @@ def test_axioms_suite_rejects_an_engine_wrong_on_conjugated_inputs(monkeypatch):
     failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
     assert set(failures) == {"conjugation-equivariance"}
     assert failures["conjugation-equivariance"].endswith(": conjugation equivariance failed")
+
+
+def test_axioms_suite_rejects_an_engine_that_moves_conjugate_closures(monkeypatch):
+    # On a conjugate G^x the engine answers closure(G^x) conjugated by a
+    # transposition outside its normalizer: the right order on the wrong
+    # points, so only the conjugated generators can expose it.
+    population = random_groups(3, 40, 7) + [g for _, g in catalog_realizations(12)]
+    own = {g.generators for g in population if g.generators}
+
+    def engine(group):
+        closure = two_closure(group)
+        if any(group.generators[:len(gens)] == gens for gens in own):
+            return closure
+        for a, b in itertools.combinations(range(group.degree), 2):
+            images = list(range(group.degree))
+            images[a], images[b] = b, a
+            t = Permutation(tuple(images))
+            if not all(closure.contains(s.conjugated_by(t)) for s in closure.generators):
+                return closure.conjugated_by(t)
+        return closure
+
+    monkeypatch.setattr(verify, "two_closure", engine)
+    failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
+    assert set(failures) == {"conjugation-equivariance"}
+    assert failures["conjugation-equivariance"].endswith(": conjugation equivariance failed")
+
+
+def test_axioms_suite_counts_each_colour_table_once(monkeypatch):
+    counted = []
+
+    def recording(partition):
+        counted.append((partition, _colour_preserving_count(partition)))
+        return counted[-1][1]
+
+    monkeypatch.setattr(verify, "_colour_preserving_count", recording)
+    assert failed(check_closure_axioms(seed=1)) == {}
+    population = random_groups(1, 200, 7) + [g for _, g in catalog_realizations(12)]
+    small = [g for g in population if g.degree <= 6]
+    tables = {orbital_partition(g).colors for g in small}
+    # 160 groups of degree <= 6 share 59 colour tables.
+    assert (len(small), len(tables)) == (160, 59)
+    assert sorted(p.colors for p, _ in counted) == sorted(tables)
+    for partition, result in counted:
+        assert result == brute_colour_preserving_count(partition)
 
 
 def test_classification_suite_does_each_catalog_computation_once(monkeypatch):
