@@ -9,8 +9,9 @@ Each builder fixes its 0-based point order by construction:
 - a block quotient numbers the blocks in the normal subgroup's orbit order;
 - the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta.
 
-Each hypothesis is checked once: a coset action's subgroup by `core`, a normal
-subgroup by `is_normal`, and an embedding's inner action by `action_hom`.
+Each hypothesis is checked once: a coset action's subgroup by `as_subgroup`, a
+normal subgroup by `is_normal`, and an embedding's inner action by `action_hom`.
+No builder constructs its kernel, whose order is |G|/|image|.
 """
 
 from __future__ import annotations
@@ -19,29 +20,21 @@ from math import gcd
 from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
-from .group import (
-    ENUMERATION_GUARD,
-    PermGroup,
-    as_subgroup,
-    core,
-    is_normal,
-)
+from .group import ENUMERATION_GUARD, PermGroup, as_subgroup, is_normal
 from .perm import Permutation, identity
 
 # ---------------------------------------------------------------------------
 # coset actions
 
 class CosetAction:
-    """Right-multiplication action of a group on the right cosets of a subgroup."""
+    """Right-multiplication action on the cosets of a subgroup; its kernel, of order |G|/|image|, is not built."""
 
-    __slots__ = ("image", "kernel", "representatives", "point_of_element")
+    __slots__ = ("image", "representatives", "point_of_element")
 
     def __init__(
-        self, image: PermGroup, kernel: PermGroup,
-        representatives: tuple[Permutation, ...], point_of_element: Mapping[Permutation, int],
+        self, image: PermGroup, representatives: tuple[Permutation, ...], point_of_element: Mapping[Permutation, int],
     ) -> None:
-        self.image, self.kernel = image, kernel
-        self.representatives, self.point_of_element = representatives, point_of_element
+        self.image, self.representatives, self.point_of_element = image, representatives, point_of_element
 
     def embed(self, x: Permutation) -> Permutation:
         """Image of a group element as a permutation of the coset points."""
@@ -54,20 +47,19 @@ def _coset_permutation(
     return Permutation(tuple(point_of[rep * x] for rep in representatives))
 
 
-def coset_action(group: PermGroup, subgroup: PermGroup, *, _kernel: PermGroup | None = None) -> CosetAction:
-    """Action on right cosets; the kernel is the core of the subgroup.
+def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
+    """Action on right cosets of a subgroup checked by `as_subgroup`.
 
     Each coset is represented by its lexicographically least permutation, and
-    the points follow the sorted representatives.  The kernel is taken from
-    `core`, which validates the subgroup and the enumeration guard; the core
-    fixes every coset, so with |G| = |image|*|core| it is the whole kernel.
+    the points follow the sorted representatives.  The action is faithful
+    exactly when image.order == group.order, since the kernel, the subgroup's
+    core, has order |G|/|image|.
     """
-    # `_kernel`: the core, where the caller holds it (the core mask of a
-    # lattice subgroup, a subgroup by construction); the checks below verify it.
-    kernel = core(group, subgroup) if _kernel is None else _kernel
+    as_subgroup(group, subgroup)
+    elements = group.elements()  # refuses a group above the enumeration guard
     sub_elements = subgroup.elements()
     rep_of: dict[Permutation, Permutation] = {}
-    for e in group.elements():
+    for e in elements:
         if e in rep_of:
             continue
         coset = [h * e for h in sub_elements]
@@ -81,11 +73,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup, *, _kernel: PermGroup | 
         len(representatives),
         tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
     )
-    if any(point_of[rep * k] != i for k in kernel.strong_generators for i, rep in enumerate(representatives)):
-        raise InternalDefect("the subgroup core moves a coset")
-    if group.order != image.order * kernel.order:
-        raise InternalDefect("coset action order bookkeeping failed")
-    return CosetAction(image, kernel, representatives, point_of)
+    return CosetAction(image, representatives, point_of)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +149,12 @@ def coprime_direct_factors(
 # block quotients
 
 class QuotientAction:
-    """Action of a group on the orbits of a normal subgroup."""
+    """Action on the orbits of a normal subgroup; its kernel, of order |G|/|image|, is not built."""
 
-    __slots__ = ("image", "kernel", "block_of", "blocks")
+    __slots__ = ("image", "block_of", "blocks")
 
-    def __init__(
-        self, image: PermGroup, kernel: PermGroup, block_of: tuple[int, ...], blocks: tuple[tuple[int, ...], ...],
-    ) -> None:
-        self.image, self.kernel, self.block_of, self.blocks = image, kernel, block_of, blocks
+    def __init__(self, image: PermGroup, block_of: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
+        self.image, self.block_of, self.blocks = image, block_of, blocks
 
     def embed(self, x: Permutation) -> Permutation:
         return _block_permutation(x, self.blocks, self.block_of)
@@ -187,7 +173,8 @@ def _block_permutation(
 
 
 def quotient_action(group: PermGroup, subgroup: PermGroup) -> QuotientAction:
-    """Action on the orbit blocks of a normal subgroup, with its exact kernel."""
+    """Action on the orbit blocks of a normal subgroup.  No element of the
+    group is listed, so it has no order limit."""
     if not is_normal(group, subgroup):
         raise PreconditionError("subgroup is not normal, blocks would not be preserved")
     blocks = subgroup.orbits()
@@ -200,15 +187,7 @@ def quotient_action(group: PermGroup, subgroup: PermGroup) -> QuotientAction:
         len(blocks),
         tuple(_block_permutation(g, blocks, block_of) for g in group.strong_generators),
     )
-    if group.order > ENUMERATION_GUARD:
-        raise GuardExceeded("group too large to compute the block action kernel")
-    kernel_elements = tuple(
-        e
-        for e in group.elements()
-        if all(block_of[e.images[p]] == block_of[p] for p in range(group.degree))
-    )
-    kernel = PermGroup(group.degree, kernel_elements, _order=len(kernel_elements))
-    return QuotientAction(image, kernel, block_of, blocks)
+    return QuotientAction(image, block_of, blocks)
 
 
 # ---------------------------------------------------------------------------

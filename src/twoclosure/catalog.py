@@ -327,11 +327,9 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
         return conjugates_of[mask]
 
     def action_on(handle: SubgroupHandle) -> CosetAction:
-        # Built at most once per subgroup, with the kernel read from the core mask.
+        # Built at most once per subgroup.
         if handle.mask not in actions:
-            core_mask = handle.core_mask
-            kernel = PermGroup(group.degree, table.elements_of(core_mask), _order=core_mask.bit_count())
-            actions[handle.mask] = coset_action(group, handle.group, _kernel=kernel)
+            actions[handle.mask] = coset_action(group, handle.group)
         return actions[handle.mask]
 
     seen_single = set()

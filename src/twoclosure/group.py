@@ -630,11 +630,13 @@ def _centralizing(group: PermGroup, hgens: tuple[Permutation, ...]) -> PermGroup
 
 
 def core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
-    """Largest normal subgroup of `group` inside `subgroup`.
+    """Largest normal subgroup of `group` inside `subgroup`, by listing elements.
 
     Fixpoint of "closed under conjugation by the generators" starting from the
     subgroup's element set.  A finite set that conjugation by s maps into
-    itself is mapped onto itself, so the inverses need no test.
+    itself is mapped onto itself, so the inverses need no test.  The program
+    itself builds no core: a coset action's kernel is the core, of order
+    |G|/|image|, and lattice handles carry core masks; this is their oracle.
     """
     as_subgroup(group, subgroup)
     group.elements()  # refuses a group above the enumeration guard

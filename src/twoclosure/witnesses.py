@@ -344,8 +344,12 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
     t = _first_outside(group, centr)
 
     ca = coset_action(group, PermGroup(group.degree, (b,)))
-    if ca.kernel.order != 1:
+    if ca.image.order != group.order:
         raise InternalDefect("<b> must be core-free")
+    # Stab(1) meets Stab(t) trivially when t's point has a regular Stab(1)-orbit.
+    stab_one = ca.image.point_stabilizer(ca.point_of_element[identity(group.degree)])
+    if len(stab_one.orbit(ca.point_of_element[t])) != stab_one.order:
+        raise InternalDefect("base coset stabilizers must intersect trivially")
     t_powers = [t**i for i in range(p)]
 
     def exponent_class(rep: Permutation) -> int:
@@ -379,11 +383,6 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
         twist_residues[i] = s_i
         twist_exponents[i] = k_i
         bezout[i] = (1 - k_i * s_i) // p
-
-    stab_one = set(ca.image.point_stabilizer(ca.point_of_element[identity(group.degree)]).elements())
-    stab_t = set(ca.image.point_stabilizer(ca.point_of_element[t]).elements())
-    if len(stab_one & stab_t) != 1:
-        raise InternalDefect("base coset stabilizers must intersect trivially")
 
     parameters = {
         "prime": p,
@@ -429,7 +428,7 @@ def semidirect_witness(
     _guard_certificate_degree(group.order // complement.order + sum(cell_orders))
 
     ca = coset_action(group, complement)
-    if ca.kernel.order != 1:
+    if ca.image.order != group.order:
         raise PreconditionError("the complement must be core-free")
     base_degree = ca.image.degree
     total = base_degree + sum(cell_orders)

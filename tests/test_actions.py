@@ -1,6 +1,5 @@
 import pytest
 
-from twoclosure import actions
 from twoclosure.actions import (
     action_hom,
     coprime_direct_factors,
@@ -10,8 +9,10 @@ from twoclosure.actions import (
     universal_embedding,
 )
 from twoclosure.catalog import realize_name, subgroup_lattice
+from twoclosure.classify import certify_coprime_product
 from twoclosure.errors import PreconditionError
-from twoclosure.group import PermGroup, center, core, sylow_decomposition
+from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_decomposition
+from twoclosure.verify import catalog_realizations
 from twoclosure.perm import identity, parse_cycles
 
 
@@ -24,40 +25,31 @@ def test_coset_action_examples():
     reflection = PermGroup(4, (parse_cycles("(1,3)", 4),))
     ca = coset_action(group, reflection)
     assert ca.image.degree == 4
-    assert ca.kernel.order == 1
-    assert ca.image.order == 8
+    assert ca.image.order == 8  # faithful: the kernel has order |G|/|image| = 1
 
     q8 = realize_name("Q8")
     minus_one = next(g for g in q8.elements() if g.order() == 2)
     ca = coset_action(q8, PermGroup(8, (minus_one,)))
     assert ca.image.degree == 4
-    assert ca.kernel.order == 2
-    assert ca.kernel.contains(minus_one)
+    assert ca.image.order == 4  # the kernel <-1> has order 8/4 = 2
+    assert ca.embed(minus_one).is_identity()
 
     regular = coset_action(group, PermGroup(4, ()))
-    assert regular.image.degree == 8 and regular.kernel.order == 1
+    assert regular.image.degree == 8 and regular.image.order == 8
 
 
-def test_coset_action_degree_times_subgroup_order(monkeypatch):
-    # The kernel is `core` itself: one call, and no comparison of two kernels.
-    calls = {"core": 0, "same_group": 0}
-
-    def counted(name, function):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return function(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(actions, "core", counted("core", actions.core))
-    monkeypatch.setattr(PermGroup, "same_group", counted("same_group", PermGroup.same_group))
-    for name in ("D8", "Q8", "C6", "SD16"):
-        group = realize_name(name)
+def test_coset_action_kernel_is_the_core():
+    # The kernel is never built; |image| * |core| = |G| and the core acting
+    # trivially make the core the whole kernel.
+    for name, group in catalog_realizations(32):
+        if group.order > 64:
+            continue
         for handle in subgroup_lattice(group):
-            calls.update(core=0, same_group=0)
             ca = coset_action(group, handle.group)
-            assert calls == {"core": 1, "same_group": 0}, name
-            assert ca.image.degree * handle.group.order == group.order
-            assert ca.kernel.same_group(core(group, handle.group))
+            kernel = core(group, handle.group)
+            assert ca.image.degree * handle.group.order == group.order, name
+            assert ca.image.order * kernel.order == group.order, name
+            assert all(ca.embed(k).is_identity() for k in kernel.elements()), name
 
 
 def test_coset_action_rejects_non_subgroup():
@@ -98,21 +90,41 @@ def test_coprime_direct_factors_rejects_non_coprime():
 
 
 def test_quotient_action_examples():
+    # The block kernel has order |G|/|image|; here it is the normal subgroup.
     c6 = PermGroup(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
     c3_part = PermGroup(6, (parse_cycles("(1,3,5)(2,4,6)", 6),))
     qa = quotient_action(c6, c3_part)
-    assert len(qa.blocks) == 2 and qa.kernel.same_group(c3_part) and qa.image.order == 2
+    assert len(qa.blocks) == 2 and qa.image.order == 2
+    assert all(qa.embed(k).is_identity() for k in c3_part.elements())
 
     trivial = quotient_action(c6, PermGroup(6, ()))
-    assert len(trivial.blocks) == 6 and trivial.kernel.order == 1
-    assert trivial.image.order == c6.order
+    assert len(trivial.blocks) == 6 and trivial.image.order == c6.order
 
     q8c3 = realize_name("Q8xC3")
     c3 = sylow_decomposition(q8c3)[3]
     qa = quotient_action(q8c3, c3)
     assert len(qa.blocks) == 9
-    assert qa.kernel.same_group(c3)
+    assert qa.image.order * c3.order == q8c3.order
+    assert all(qa.embed(k).is_identity() for k in c3.elements())
     assert qa.image.order == 8  # faithful image of the quotient
+
+
+def test_quotient_action_lists_no_element_above_the_enumeration_guard(monkeypatch):
+    # C11 x Sym(8) on 11 + 8 points, of order 443,520.
+    sym8 = PermGroup(8, (parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)))
+    union = disjoint_union_action([realize_name("C11"), sym8])
+    group, c11, sym8 = union.group, union.embedded[0], union.embedded[1]
+    assert group.order == 443520 > ENUMERATION_GUARD
+
+    def no_listing(self):
+        raise AssertionError("an element list was built")
+
+    monkeypatch.setattr(PermGroup, "elements", no_listing)
+    qa = quotient_action(group, c11)
+    assert len(qa.blocks) == 9 and qa.image.order == 40320
+    certification = certify_coprime_product(group, c11, sym8)
+    assert certification.certified, certification.detail
+    assert certification.detail["block_count"] == 9
 
 
 def test_quotient_action_rejects_non_normal():

@@ -1,18 +1,24 @@
-"""The axioms suite's exact checks: the colour-preserving count against brute
-force, and engines with planted faults that the suite must reject."""
+"""The suites' exact checks: the colour-preserving count against brute force,
+the regular-orbit test against listed stabilizers, and engines with planted
+faults that the suites must reject."""
 
 import itertools
 from collections import Counter
 
 from twoclosure import verify
+from twoclosure.actions import disjoint_union_action
+from twoclosure.catalog import faithful_representations, realize_name
 from twoclosure.orbital import orbital_partition, two_closure
 from twoclosure.perm import Permutation
 from twoclosure.verify import (
     NOT_TWO_CLOSED_FAMILIES,
+    REPRESENTATION_DEGREE,
     TWO_CLOSED_FAMILIES,
     _colour_preserving_count,
+    _has_regular_orbit,
     catalog_realizations,
     check_closure_axioms,
+    check_quotient_lemmas,
     random_groups,
 )
 
@@ -138,3 +144,39 @@ def test_catalog_realizations_build_only_the_families_they_return(monkeypatch):
     assert realized == [name for name, _ in population]
     assert all(group.degree <= 12 for _, group in population)
     assert len(population) == 23
+
+
+def test_regular_orbit_test_agrees_with_trivial_point_stabilizers():
+    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
+        for entry in faithful_representations(realize_name(name), REPRESENTATION_DEGREE):
+            action = entry.action
+            listed = any(action.point_stabilizer(p).order == 1 for p in range(action.degree))
+            assert _has_regular_orbit(action) == listed, name
+    # C2 x C2 on 2 + 2 points: every point stabilizer has order 2.
+    c2 = realize_name("C2")
+    assert not _has_regular_orbit(disjoint_union_action([c2, c2]).group)
+
+
+def test_lemmas_suite_rejects_a_factor_closure_on_the_wrong_points(monkeypatch):
+    # For the abelian factor only, the engine answers its closure conjugated by
+    # a transposition that moves a block: the right order on the wrong points.
+    # The factor is the call right after its own group's closure.
+    previous = []
+
+    def engine(group):
+        closure = two_closure(group)
+        factor = bool(previous) and previous[-1].order > group.order and group.is_subgroup_of(previous[-1])
+        previous.append(group)
+        if not factor:
+            return closure
+        block = next(orbit for orbit in group.orbits() if len(orbit) > 1)
+        other = next(p for p in range(group.degree) if p not in block)
+        images = list(range(group.degree))
+        images[block[0]], images[other] = other, block[0]
+        return closure.conjugated_by(Permutation(tuple(images)))
+
+    assert failed(check_quotient_lemmas()) == {}
+    monkeypatch.setattr(verify, "two_closure", engine)
+    failures = failed(check_quotient_lemmas())
+    assert set(failures) == {"block-kernel-claims"}
+    assert "closure block kernel differs from the factor closure" in failures["block-kernel-claims"]

@@ -3,9 +3,9 @@ import pytest
 from twoclosure.actions import disjoint_union_action
 from twoclosure import witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
-from twoclosure.classify import not_two_closed_witness
-from twoclosure.errors import ConstructionFailure, GuardExceeded, PreconditionError
-from twoclosure.group import PermGroup, center, is_cyclic, sylow_decomposition
+from twoclosure.classify import normal_pp_subgroup, not_two_closed_witness
+from twoclosure.errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
+from twoclosure.group import PermGroup, center, intersection_elements, is_cyclic, sylow_decomposition
 from twoclosure.perm import Permutation, identity
 from twoclosure.orbital import MembershipEvidence, two_closure
 from twoclosure.witnesses import (
@@ -156,6 +156,30 @@ def test_odd_p_witness_e27():
         assert commutator(t ** (i - 2), b**-1) == a**s
         l = cert.parameters["bezout_cofactors"][i_text]
         assert k * s + l * p == 1
+
+
+@pytest.mark.parametrize("name, p", [("E27", 3), ("E125", 5), ("E343", 7)])
+def test_odd_p_stabilizer_check_reads_an_orbit_length(name, p):
+    # Stab(1) meets Stab(x) trivially exactly when x's point has an orbit of
+    # length |Stab(1)| under Stab(1); the listed intersections agree.
+    group = realize_name(name)
+    cert = odd_p_witness(group, normal_pp_subgroup(group, p))
+    stab_one = cert.group.point_stabilizer(0)  # the coset of <b> itself
+    regular = []
+    for point in range(cert.group.degree):
+        listed = len(intersection_elements(stab_one, cert.group.point_stabilizer(point))) == 1
+        assert (len(stab_one.orbit(point)) == stab_one.order) == listed, (name, point)
+        regular.append(listed)
+    assert any(regular) and not all(regular)
+
+
+def test_odd_p_witness_rejects_base_stabilizers_that_meet(monkeypatch):
+    # t taken inside the centralizer of <a, b> fixes b, so Stab(t) = Stab(1) = <b>.
+    e27 = realize_name("E27")
+    inside = lambda group, centralizer: next(g for g in centralizer.elements() if not g.is_identity())
+    monkeypatch.setattr(witnesses, "_first_outside", inside)
+    with pytest.raises(InternalDefect, match="^base coset stabilizers must intersect trivially$"):
+        odd_p_witness(e27, normal_pp_subgroup(e27, 3))
 
 
 def test_odd_p_witness_rejects_p2_and_abelian():
