@@ -1,5 +1,6 @@
 import pytest
 
+from twoclosure import actions
 from twoclosure.actions import (
     action_hom,
     coprime_direct_factors,
@@ -50,6 +51,28 @@ def test_coset_action_kernel_is_the_core():
             assert ca.image.degree * handle.group.order == group.order, name
             assert ca.image.order * kernel.order == group.order, name
             assert all(ca.embed(k).is_identity() for k in kernel.elements()), name
+
+
+def test_coset_action_degree_times_subgroup_order(monkeypatch):
+    # The kernel is read from orders: no `core` call and no comparison of two groups.
+    calls = {"core": 0, "same_group": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(actions, "core", counted("core", core), raising=False)
+    monkeypatch.setattr(PermGroup, "same_group", counted("same_group", PermGroup.same_group))
+    for name in ("D8", "Q8", "C6", "SD16"):
+        group = realize_name(name)
+        for handle in subgroup_lattice(group):
+            calls.update(core=0, same_group=0)
+            ca = coset_action(group, handle.group)
+            assert calls == {"core": 0, "same_group": 0}, name
+            assert ca.image.degree * handle.group.order == group.order
+            assert ca.image.order * core(group, handle.group).order == group.order
 
 
 def test_coset_action_rejects_non_subgroup():

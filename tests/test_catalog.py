@@ -311,6 +311,31 @@ def test_representations_are_faithful_and_bounded():
             assert entry.degree <= 14
 
 
+def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
+    # The sampler reads faithfulness from lattice core masks, so the element
+    # fixpoint `core` never runs; every coset action's kernel is the core.
+    def no_core(*args):
+        raise AssertionError("the sampler computed a core")
+
+    passed = []
+
+    def recording(group, subgroup):
+        passed.append((group, subgroup, coset_action(group, subgroup)))
+        return passed[-1][2]
+
+    coset_action = catalog.coset_action
+    monkeypatch.setattr(actions, "core", no_core, raising=False)
+    monkeypatch.setattr(catalog, "coset_action", recording)
+    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
+        faithful_representations(realize_name(name), REPRESENTATION_DEGREE)
+    monkeypatch.undo()
+    assert len(passed) == 179
+    for group, subgroup, action in passed:
+        kernel = core(group, subgroup)
+        assert action.image.order * kernel.order == group.order
+        assert all(action.embed(k).is_identity() for k in kernel.elements())
+
+
 def test_representations_and_coset_actions_compute_no_core(monkeypatch):
     # A coset action's kernel is the core, of order |G|/|image|, and the
     # lattice carries core masks, so the element fixpoint `core` never runs.
