@@ -324,7 +324,8 @@ def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
         return passed[-1][2]
 
     coset_action = catalog.coset_action
-    monkeypatch.setattr(actions, "core", no_core, raising=False)
+    for module in (group_module, actions, catalog):
+        monkeypatch.setattr(module, "core", no_core, raising=False)
     monkeypatch.setattr(catalog, "coset_action", recording)
     for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
         faithful_representations(realize_name(name), REPRESENTATION_DEGREE)
@@ -334,24 +335,3 @@ def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
         kernel = core(group, subgroup)
         assert action.image.order * kernel.order == group.order
         assert all(action.embed(k).is_identity() for k in kernel.elements())
-
-
-def test_representations_and_coset_actions_compute_no_core(monkeypatch):
-    # A coset action's kernel is the core, of order |G|/|image|, and the
-    # lattice carries core masks, so the element fixpoint `core` never runs.
-    def no_core(*args):
-        raise AssertionError("a core was computed")
-
-    built = []
-
-    def recording(group, subgroup):
-        built.append(coset_action(group, subgroup))
-        return built[-1]
-
-    coset_action = catalog.coset_action
-    for module in (group_module, actions, catalog):
-        monkeypatch.setattr(module, "core", no_core, raising=False)
-    monkeypatch.setattr(catalog, "coset_action", recording)
-    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
-        faithful_representations(realize_name(name), REPRESENTATION_DEGREE)
-    assert len(built) == 179
