@@ -274,7 +274,7 @@ def universal_embedding(
     When N is central, every element of N moves only the Delta coordinate.
     """
     if group.order > ENUMERATION_GUARD:
-        raise GuardExceeded("group too large for the embedding construction")
+        raise GuardExceeded(f"group order {group.order} exceeds the enumeration guard ({ENUMERATION_GUARD})")
     if not is_normal(group, normal):
         raise PreconditionError("subgroup is not normal")
     inner = action_hom(normal, degree, mapping)

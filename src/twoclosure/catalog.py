@@ -18,7 +18,6 @@ from .group import (
     SubgroupHandle,
     is_prime,
     mask_indices,
-    prime_factorization,
 )
 from .perm import Permutation, from_cycles
 
@@ -56,7 +55,7 @@ class FamilySpec:
         if self.kind in ("dihedral", "semidihedral"):
             return self.order // 2
         if self.kind == "extraspecial":
-            return round(self.order ** (1 / 3)) ** 2
+            return _cube_root(self.order) ** 2
         return self.order  # cyclic (C1 on one point) and quaternion: regular
 
 
@@ -89,10 +88,26 @@ def generalized_quaternion(order: int) -> FamilySpec:
     return FamilySpec("quaternion", order)
 
 
-def extraspecial_exponent_p(p: int) -> FamilySpec:
+def _cube_root(n: int) -> int:
+    """The integer cube root of n >= 0, rounded down: Newton's method on
+    ints from a start above the root, so no float overflows."""
+    x = 1 << -(-n.bit_length() // 3)
+    while x:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+    return 0
+
+
+def _odd_prime(p: int) -> int:
     if p < 3 or not is_prime(p):
         raise PreconditionError("extraspecial parameter must be an odd prime")
-    return FamilySpec("extraspecial", p**3)
+    return p
+
+
+def extraspecial_exponent_p(p: int) -> FamilySpec:
+    return FamilySpec("extraspecial", _odd_prime(p) ** 3)
 
 
 def product(parts) -> FamilySpec:
@@ -132,10 +147,11 @@ def parse_family(text: str) -> FamilySpec:
         elif prefix == "Q":
             parts.append(generalized_quaternion(number))
         else:
-            factors = prime_factorization(number)
-            if len(factors) != 1 or next(iter(factors.values())) != 3:
+            # p is tested prime by `realize`, so that a caller can refuse the
+            # degree p^2 before trial division runs.
+            if _cube_root(number) ** 3 != number:
                 raise PreconditionError("extraspecial orders must be p^3 for an odd prime p")
-            parts.append(extraspecial_exponent_p(next(iter(factors))))
+            parts.append(FamilySpec("extraspecial", number))
     return product(parts)
 
 
@@ -214,7 +230,7 @@ def realize(spec: FamilySpec) -> PermGroup:
     elif spec.kind == "quaternion":
         group = _realize_quaternion(spec.order)
     elif spec.kind == "extraspecial":
-        group = _realize_extraspecial(round(spec.order ** (1 / 3)))
+        group = _realize_extraspecial(_odd_prime(_cube_root(spec.order)))
     elif spec.kind == "product":
         group = disjoint_union_action([realize(part) for part in spec.parts]).group
     else:

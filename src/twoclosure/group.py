@@ -19,7 +19,7 @@ from itertools import groupby
 from math import factorial, inf, isqrt, lcm, prod
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
-from .perm import Permutation, _trusted, identity
+from .perm import Permutation, _trusted, from_cycles, identity
 
 ENUMERATION_GUARD = 20000
 # Largest order whose element index keeps a full right-regular table (N² ints).
@@ -501,7 +501,7 @@ class PermGroup:
         """All elements in canonical (lexicographic) order; guarded."""
         if self._elements is None:
             if self.order > ENUMERATION_GUARD:
-                raise GuardExceeded(f"group order {self.order} exceeds the enumeration guard")
+                raise GuardExceeded(f"group order {self.order} exceeds the enumeration guard ({ENUMERATION_GUARD})")
             elems = self._chain.elements()
             if len(elems) != self.order:
                 raise InternalDefect("element enumeration disagrees with chain order")
@@ -537,23 +537,19 @@ class PermGroup:
         return tuple(out)
 
     def point_stabilizer(self, point: int) -> PermGroup:
-        """Stabilizer of a point, via Schreier generators of its orbit."""
+        """Stabilizer of a point, read from level 0 of the chain: G_0 is
+        generated by the strong generators at levels >= 1, of order |G|/|0^G|.
+        G_p is G_0 conjugated by u_p, which maps 0 to p; for p outside 0's
+        orbit, G_0 of the conjugate by (0 p), conjugated back."""
         if not 0 <= point < self.degree:
             raise PreconditionError("point out of range")
-        sgens = self.strong_generators
-        transversal = {point: self._chain.ident}
-        for q, (p, i) in _orbit_tree(point, [s.images for s in sgens]).items():  # BFS order: parents first
-            transversal[q] = transversal[p] * sgens[i]
-        gens = []
-        seen = set()
-        for p in sorted(transversal):
-            up = transversal[p]
-            for s in sgens:
-                sg = up * s * transversal[s.images[p]].inverse()
-                if not sg.is_identity() and sg not in seen:
-                    seen.add(sg)
-                    gens.append(sg)
-        return PermGroup(self.degree, gens, _order=self.order // len(transversal))
+        levels = self._chain.levels
+        inv = levels[0].orbit.get(point)
+        if inv is None:
+            x = from_cycles(self.degree, [(0, point)])
+            return self.conjugated_by(x).point_stabilizer(0).conjugated_by(x)
+        stab = PermGroup(self.degree, [g for lv in levels[1:] for g in lv.gens], _order=self.order // len(levels[0].orbit))
+        return stab if point == 0 else stab.conjugated_by(_trusted(inv).inverse())
 
     def conjugated_by(self, x: Permutation) -> PermGroup:
         if x.degree != self.degree:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twoclosure import actions
@@ -11,7 +13,7 @@ from twoclosure.actions import (
 )
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import certify_coprime_product
-from twoclosure.errors import PreconditionError
+from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_decomposition
 from twoclosure.verify import catalog_realizations
 from twoclosure.perm import identity, parse_cycles
@@ -202,6 +204,13 @@ def test_universal_embedding_validates_its_inner_action():
     reflection = next(g for g in d16.generators if g.order() == 2)
     with pytest.raises(PreconditionError, match="not normal"):
         universal_embedding(d16, PermGroup(d16.degree, (reflection,)), 2, flip)
+
+
+def test_universal_embedding_guard_names_its_limit():
+    sym8 = PermGroup(8, (parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)))
+    message = f"group order 40320 exceeds the enumeration guard ({ENUMERATION_GUARD})"
+    with pytest.raises(GuardExceeded, match=re.escape(message)):
+        universal_embedding(sym8, PermGroup(8, ()), 1, {identity(8): identity(1)})
 
 
 def test_action_hom_validation():

@@ -7,7 +7,7 @@ from helpers import loaded_modules
 from twoclosure import cli
 from twoclosure.cli import INPUT_DEGREE_GUARD, main, parse_group_document
 from twoclosure.errors import PreconditionError
-from twoclosure.group import PermGroup
+from twoclosure.group import ENUMERATION_GUARD, PermGroup
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +147,28 @@ def test_input_degree_guard_fails_before_any_chain(tmp_path, capsys):
         assert code == 2
         assert report["error"]["kind"] == "precondition"
         assert message in report["error"]["message"]
+
+
+def test_extraspecial_orders_are_refused_without_factoring(capsys):
+    # The first m is a prime, the second the cube of the prime 10^19 + 51:
+    # trial division of either would not end.  A non-cube is refused at
+    # once, and p is tested prime only after the input degree guard.
+    for family, message in (
+        ("E1000000000000000000000000000057", "extraspecial orders must be p^3 for an odd prime p"),
+        ("E1000000000000000015300000000000000078030000000000000132651", f"exceeds the input degree guard ({INPUT_DEGREE_GUARD})"),
+        ("E8", "extraspecial parameter must be an odd prime"),
+    ):
+        started = time.perf_counter()
+        code, report = run_cli(capsys, "classify", "--family", family)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and report["error"]["kind"] == "precondition"
+        assert message in report["error"]["message"]
+
+
+def test_enumeration_guard_names_its_limit(capsys):
+    code, report = run_cli(capsys, "witness", "--family", "x".join(["C2"] * 16))
+    assert code == 2 and report["error"]["kind"] == "precondition"
+    assert report["error"]["message"] == f"group order 65536 exceeds the enumeration guard ({ENUMERATION_GUARD})"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -9,6 +9,11 @@ at most 9 or go above a guard, so every run is quick.
 
 `classify -i` is fuzzed with real groups: random words in the generators of
 the catalog families of degree at most 16, with the points relabelled.
+
+The whole argument vector is fuzzed too: each command with its flags,
+families, integers of up to 60 digits, spec files and junk tokens.  Every
+run prints one JSON document and exits 0, 1 or 2, or 3 from a `verify`
+check that fails.
 """
 
 import contextlib
@@ -132,3 +137,103 @@ def test_classify_command_is_total_on_catalog_subgroups(text):
         certificate = report["results"]["certificate"]
         assert certificate["valid"] is True
         assert certificate["group_order"] == report["results"]["order"]
+
+
+# The argument vector.  Each flag draws its own values; --max-degree stays
+# inside 3..6 or outside 3..32, since the axioms suite takes about two
+# minutes at max degree 32.  A family joins up to three atoms: catalog
+# families of order at most 64, and letters with a number of at most 64 or
+# of 7 to 60 digits; it is kept when its order is at most 64 or it is
+# refused at once.
+COMMANDS = ("closure", "classify", "witness", "verify", "catalog")
+SMALL_FAMILIES = [name for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES if parse_family(name).order <= 64]
+long_integers = st.integers(-(10**60) + 1, 10**60 - 1)
+family_numbers = st.integers(0, 64) | st.integers(10**6, 10**60 - 1)
+family_atoms = st.sampled_from(SMALL_FAMILIES) | st.builds(
+    "{}{}".format, st.sampled_from(["C", "D", "SD", "Q", "E"]), family_numbers
+)
+
+
+def answered_at_once(text: str) -> bool:
+    """Whether a family has order at most 64 or is refused by its syntax or
+    by the input degree guard."""
+    try:
+        spec = parse_family(text)
+    except PreconditionError:
+        return True
+    return spec.order <= 64 or spec.degree > INPUT_DEGREE_GUARD
+
+
+families = st.lists(family_atoms, min_size=1, max_size=3).map("x".join).filter(answered_at_once)
+junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-x", "--list=1", "x", "C", "E", "--family="])
+
+
+class Spec:
+    """A spec file's text, written to a file when the argument vector runs."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+FLAG_VALUES = {
+    "-i": documents.map(Spec) | st.just("missing.json"),
+    "--input": documents.map(Spec),
+    "--family": families,
+    "--suite": st.sampled_from(["axioms", "lemmas", "classification"]) | junk,
+    "--max-degree": st.integers(3, 6).map(str) | long_integers.filter(lambda n: not 3 <= n <= 32).map(str) | junk,
+    "--seed": long_integers.map(str) | junk,
+    "--list": st.just(None),
+}
+
+
+# Per command: the flags of which one is required, and the optional ones.
+COMMAND_FLAGS = {
+    "closure": (("-i", "--input"), ()),
+    "classify": (("-i", "--input", "--family"), ()),
+    "witness": (("--family",), ()),
+    "verify": (("--suite",), ("--max-degree", "--seed")),
+    "catalog": ((), ("--list",)),
+}
+
+
+@st.composite
+def argument_vectors(draw) -> list:
+    """A command with one of its required flags, some optional ones, each
+    with a value, and up to two stray tokens after the command: any flag, an
+    integer or junk."""
+    command = draw(st.sampled_from(COMMANDS))
+    required, optional = COMMAND_FLAGS[command]
+    flags = [draw(st.sampled_from(required))] if required else []
+    flags += draw(st.lists(st.sampled_from(optional), max_size=2)) if optional else []
+    argv = [command]
+    for flag in flags:
+        value = draw(FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    for _ in range(draw(st.integers(0, 2))):
+        stray = draw(st.sampled_from(sorted(FLAG_VALUES)) | long_integers.map(str) | junk)
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argument_vectors())
+def test_every_argument_vector_ends_in_one_json_document(argv):
+    with tempfile.TemporaryDirectory() as directory:
+        words = []
+        for token in argv:
+            if isinstance(token, Spec):
+                path = os.path.join(directory, f"spec{len(words)}.json")
+                with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+                    handle.write(token.text)
+                token = path
+            words.append(token)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(words)
+    report = json.loads(stdout.getvalue())  # exactly one document: trailing text fails
+    assert "Traceback" not in stderr.getvalue()
+    if code == 3:  # only a verify check that fails
+        assert report["command"] == "verify" and report["results"]["all_passed"] is False, report
+    else:
+        assert code in (0, 1, 2), report
+        assert ("results" in report) == (code == 0)

@@ -14,7 +14,7 @@ import pytest
 
 sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from twoclosure.catalog import realize_name  # noqa: E402
+from twoclosure.catalog import parse_family, realize_name  # noqa: E402
 from twoclosure.group import (  # noqa: E402
     PermGroup,
     center,
@@ -23,7 +23,8 @@ from twoclosure.group import (  # noqa: E402
     prime_factorization,
     sylow_decomposition,
 )
-from twoclosure.perm import Permutation  # noqa: E402
+from twoclosure.perm import Permutation, identity  # noqa: E402
+from twoclosure.verify import NOT_TWO_CLOSED_FAMILIES, TWO_CLOSED_FAMILIES  # noqa: E402
 
 
 def seeded_groups(seed: int, count: int):
@@ -46,6 +47,16 @@ def as_sympy(g: Permutation):
     return sympy_combinatorics.Permutation(list(g.images))
 
 
+def assert_stabilizers_match_sympy(group: PermGroup, reference) -> None:
+    """At every point, the stabilizer and sympy's are the same group: equal
+    orders, and each side's generators lie in the other."""
+    for point in range(group.degree):
+        stab, expected = group.point_stabilizer(point), reference.stabilizer(point)
+        assert stab.order == expected.order(), (group, point)
+        assert all(expected.contains(as_sympy(g)) for g in stab.generators), (group, point)
+        assert all(stab.contains(Permutation(tuple(g.array_form))) for g in expected.generators), (group, point)
+
+
 def test_group_layer_matches_sympy():
     for rng, degree, gens in seeded_groups(seed=55, count=60):
         group = PermGroup(degree, gens)
@@ -64,8 +75,7 @@ def test_group_layer_matches_sympy():
         for x in candidates:
             assert group.contains(x) == reference.contains(as_sympy(x)), (gens, x)
         assert group.orbits() == tuple(sorted(tuple(sorted(o)) for o in reference.orbits()))
-        for point in range(degree):
-            assert group.point_stabilizer(point).order == reference.stabilizer(point).order()
+        assert_stabilizers_match_sympy(group, reference)
 
 
 def test_conjugate_and_stabilizer_orders_match_sympy():
@@ -78,8 +88,18 @@ def test_conjugate_and_stabilizer_orders_match_sympy():
         conjugate = PermGroup(degree, gens).conjugated_by(x)
         reference = sympy_combinatorics.PermutationGroup([as_sympy(g.conjugated_by(x)) for g in gens])
         assert conjugate.order == reference.order()
-        for point in range(degree):
-            assert conjugate.point_stabilizer(point).order == reference.stabilizer(point).order()
+        assert_stabilizers_match_sympy(conjugate, reference)
+
+
+def test_catalog_stabilizers_match_sympy():
+    # The products are intransitive, so most of their points lie outside the
+    # orbit of point 0.
+    names = [name for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES if parse_family(name).degree <= 16]
+    assert len(names) >= 30
+    for group in map(realize_name, names):
+        # The identity fixes sympy's degree for C1, which has no generator.
+        reference = sympy_combinatorics.PermutationGroup([as_sympy(g) for g in (identity(group.degree), *group.generators)])
+        assert_stabilizers_match_sympy(group, reference)
 
 
 # sympy's Sylow and nilpotency routines slow down sharply with the order.
