@@ -50,11 +50,25 @@ class UsageError(Exception):
     pass
 
 
+class _Finished(Exception):
+    """A whole report that ends a run early, with its exit code: help or a failed verification."""
+
+    def __init__(self, report: dict, code: int) -> None:
+        super().__init__(report["command"])
+        self.report, self.code = report, code
+
+
 class _Parser(argparse.ArgumentParser):
     commands: tuple[str, ...] = ()  # the subcommand names, set on the top-level parser
 
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
         raise UsageError(message)
+
+    def print_help(self, file=None) -> None:  # argparse's help action: a document, not text and an exit
+        raise _Finished({"command": self.prog.partition(" ")[2] or None, "results": {"help": self.format_help()}}, 0)
+
+    def _get_formatter(self) -> argparse.HelpFormatter:  # one width, so help is the same on any terminal
+        return self.formatter_class(prog=self.prog, width=80)
 
 
 def parse_group_document(text: str, source: str = "<input>") -> tuple[PermGroup, dict]:
@@ -94,7 +108,7 @@ def parse_group_document(text: str, source: str = "<input>") -> tuple[PermGroup,
 
 
 def _load_group(args) -> tuple[PermGroup, dict]:
-    if getattr(args, "family", None):
+    if args.family is not None:
         from .catalog import parse_family, realize
 
         spec = parse_family(args.family)
@@ -194,14 +208,8 @@ def _cmd_verify(args) -> dict:
         "results": {"checks": checks, "all_passed": all_passed},
     }
     if not all_passed:
-        raise _VerificationFailed(report)
+        raise _Finished(report, 3)
     return report
-
-
-class _VerificationFailed(Exception):
-    def __init__(self, report: dict) -> None:
-        super().__init__("verification failed")
-        self.report = report
 
 
 def _cmd_catalog(args) -> dict:
@@ -278,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _Finished as exc:
+        _emit(exc.report, started)
+        return exc.code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
@@ -287,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         report = args.handler(args)
-    except _VerificationFailed as exc:
+    except _Finished as exc:
         _emit(exc.report, started)
-        return 3
+        return exc.code
     except PreconditionError as exc:
         _emit({"command": args.subcommand, "error": {"kind": "precondition", "message": str(exc)}}, started)
         return 2

@@ -537,19 +537,15 @@ class PermGroup:
         return tuple(out)
 
     def point_stabilizer(self, point: int) -> PermGroup:
-        """Stabilizer of a point, read from level 0 of the chain: G_0 is
-        generated by the strong generators at levels >= 1, of order |G|/|0^G|.
-        G_p is G_0 conjugated by u_p, which maps 0 to p; for p outside 0's
-        orbit, G_0 of the conjugate by (0 p), conjugated back."""
+        """G_p, built once: G_0's strong generators, at chain levels >= 1,
+        conjugated by an x mapping 0 to p; |G_p| = |G|/|p^G|.  x is u_p in
+        0's orbit; outside it, x is (0 p) and they are read from G^x."""
         if not 0 <= point < self.degree:
             raise PreconditionError("point out of range")
-        levels = self._chain.levels
-        inv = levels[0].orbit.get(point)
-        if inv is None:
-            x = from_cycles(self.degree, [(0, point)])
-            return self.conjugated_by(x).point_stabilizer(0).conjugated_by(x)
-        stab = PermGroup(self.degree, [g for lv in levels[1:] for g in lv.gens], _order=self.order // len(levels[0].orbit))
-        return stab if point == 0 else stab.conjugated_by(_trusted(inv).inverse())
+        inv = self._chain.levels[0].orbit.get(point)
+        x = from_cycles(self.degree, [(0, point)]) if inv is None else _trusted(inv).inverse()
+        levels = (self.conjugated_by(x) if inv is None else self)._chain.levels
+        return PermGroup(self.degree, [g.conjugated_by(x) for lv in levels[1:] for g in lv.gens], _order=self.order // len(levels[0].orbit))
 
     def conjugated_by(self, x: Permutation) -> PermGroup:
         if x.degree != self.degree:

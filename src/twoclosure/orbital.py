@@ -75,20 +75,6 @@ class OrbitalPartition:
                 index[pair] = current = found
         return index, elements
 
-    def transporter_from_representative(self, a: int, b: int) -> Permutation:
-        """The element g of a shortest generator word with representative(color(a,b))^g = (a,b)."""
-        index, elements = self._transporters
-        return elements[index[a * self.degree + b]]
-
-    def transporter(self, source: tuple[int, int], target: tuple[int, int]) -> Permutation:
-        """A group element mapping the source pair to the target pair."""
-        if self.color_of(*source) != self.color_of(*target):
-            raise PreconditionError("pairs lie in different color classes")
-        return (
-            self.transporter_from_representative(*source).inverse()
-            * self.transporter_from_representative(*target)
-        )
-
 
 def orbital_partition(group: PermGroup) -> OrbitalPartition:
     """The group's orbital partition, built once and cached on the group."""

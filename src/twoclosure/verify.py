@@ -24,6 +24,7 @@ from .classify import (
     normal_pp_subgroup,
     split_pair,
 )
+from .errors import GuardExceeded
 from .group import (
     PermGroup,
     center,
@@ -46,6 +47,10 @@ from .witnesses import (
     semidirect_witness,
     two_group_witness,
 )
+
+# Largest max degree at which the axioms suite's slowest run over seeds 1-5
+# stays under 5 s (about 4 s; 5.3-6.7 s at 17 and 123 s at 32).
+AXIOMS_DEGREE_GUARD = 16
 
 TWO_CLOSED_FAMILIES = [f"C{n}" for n in range(1, 31)] + [
     "Q8",
@@ -552,6 +557,8 @@ def suite_classification() -> list[CheckResult]:
 
 
 def suite_axioms(seed: int = 7, max_degree: int = 7) -> list[CheckResult]:
+    if max_degree > AXIOMS_DEGREE_GUARD:
+        raise GuardExceeded(f"max degree {max_degree} exceeds the axioms suite guard ({AXIOMS_DEGREE_GUARD})")
     return check_closure_axioms(seed=seed, samples=200, max_degree=max_degree)
 
 

@@ -189,6 +189,25 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_an_empty_family_is_a_precondition_error(capsys):
+    for command in ("witness", "classify"):
+        code, report = run_cli(capsys, command, "--family=")
+        assert code == 2 and report["command"] == command
+        assert report["error"] == {"kind": "precondition", "message": "unrecognized family token ''"}
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["--help"], None), (["classify", "-h"], "classify"), (["catalog", "--he"], "catalog")],
+)
+def test_help_is_one_json_document(capsys, argv, command):
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # exactly one document: trailing text fails
+    assert code == 0 and report["command"] == command and captured.err == ""
+    assert report["results"]["help"].startswith(f"usage: twoclosure{' ' + command if command else ''} [-h]")
+
+
 def test_unreadable_inputs_are_precondition_errors(tmp_path, capsys):
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b'{"degree": 3, "name": "caf\xe9", "generators": []}')
@@ -258,6 +277,17 @@ def test_verify_max_degree_range_is_a_usage_error(capsys):
         assert "--max-degree" in report["error"]["message"]
         assert "results" not in report
         assert "--max-degree" in captured.err
+
+
+def test_axioms_suite_degree_guard_refuses_before_any_group(monkeypatch, capsys):
+    from twoclosure import verify
+
+    monkeypatch.setattr(verify.PermGroup, "__init__", lambda *args, **kwargs: pytest.fail("a group was built"))
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "verify", "--suite", "axioms", "--max-degree", "32")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and report["error"]["kind"] == "precondition"
+    assert report["error"]["message"] == f"max degree 32 exceeds the axioms suite guard ({verify.AXIOMS_DEGREE_GUARD})"
 
 
 def test_catalog_list(capsys):

@@ -11,9 +11,9 @@ at most 9 or go above a guard, so every run is quick.
 the catalog families of degree at most 16, with the points relabelled.
 
 The whole argument vector is fuzzed too: each command with its flags,
-families, integers of up to 60 digits, spec files and junk tokens.  Every
-run prints one JSON document and exits 0, 1 or 2, or 3 from a `verify`
-check that fails.
+families, integers of up to 60 digits, spec files, help flags and junk
+tokens.  Every run prints one JSON document and exits 0, 1 or 2, or 3 from
+a `verify` check that fails.
 """
 
 import contextlib
@@ -139,9 +139,9 @@ def test_classify_command_is_total_on_catalog_subgroups(text):
         assert certificate["group_order"] == report["results"]["order"]
 
 
-# The argument vector.  Each flag draws its own values; --max-degree stays
-# inside 3..6 or outside 3..32, since the axioms suite takes about two
-# minutes at max degree 32.  A family joins up to three atoms: catalog
+# The argument vector.  Each flag draws its own values; --max-degree is any
+# int, since the axioms suite refuses a max degree above its guard before it
+# builds a group.  A family joins up to three atoms: catalog
 # families of order at most 64, and letters with a number of at most 64 or
 # of 7 to 60 digits; it is kept when its order is at most 64 or it is
 # refused at once.
@@ -165,7 +165,7 @@ def answered_at_once(text: str) -> bool:
 
 
 families = st.lists(family_atoms, min_size=1, max_size=3).map("x".join).filter(answered_at_once)
-junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-x", "--list=1", "x", "C", "E", "--family="])
+junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-x", "--list=1", "x", "C", "E", "--family=", "-h", "--help", "--he"])
 
 
 class Spec:
@@ -180,7 +180,7 @@ FLAG_VALUES = {
     "--input": documents.map(Spec),
     "--family": families,
     "--suite": st.sampled_from(["axioms", "lemmas", "classification"]) | junk,
-    "--max-degree": st.integers(3, 6).map(str) | long_integers.filter(lambda n: not 3 <= n <= 32).map(str) | junk,
+    "--max-degree": st.integers(3, 32).map(str) | long_integers.map(str) | junk,
     "--seed": long_integers.map(str) | junk,
     "--list": st.just(None),
 }

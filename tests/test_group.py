@@ -120,6 +120,55 @@ def test_point_stabilizer_reads_the_chain(monkeypatch, name):
         assert all(g.images[point] == point for g in stab.generators)
 
 
+def composed_point_stabilizer(group, point):
+    """The stabilizer as a composition of group builds: G_0 from the strong
+    generators at levels >= 1, conjugated by u_p; outside 0's orbit, G_0 of
+    the conjugate by (0 p), conjugated back by (0 p)."""
+    levels = group._chain.levels
+    inv = levels[0].orbit.get(point)
+    if inv is None:
+        x = from_cycles(group.degree, [(0, point)])
+        return composed_point_stabilizer(group.conjugated_by(x), 0).conjugated_by(x)
+    stab = PermGroup(group.degree, [g for lv in levels[1:] for g in lv.gens], _order=group.order // len(levels[0].orbit))
+    return stab if point == 0 else stab.conjugated_by(Permutation(inv).inverse())
+
+
+def test_point_stabilizer_is_one_build_equal_to_the_composition(monkeypatch):
+    # One chain per point in 0's orbit, two outside it (G^x, then G_p), and
+    # the same generators and chain as the composition of three builds.
+    from twoclosure.verify import catalog_realizations
+
+    groups = [group for _, group in catalog_realizations(16)]
+    rng = random.Random(27)
+    for _ in range(40):
+        degree = rng.randint(3, 10)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(degree), rng.randint(2, degree - 1))
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(tuple(images)))
+        groups.append(PermGroup(degree, gens))
+    builds = []
+    init = group_module._Chain.__init__
+    monkeypatch.setattr(group_module._Chain, "__init__", lambda self, *args: builds.append(None) or init(self, *args))
+    kinds = {"orbit": 0, "outside": 0, "fixed": 0}
+    for group in groups:
+        orbit = group.orbit(0)
+        for point in range(group.degree):
+            builds.clear()
+            stab = group.point_stabilizer(point)
+            inside = point in orbit
+            assert len(builds) == (1 if inside else 2), (group, point)
+            kinds["orbit" if inside else "outside"] += 1
+            kinds["fixed"] += group.orbit(point) == (point,)
+            reference = composed_point_stabilizer(group, point)
+            assert [g.images for g in stab.generators] == [g.images for g in reference.generators], (group, point)
+            assert chain_state(stab) == chain_state(reference), (group, point)
+    assert min(kinds.values()) > 20, kinds
+
+
 def reference_orbit_and_stabilizer(group, point):
     """The orbit and stabilizer by a BFS over Permutation products: the
     transversal u_q = u_p * s for the first edge (p, s) that reaches q, and
