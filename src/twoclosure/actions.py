@@ -16,7 +16,7 @@ No builder constructs its kernel, whose order is |G|/|image|.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -112,12 +112,7 @@ def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> Dis
     for part, off in zip(parts, offsets):
         gens.extend(_shifted(g, off, total) for g in part.generators)
         embedded.append(PermGroup(total, [_shifted(g, off, total) for g in part.strong_generators], _order=part.order))
-    group = PermGroup(total, tuple(gens))
-    expected = 1
-    for part in parts:
-        expected *= part.order
-    if group.order != expected:
-        raise InternalDefect("disjoint union order is not the product of part orders")
+    group = PermGroup(total, tuple(gens), _order=prod(part.order for part in parts))
     return DisjointUnionAction(group, tuple(embedded), tuple(offsets))
 
 
@@ -193,23 +188,39 @@ def quotient_action(group: PermGroup, subgroup: PermGroup) -> QuotientAction:
 # ---------------------------------------------------------------------------
 # universal embedding on Delta x G/N
 
-def action_hom(source: PermGroup, degree: int, mapping: Mapping[Permutation, Permutation]) -> dict[Permutation, Permutation]:
-    """Validate a faithful homomorphism into Sym(degree); returns it as a dict."""
-    elements = source.elements()
-    if set(mapping) != set(elements):
-        raise PreconditionError("action must be defined on exactly the group elements")
-    for x, px in mapping.items():
-        if px.degree != degree:
+def action_hom(source: PermGroup, degree: int, images: Mapping[Permutation, Permutation]) -> dict[Permutation, Permutation]:
+    """Extend images of elements generating `source` to a faithful
+    homomorphism into Sym(degree); returns it on every element as a dict.
+
+    A breadth-first scan from the identity sets phi(x*s) = phi(x)*phi(s) for
+    every reached x and every key s, in |source|*|images| products.  Every
+    element is a positive word in the keys, so a map that no product
+    contradicts is a homomorphism.
+    """
+    if source.order > ENUMERATION_GUARD:
+        raise GuardExceeded(f"group order {source.order} exceeds the enumeration guard ({ENUMERATION_GUARD})")
+    for s, ps in images.items():
+        if not source.contains(s):
+            raise PreconditionError("action is given on an element outside the group")
+        if ps.degree != degree:
             raise PreconditionError("action image degree mismatch")
-    # Every element is a positive word in the strong generators: phi(1) = 1
-    # and phi(x*s) = phi(x)*phi(s) for every x and generator s suffice.
-    if not mapping[elements[0]].is_identity() or any(
-        mapping[x] * mapping[s] != mapping[x * s] for x in elements for s in source.strong_generators
-    ):
-        raise PreconditionError("mapping is not a homomorphism")
-    if len(set(mapping.values())) != len(elements):
+    mapping = {identity(source.degree): identity(degree)}
+    queue = list(mapping)
+    for x in queue:
+        px = mapping[x]
+        for s, ps in images.items():
+            y, py = x * s, px * ps
+            known = mapping.get(y)
+            if known is None:
+                mapping[y] = py
+                queue.append(y)
+            elif known != py:
+                raise PreconditionError("mapping is not a homomorphism")
+    if len(mapping) != source.order:
+        raise PreconditionError("the elements given do not generate the group")
+    if len(set(mapping.values())) != len(mapping):
         raise PreconditionError("action is not faithful")
-    return dict(mapping)
+    return mapping
 
 
 class EmbeddedAction:
@@ -245,13 +256,9 @@ class EmbeddedAction:
             raise InternalDefect("cocycle value escaped the normal subgroup")
         return v, f
 
-    def cocycle(self, x: Permutation, u: int) -> Permutation:
-        """t_u * x * t_v^{-1} where v is the coset of t_u * x; lands in N."""
-        return self._step(x, u)[1]
-
     def embed(self, x: Permutation) -> Permutation:
-        """The action of x on Delta x G/N: (delta, u) -> (delta^cocycle(x, u), v),
-        where v is the coset of t_u * x."""
+        """The action of x on Delta x G/N: (delta, u) -> (delta^f, v), where v
+        is the coset of t_u * x and f = t_u * x * t_v^{-1} is the cocycle."""
         d = self.degree
         images: list[int] = []
         for u in range(self.quotient_order):
@@ -264,11 +271,11 @@ def universal_embedding(
     group: PermGroup,
     normal: PermGroup,
     degree: int,
-    mapping: Mapping[Permutation, Permutation],
+    images: Mapping[Permutation, Permutation],
 ) -> EmbeddedAction:
     """Faithful action of a group on Delta x G/N from a faithful action of N
-    on Delta = {0..degree-1}, given element by element and validated by
-    `action_hom`.
+    on Delta = {0..degree-1}, given by the images of elements generating N
+    and extended by `action_hom`.
 
     Points are ordered coset-major: index(u, delta) = u*|Delta| + delta.
     When N is central, every element of N moves only the Delta coordinate.
@@ -277,11 +284,10 @@ def universal_embedding(
         raise GuardExceeded(f"group order {group.order} exceeds the enumeration guard ({ENUMERATION_GUARD})")
     if not is_normal(group, normal):
         raise PreconditionError("subgroup is not normal")
-    inner = action_hom(normal, degree, mapping)
+    inner = action_hom(normal, degree, images)
 
-    n_elements = normal.elements()
     transversal: list[Permutation] = [identity(group.degree)]
-    coset_of: dict[Permutation, int] = {x: 0 for x in n_elements}
+    coset_of: dict[Permutation, int] = {x: 0 for x in inner}
     head = 0
     while head < len(transversal):
         t = transversal[head]
@@ -291,7 +297,7 @@ def universal_embedding(
             if e not in coset_of:
                 transversal.append(e)
                 u = len(transversal) - 1
-                for x in n_elements:
+                for x in inner:
                     coset_of[x * e] = u
     if len(coset_of) != group.order:
         raise InternalDefect("coset scan did not cover the group")

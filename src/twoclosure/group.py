@@ -218,11 +218,6 @@ class _Chain:
             h = tuple(map(inv.__getitem__, h))
         return h, self.degree
 
-    def strip(self, g: Permutation) -> tuple[Permutation, int]:
-        """Sift g through the whole chain; returns (residue, stop level)."""
-        residue, level = self._sift(g.images, 0)
-        return _trusted(residue), level
-
     def contains(self, g: Permutation) -> bool:
         return self._sift(g.images, 0)[0] == self.ident.images
 
@@ -495,7 +490,7 @@ class PermGroup:
     def sift(self, g: Permutation) -> Permutation:
         if g.degree != self.degree:
             raise PreconditionError("degree mismatch")
-        return self._chain.strip(g)[0]
+        return _trusted(self._chain._sift(g.images, 0)[0])
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements in canonical (lexicographic) order; guarded."""

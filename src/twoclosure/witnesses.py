@@ -9,8 +9,6 @@ remain checkable at any degree.
 
 from __future__ import annotations
 
-import itertools
-
 from .actions import _shifted, coset_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
@@ -159,20 +157,6 @@ def abelian_p_basis(group: PermGroup, p: int) -> tuple[list[Permutation], list[i
     return basis, exponents
 
 
-def element_coordinates(group: PermGroup, basis: list[Permutation]) -> dict[Permutation, tuple[int, ...]]:
-    """Exponent coordinates of every element relative to an independent basis."""
-    coords: dict[Permutation, tuple[int, ...]] = {}
-    ranges = [range(g.order()) for g in basis]
-    for exponents in itertools.product(*ranges):
-        e = identity(group.degree)
-        for g, k in zip(basis, exponents):
-            e = e * g**k
-        coords.setdefault(e, exponents)
-    if len(coords) != group.order:
-        raise InternalDefect("basis does not span the group")
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # noncyclic abelian p-groups
 
@@ -274,17 +258,12 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCert
     _guard_certificate_degree(group.order)
 
     delta = 4
-    act4 = {
-        identity(group.degree): identity(delta),
-        a: from_cycles(delta, [(0, 1)]),
-        b: from_cycles(delta, [(2, 3)]),
-        a * b: from_cycles(delta, [(0, 1), (2, 3)]),
-    }
+    act4 = {a: from_cycles(delta, [(0, 1)]), b: from_cycles(delta, [(2, 3)])}
     centr = centralizer(group, four_subgroup)
     if group.order != 2 * centr.order:
         raise InternalDefect("the four-subgroup centralizer must have index 2")
     inner = universal_embedding(centr, four_subgroup, delta, act4)
-    outer = universal_embedding(group, centr, inner.image.degree, {c: inner.embed(c) for c in centr.elements()})
+    outer = universal_embedding(group, centr, inner.image.degree, {c: inner.embed(c) for c in centr.strong_generators})
 
     # Coset-major layout: point k*|Gamma| + s*4 + d is Delta point d of inner
     # sheet s in outer sheet k, and theta swaps d = 2 and d = 3 in every sheet.
@@ -498,17 +477,9 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
         return inner
 
     d = inner.group.degree
-    coords = element_coordinates(n_group, basis)
-    mapping = {}
-    for elem, exps in coords.items():
-        img = identity(d)
-        for h, k in zip(inner.group.generators, exps):
-            img = img * h**k
-        mapping[elem] = img
-    emb = universal_embedding(group, n_group, d, mapping)
-    for x in n_group.elements():
+    emb = universal_embedding(group, n_group, d, dict(zip(basis, inner.group.generators)))
+    for x, block in emb.mapping.items():
         moved = emb.embed(x)
-        block = mapping[x]
         for u in range(emb.quotient_order):
             for delta in range(d):
                 if moved.images[u * d + delta] != u * d + block.images[delta]:

@@ -18,6 +18,8 @@ from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_d
 from twoclosure.verify import catalog_realizations
 from twoclosure.perm import identity, parse_cycles
 
+from helpers import mulclose
+
 
 def d8():
     return PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)))
@@ -162,8 +164,9 @@ def test_quotient_action_rejects_non_normal():
 def test_universal_embedding_c4():
     c4 = PermGroup(4, (parse_cycles("(1,2,3,4)", 4),))
     n = PermGroup(4, (parse_cycles("(1,3)(2,4)", 4),))
-    emb = universal_embedding(c4, n, 2, {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)})
+    emb = universal_embedding(c4, n, 2, {parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)})
     assert emb.image.degree == 4 and emb.image.order == 4
+    assert emb.mapping == {identity(4): identity(2), parse_cycles("(1,3)(2,4)", 4): parse_cycles("(1,2)", 2)}
     # the central subgroup moves only the inner coordinate
     for x in n.elements():
         moved = emb.embed(x)
@@ -175,30 +178,29 @@ def test_universal_embedding_c4():
 
 def test_universal_embedding_degenerate_quotient():
     v4 = realize_name("C2xC2")
-    emb = universal_embedding(v4, v4, v4.degree, {g: g for g in v4.elements()})
+    emb = universal_embedding(v4, v4, v4.degree, {g: g for g in v4.generators})
     assert emb.quotient_order == 1
     assert emb.image.same_group(v4)
 
 
 def test_universal_embedding_respects_cocycle_identities():
+    # `_step` checks on every embed that each cocycle lies in N.
     d16 = realize_name("D16")
     z = center(d16)
-    flip = {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()}
-    emb = universal_embedding(d16, z, 2, flip)
+    emb = universal_embedding(d16, z, 2, {g: parse_cycles("(1,2)", 2) for g in z.strong_generators})
     assert emb.image.order == d16.order
     for u, rep in enumerate(emb.transversal):
         assert emb.coset_of[rep] == u
-    for x in d16.generators:
-        for u in range(emb.quotient_order):
-            assert emb.cocycle(x, u) in z.elements()
+    for x in d16.elements():
+        assert emb.image.contains(emb.embed(x))
 
 
 def test_universal_embedding_validates_its_inner_action():
     d16 = realize_name("D16")
     z = center(d16)
-    with pytest.raises(PreconditionError, match="exactly the group elements"):
+    with pytest.raises(PreconditionError, match="do not generate"):
         universal_embedding(d16, z, 2, {identity(d16.degree): identity(2)})
-    flip = {g: (identity(2) if g.is_identity() else parse_cycles("(1,2)", 2)) for g in z.elements()}
+    flip = {g: parse_cycles("(1,2)", 2) for g in z.strong_generators}
     with pytest.raises(PreconditionError, match="degree mismatch"):
         universal_embedding(d16, z, 3, flip)
     reflection = next(g for g in d16.generators if g.order() == 2)
@@ -210,32 +212,78 @@ def test_universal_embedding_guard_names_its_limit():
     sym8 = PermGroup(8, (parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)))
     message = f"group order 40320 exceeds the enumeration guard ({ENUMERATION_GUARD})"
     with pytest.raises(GuardExceeded, match=re.escape(message)):
-        universal_embedding(sym8, PermGroup(8, ()), 1, {identity(8): identity(1)})
+        universal_embedding(sym8, PermGroup(8, ()), 1, {})
+    with pytest.raises(GuardExceeded, match=re.escape(message)):
+        action_hom(sym8, 8, {g: g for g in sym8.generators})
 
 
 def test_action_hom_validation():
     v4 = realize_name("C2xC2")
-    mapping = {g: identity(2) for g in v4.elements()}
-    with pytest.raises(PreconditionError):
-        action_hom(v4, 2, mapping)  # not faithful
+    with pytest.raises(PreconditionError, match="not faithful"):
+        action_hom(v4, 2, {g: identity(2) for g in v4.generators})
 
 
 def test_action_hom_rejects_swapped_images():
-    # A bijection onto the group that swaps the images of two elements is
-    # faithful, but not a homomorphism; testing products with the strong
-    # generators alone must still find it.
-    d8 = realize_name("D8")
-    elements = d8.elements()
-    for a, b in [(1, 2), (1, len(elements) - 1), (3, 5)]:
-        mapping = {g: g for g in elements}
-        mapping[elements[a]], mapping[elements[b]] = elements[b], elements[a]
-        with pytest.raises(PreconditionError, match="not a homomorphism"):
-            action_hom(d8, d8.degree, mapping)
-    assert action_hom(d8, d8.degree, {g: g for g in elements})[elements[3]] == elements[3]
+    # Images that generate the target but break a relation are refused, and
+    # every pair of images is accepted exactly when it satisfies the
+    # relations r^4 = s^2 = (r*s)^2 = 1 of D8 and generates a group of order 8.
+    group = d8()
+    r, s = group.generators
+    with pytest.raises(PreconditionError, match="not a homomorphism"):
+        action_hom(group, 4, {r: s, s: r})
+    elements = group.elements()
+    for a in elements:
+        for b in elements:
+            relations = (a**4).is_identity() and (b**2).is_identity() and ((a * b) ** 2).is_identity()
+            if not relations:
+                with pytest.raises(PreconditionError, match="not a homomorphism"):
+                    action_hom(group, 4, {r: a, s: b})
+            elif len(mulclose(4, (a, b))) < 8:
+                with pytest.raises(PreconditionError, match="not faithful"):
+                    action_hom(group, 4, {r: a, s: b})
+            else:
+                phi = action_hom(group, 4, {r: a, s: b})
+                assert phi[r] == a and phi[s] == b and phi[r * s] == a * b
+    assert action_hom(group, 4, {r: r, s: s})[elements[3]] == elements[3]
 
 
 def test_action_hom_rejects_a_moved_identity_on_the_trivial_group():
-    # The trivial group has no strong generator to test products with.
+    # The trivial group has no strong generator; the key 1 itself gives 1*1 two images.
     one = PermGroup(2, ())
     with pytest.raises(PreconditionError, match="not a homomorphism"):
         action_hom(one, 2, {identity(2): parse_cycles("(1,2)", 2)})
+    assert action_hom(one, 2, {}) == {identity(2): identity(2)}
+
+
+def test_action_hom_extends_generators_to_the_identity_map():
+    for name, group in catalog_realizations(64):
+        if group.order > 64:
+            continue
+        phi = action_hom(group, group.degree, {g: g for g in group.generators})
+        assert set(phi) == mulclose(group.degree, group.generators) == set(group.elements()), name
+        assert all(x == y for x, y in phi.items()), name
+
+
+def test_action_hom_refusals_name_their_reason():
+    group = d8()
+    r, s = group.generators
+    v4 = realize_name("C2xC2")
+    cases = [
+        (group, {r: r, s: r}, "not a homomorphism"),
+        (center(group), {r: identity(4)}, "outside the group"),
+        (group, {r: r}, "do not generate"),
+        (v4, {g: identity(2) for g in v4.generators}, "not faithful"),
+        (PermGroup(2, ()), {identity(2): parse_cycles("(1,2)", 2)}, "not a homomorphism"),
+    ]
+    for source, images, reason in cases:
+        degree = next(iter(images.values())).degree
+        with pytest.raises(PreconditionError, match=reason):
+            action_hom(source, degree, images)
+
+
+def test_realized_products_build_with_their_known_order():
+    for name in ("Q8xC3", "D8xC3", "C2xQ8xC3", "Q16xC2"):
+        group = realize_name(name)
+        plain = PermGroup(group.degree, group.generators)
+        assert group._chain.target == group.order == plain.order, name
+        assert group.strong_generators == plain.strong_generators, name
