@@ -23,8 +23,11 @@ on its own orbits started to get a `direct-factor` certificate of the whole
 input: `classify_D32xC3` and `classify_D8xC3` (the 2-part alone before,
 now `group_order` 96 and 24), and `witness_D16xC2`, `witness_D32xC2` and
 `witness_E27xC3` (center certificates of degree 48, 96 and 81 before, 12,
-20 and 12 now).  A deliberate change to any of them is recorded in
-CHANGES.md.
+20 and 12 now).  `certificates.json` pins the certificate groups themselves (generators,
+strong generators and theta as cycle strings) of the lemmas suite's battery
+and of a few routed families; it was recorded before the block layouts of
+the witness constructions moved onto `perm.direct_sum`.  A deliberate change
+to any of them is recorded in CHANGES.md.
 """
 
 import json
@@ -33,7 +36,9 @@ from pathlib import Path
 import pytest
 
 from twoclosure.catalog import faithful_representations, realize_name
+from twoclosure.classify import center_cyclic_test, not_two_closed_witness
 from twoclosure.cli import main
+from twoclosure.verify import standard_witness_certificates
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [
@@ -70,6 +75,29 @@ REPRESENTATION_CASES = [
     ("D16", 12),
 ]
 
+# Families whose routed certificates `certificates.json` pins, besides the
+# lemmas suite's battery.
+WITNESS_CERTIFICATE_FAMILIES = ["D8xC3", "E27xC3", "D32xC2", "Q8xC4", "C2xC2xC2"]
+CENTER_TEST_FAMILIES = ["C2xQ8xC3"]
+
+
+def certificate_entries() -> dict:
+    certificates = standard_witness_certificates()
+    for name in WITNESS_CERTIFICATE_FAMILIES:
+        certificates.append((f"witness({name})", not_two_closed_witness(realize_name(name))))
+    for name in CENTER_TEST_FAMILIES:
+        certificates.append((f"center-test({name})", center_cyclic_test(realize_name(name)).certificate))
+    return {
+        label: {
+            "construction": cert.construction,
+            "degree": cert.group.degree,
+            "generators": [g.cycle_string() for g in cert.group.generators],
+            "strong_generators": [g.cycle_string() for g in cert.group.strong_generators],
+            "witness": cert.witness.cycle_string(),
+        }
+        for label, cert in certificates
+    }
+
 
 @pytest.mark.parametrize("command,name", CASES)
 def test_results_match_golden(capsys, command, name):
@@ -104,6 +132,11 @@ def test_representation_entries_match_golden():
             for e in faithful_representations(realize_name(name), max_degree)
         ]
         assert entries == expected[f"{name}@{max_degree}"], name
+
+
+def test_certificate_groups_match_golden():
+    expected = json.loads((GOLDEN / "certificates.json").read_text())
+    assert certificate_entries() == expected
 
 
 def test_golden_certificates_are_about_the_input():
