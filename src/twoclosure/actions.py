@@ -5,7 +5,7 @@ subgroup N.
 
 Each builder fixes its 0-based point order by construction:
 - a coset action numbers the cosets by their sorted least representatives;
-- a disjoint union places part k at points offsets[k] .. offsets[k] + degree - 1;
+- a disjoint union places its parts side by side in order, as `direct_sum` does;
 - a block quotient numbers the blocks in the normal subgroup's orbit order;
 - the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta.
 
@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import ENUMERATION_GUARD, PermGroup, as_subgroup, is_normal
-from .perm import Permutation, identity
+from .perm import Permutation, direct_sum, identity
 
 # ---------------------------------------------------------------------------
 # coset actions
@@ -80,40 +80,29 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
 # disjoint unions
 
 class DisjointUnionAction:
-    __slots__ = ("group", "embedded", "offsets")
+    __slots__ = ("group", "embedded")
 
-    def __init__(self, group: PermGroup, embedded: tuple[PermGroup, ...], offsets: tuple[int, ...]) -> None:
-        self.group, self.embedded, self.offsets = group, embedded, offsets
-
-    def embed(self, part: int, g: Permutation) -> Permutation:
-        """A permutation of part `part` as an element moving only that part's points."""
-        return _shifted(g, self.offsets[part], self.group.degree)
-
-
-def _shifted(g: Permutation, offset: int, degree: int) -> Permutation:
-    images = list(range(degree))
-    for i, j in enumerate(g.images):
-        images[offset + i] = offset + j
-    return Permutation(tuple(images))
+    def __init__(self, group: PermGroup, embedded: tuple[PermGroup, ...]) -> None:
+        self.group, self.embedded = group, embedded
 
 
 def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> DisjointUnionAction:
     """External direct product acting on the disjoint union of the part sets."""
     if not parts:
         raise PreconditionError("disjoint union needs at least one part")
-    offsets = []
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        total += part.degree
+    fixed = [identity(part.degree) for part in parts]
 
-    gens = []
-    embedded = []
-    for part, off in zip(parts, offsets):
-        gens.extend(_shifted(g, off, total) for g in part.generators)
-        embedded.append(PermGroup(total, [_shifted(g, off, total) for g in part.strong_generators], _order=part.order))
+    def placed(k: int, g: Permutation) -> Permutation:
+        return direct_sum(fixed[:k] + [g] + fixed[k + 1:])
+
+    total = sum(part.degree for part in parts)
+    gens = [placed(k, g) for k, part in enumerate(parts) for g in part.generators]
+    embedded = tuple(
+        PermGroup(total, [placed(k, g) for g in part.strong_generators], _order=part.order)
+        for k, part in enumerate(parts)
+    )
     group = PermGroup(total, tuple(gens), _order=prod(part.order for part in parts))
-    return DisjointUnionAction(group, tuple(embedded), tuple(offsets))
+    return DisjointUnionAction(group, embedded)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .group import (
     is_prime,
     mask_indices,
 )
-from .perm import Permutation, from_cycles
+from .perm import Permutation, direct_sum, from_cycles
 
 # The lattice is computed on the element index, so it shares its guard.
 LATTICE_GUARD = INDEX_GUARD
@@ -379,14 +379,8 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
             seen_pairs.add(canon)
             ca1, ca2 = action_on(h1), action_on(h2)
             degree = ca1.image.degree + ca2.image.degree
-
-            def splice(x: Permutation) -> Permutation:
-                left = ca1.embed(x)
-                right = ca2.embed(x)
-                images = list(left.images) + [ca1.image.degree + j for j in right.images]
-                return Permutation(tuple(images))
-
-            action = PermGroup(degree, tuple(splice(g) for g in group.strong_generators))
+            pairs = tuple(direct_sum([ca1.embed(g), ca2.embed(g)]) for g in group.strong_generators)
+            action = PermGroup(degree, pairs)
             entries.append(RepresentationEntry((h1.group, h2.group), action, degree))
 
     entries.sort(key=lambda e: (e.degree, len(e.subgroups), tuple(g.order for g in e.subgroups)))

@@ -4,8 +4,9 @@ Points are 0-based in memory; every parsed or printed form uses 1-based
 disjoint-cycle notation such as ``(1,2)(3,4)``.
 
 A permutation built from outside data (``Permutation(...)``, ``from_cycles``,
-``parse_cycles``) is checked to be a bijection.  Products, inverses and powers
-of permutations are bijections by construction and skip that check.
+``parse_cycles``) is checked to be a bijection.  Products, inverses, powers
+and direct sums of permutations are bijections by construction and skip that
+check.
 """
 
 from __future__ import annotations
@@ -145,6 +146,16 @@ def _trusted(images: tuple[int, ...]) -> Permutation:
 
 def identity(degree: int) -> Permutation:
     return _trusted(tuple(range(degree)))
+
+
+def direct_sum(perms: list[Permutation] | tuple[Permutation, ...]) -> Permutation:
+    """The permutations side by side: block k acts as perms[k] on the points
+    after the degrees of the blocks before it."""
+    images: list[int] = []
+    for perm in perms:
+        offset = len(images)
+        images.extend(offset + j for j in perm.images)
+    return _trusted(tuple(images))
 
 
 def from_cycles(degree: int, cycles: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> Permutation:

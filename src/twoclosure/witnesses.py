@@ -9,7 +9,7 @@ remain checkable at any degree.
 
 from __future__ import annotations
 
-from .actions import _shifted, coset_action, universal_embedding
+from .actions import coset_action, disjoint_union_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     PermGroup,
@@ -24,7 +24,7 @@ from .group import (
     sylow_decomposition,
 )
 from .orbital import MembershipEvidence, membership_evidence, orbital_partition
-from .perm import Permutation, from_cycles, identity
+from .perm import Permutation, direct_sum, from_cycles, identity
 
 CONSTRUCTION_ABELIAN_P = "abelian-p"
 CONSTRUCTION_TWO_GROUP = "two-group"
@@ -160,6 +160,11 @@ def abelian_p_basis(group: PermGroup, p: int) -> tuple[list[Permutation], list[i
 # ---------------------------------------------------------------------------
 # noncyclic abelian p-groups
 
+def _turn(size: int) -> Permutation:
+    """The cycle 0 -> 1 -> ... -> size-1 -> 0 that turns one cell."""
+    return from_cycles(size, [tuple(range(size))])
+
+
 def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
     """Witness for a noncyclic abelian p-group with the given cyclic exponents.
 
@@ -176,25 +181,19 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
     if any(k < 1 for k in exponents):
         raise PreconditionError("exponents must be positive")
     sizes = [p**k for k in exponents] + [p]
-    _guard_certificate_degree(sum(sizes))
-    offsets = []
-    total = 0
-    for size in sizes:
-        offsets.append(total)
-        total += size
+    total = sum(sizes)
+    _guard_certificate_degree(total)
 
-    def cell_cycle(ci: int) -> tuple[int, ...]:
-        return tuple(range(offsets[ci], offsets[ci] + sizes[ci]))
+    def turning(*turned: int) -> Permutation:
+        return direct_sum([_turn(size) if ci in turned else identity(size) for ci, size in enumerate(sizes)])
 
     n = len(exponents)
-    gens = [from_cycles(total, [cell_cycle(n), cell_cycle(0)])]
-    for i in range(1, n):
-        gens.append(from_cycles(total, [cell_cycle(i - 1), cell_cycle(i)]))
+    gens = [turning(0, n)] + [turning(i - 1, i) for i in range(1, n)]
     group = PermGroup(total, tuple(gens))
     expected = p ** sum(exponents)
     if group.order != expected:
         raise InternalDefect("cell generators are not independent")
-    witness = from_cycles(total, [cell_cycle(n)])
+    witness = turning(n)
     grown = group._chain.copy()
     grown.add(witness)
     if grown.order() != p * group.order:
@@ -268,7 +267,7 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCert
     # Coset-major layout: point k*|Gamma| + s*4 + d is Delta point d of inner
     # sheet s in outer sheet k, and theta swaps d = 2 and d = 3 in every sheet.
     degree = outer.image.degree
-    witness = Permutation(tuple(p ^ 1 if p % delta >= 2 else p for p in range(degree)))
+    witness = direct_sum([from_cycles(delta, [(2, 3)])] * (degree // delta))
 
     # Stab(x) = {1, e} exactly when the orbit of x has length |G|/2 and the
     # nonidentity e fixes x.
@@ -411,21 +410,10 @@ def semidirect_witness(
         raise PreconditionError("the complement must be core-free")
     base_degree = ca.image.degree
     total = base_degree + sum(cell_orders)
-    offsets = []
-    off = base_degree
-    for size in cell_orders:
-        offsets.append(off)
-        off += size
 
     def lift(perm_on_cosets: Permutation, turned_cell: int | None) -> Permutation:
-        images = list(range(total))
-        for i, j in enumerate(perm_on_cosets.images):
-            images[i] = j
-        if turned_cell is not None:
-            off, size = offsets[turned_cell], cell_orders[turned_cell]
-            for j in range(size):
-                images[off + j] = off + (j + 1) % size
-        return Permutation(tuple(images))
+        cells = [_turn(size) if ci == turned_cell else identity(size) for ci, size in enumerate(cell_orders)]
+        return direct_sum([perm_on_cosets, *cells])
 
     gens = [lift(ca.embed(m), None) for m in normal_part.strong_generators]
     gens += [lift(ca.embed(h), ci) for ci, h in enumerate(basis)]
@@ -479,15 +467,10 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
     d = inner.group.degree
     emb = universal_embedding(group, n_group, d, dict(zip(basis, inner.group.generators)))
     for x, block in emb.mapping.items():
-        moved = emb.embed(x)
-        for u in range(emb.quotient_order):
-            for delta in range(d):
-                if moved.images[u * d + delta] != u * d + block.images[delta]:
-                    raise InternalDefect("central element moved the quotient coordinate")
+        if emb.embed(x) != direct_sum([block] * emb.quotient_order):
+            raise InternalDefect("central element moved the quotient coordinate")
 
-    theta = inner.witness
-    images = [u * d + theta.images[delta] for u in range(emb.quotient_order) for delta in range(d)]
-    witness = Permutation(tuple(images))
+    witness = direct_sum([inner.witness] * emb.quotient_order)
     parameters = {
         "prime": p,
         "exponents": list(exponents),
@@ -511,18 +494,15 @@ def direct_factor_witness(inner: WitnessCertificate, complement: PermGroup, bloc
     theta fixes Y pointwise, so if it lay in H it would lie in cert(A).
     `block_size` is the number of input points A was certified on.
     """
-    d = inner.group.degree
-    degree = d + complement.degree
-    _guard_certificate_degree(degree)
-    generators = [_shifted(g, 0, degree) for g in inner.group.generators]
-    generators += [_shifted(g, d, degree) for g in complement.generators]
-    group = PermGroup(degree, generators, _order=inner.group.order * complement.order)
+    _guard_certificate_degree(inner.group.degree + complement.degree)
+    group = disjoint_union_action([inner.group, complement]).group
     parameters = {
         "inner_construction": inner.construction,
-        "inner_degree": d,
+        "inner_degree": inner.group.degree,
         "factor_order": inner.group.order,
         "complement_order": complement.order,
         "block_size": block_size,
         "inner_parameters": inner.parameters,
     }
-    return _assemble(group, _shifted(inner.witness, 0, degree), CONSTRUCTION_DIRECT_FACTOR, parameters)
+    witness = direct_sum([inner.witness, identity(complement.degree)])
+    return _assemble(group, witness, CONSTRUCTION_DIRECT_FACTOR, parameters)

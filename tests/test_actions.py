@@ -16,7 +16,7 @@ from twoclosure.classify import certify_coprime_product
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_decomposition
 from twoclosure.verify import catalog_realizations
-from twoclosure.perm import identity, parse_cycles
+from twoclosure.perm import Permutation, identity, parse_cycles
 
 from helpers import mulclose
 
@@ -99,14 +99,22 @@ def test_disjoint_union_examples():
 def test_disjoint_union_embed_moves_only_its_part():
     parts = [realize_name("C2"), realize_name("Q8"), realize_name("C3")]
     union = disjoint_union_action(parts)
-    for k, part in enumerate(parts):
-        start = union.offsets[k]
+    degree = union.group.degree
+    start = 0
+    for part, embedded in zip(parts, union.embedded):
         own = range(start, start + part.degree)
+        shifted = set()
         for g in part.elements():
-            lifted = union.embed(k, g)
-            assert union.embedded[k].contains(lifted) and union.group.contains(lifted)
-            assert all(lifted.images[p] == p for p in range(union.group.degree) if p not in own)
-            assert all(lifted.images[start + i] == start + j for i, j in enumerate(g.images))
+            images = list(range(degree))
+            for i, j in enumerate(g.images):
+                images[start + i] = start + j
+            shifted.add(Permutation(tuple(images)))
+        lifted = embedded.elements()
+        assert set(lifted) == shifted and embedded.order == part.order
+        for h in lifted:
+            assert union.group.contains(h)
+            assert all(h.images[p] == p for p in range(degree) if p not in own)
+        start += part.degree
 
 
 def test_coprime_direct_factors_rejects_non_coprime():

@@ -5,9 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twoclosure.errors import CycleParseError, PreconditionError
-from twoclosure.perm import Permutation, from_cycles, identity, parse_cycles
+from twoclosure.perm import Permutation, direct_sum, from_cycles, identity, parse_cycles
 
 perms6 = st.permutations(range(6)).map(lambda xs: Permutation(tuple(xs)))
+
+
+def perms_of(degree: int):
+    return st.permutations(range(degree)).map(lambda xs: Permutation(tuple(xs)))
+
+
+# Lists of pairs of equal-degree permutations, degrees 0..5, at most 5 blocks.
+block_pairs = st.lists(st.integers(0, 5), max_size=5).flatmap(
+    lambda degrees: st.tuples(*(st.tuples(perms_of(n), perms_of(n)) for n in degrees))
+)
 
 
 def test_validation_rejects_non_bijections():
@@ -34,6 +44,40 @@ def test_products_inverses_and_powers_equal_validated_permutations(a, b, n):
     assert sorted(derived) == sorted(checked)
     assert [p.images for p in sorted(derived)] == sorted(p.images for p in derived)
     assert len(set(derived) | set(checked)) == len(set(checked))
+
+
+def shifted(g: Permutation, offset: int, degree: int) -> Permutation:
+    """Reference: g moved onto points offset .. offset + g.degree - 1 of a
+    larger degree, every other point fixed."""
+    images = list(range(degree))
+    for i, j in enumerate(g.images):
+        images[offset + i] = offset + j
+    return Permutation(tuple(images))
+
+
+@given(block_pairs)
+def test_direct_sum_places_each_block_shifted(pairs):
+    a = [x for x, _ in pairs]
+    total = sum(x.degree for x in a)
+    summed = direct_sum(a)
+    assert summed.degree == total and summed == Permutation(tuple(summed.images))
+    offset = 0
+    for x in a:
+        block = slice(offset, offset + x.degree)
+        assert summed.images[block] == shifted(x, offset, total).images[block]
+        offset += x.degree
+
+
+@given(block_pairs)
+def test_direct_sum_multiplies_and_inverts_block_by_block(pairs):
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    assert direct_sum(a) * direct_sum(b) == direct_sum([x * y for x, y in pairs])
+    assert direct_sum(a).inverse() == direct_sum([x.inverse() for x in a])
+
+
+def test_direct_sum_of_nothing_is_the_degree_zero_identity():
+    assert direct_sum([]) == identity(0) and direct_sum([]).degree == 0
 
 
 def test_composition_is_apply_left_then_right():

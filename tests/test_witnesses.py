@@ -1,7 +1,7 @@
 import pytest
 
 from twoclosure.actions import disjoint_union_action
-from twoclosure import witnesses
+from twoclosure import actions, witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import normal_pp_subgroup, not_two_closed_witness
 from twoclosure.errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
@@ -370,7 +370,9 @@ def test_each_construction_predicts_its_certificate_degree(monkeypatch, name):
         return PermGroup(degree, *args, **kwargs)
 
     monkeypatch.setattr(witnesses, "_guard_certificate_degree", record)
+    # A lifted certificate's group is built by `disjoint_union_action`.
     monkeypatch.setattr(witnesses, "PermGroup", build)
+    monkeypatch.setattr(actions, "PermGroup", build)
     cert = not_two_closed_witness(realize_name(name))
     predicted = [degree for kind, degree in events if kind == "predict"]
     if cert.construction == "direct-factor":
@@ -398,6 +400,7 @@ def test_direct_factor_witness_guards_the_lifted_degree_before_building(monkeypa
     assert_valid(cert)
     assert cert.group.degree == inner.group.degree + 3 and cert.group.order == 24
     monkeypatch.setattr(witnesses, "CERTIFICATE_DEGREE_GUARD", inner.group.degree + 2)
-    monkeypatch.setattr(witnesses, "PermGroup", lambda *args, **kwargs: pytest.fail("built a group"))
+    for module in (witnesses, actions):
+        monkeypatch.setattr(module, "PermGroup", lambda *args, **kwargs: pytest.fail("built a group"))
     with pytest.raises(GuardExceeded, match=rf"degree {inner.group.degree + 3} exceeds"):
         direct_factor_witness(inner, c3, 4)
