@@ -379,8 +379,8 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
             seen_pairs.add(canon)
             ca1, ca2 = action_on(h1), action_on(h2)
             degree = ca1.image.degree + ca2.image.degree
-            pairs = tuple(direct_sum([ca1.embed(g), ca2.embed(g)]) for g in group.strong_generators)
-            action = PermGroup(degree, pairs)
+            generators = tuple(direct_sum([ca1.embed(g), ca2.embed(g)]) for g in group.strong_generators)
+            action = PermGroup(degree, generators)
             entries.append(RepresentationEntry((h1.group, h2.group), action, degree))
 
     entries.sort(key=lambda e: (e.degree, len(e.subgroups), tuple(g.order for g in e.subgroups)))

@@ -18,6 +18,15 @@ import twoclosure
 from twoclosure.perm import Permutation, identity
 
 
+def shifted(g: Permutation, offset: int, degree: int) -> Permutation:
+    """g moved onto points offset .. offset + g.degree - 1 of a larger
+    degree, every other point fixed: the reference for `perm.direct_sum`."""
+    images = list(range(degree))
+    for i, j in enumerate(g.images):
+        images[offset + i] = offset + j
+    return Permutation(tuple(images))
+
+
 def mulclose(degree: int, gens) -> set[Permutation]:
     """Closure of a generating set under products, by plain BFS."""
     gens = [g for g in gens if not g.is_identity()]

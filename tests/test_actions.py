@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from helpers import shifted
 from twoclosure import actions
 from twoclosure.actions import (
     action_hom,
@@ -16,7 +17,7 @@ from twoclosure.classify import certify_coprime_product
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_decomposition
 from twoclosure.verify import catalog_realizations
-from twoclosure.perm import Permutation, identity, parse_cycles
+from twoclosure.perm import identity, parse_cycles
 
 from helpers import mulclose
 
@@ -103,14 +104,8 @@ def test_disjoint_union_embed_moves_only_its_part():
     start = 0
     for part, embedded in zip(parts, union.embedded):
         own = range(start, start + part.degree)
-        shifted = set()
-        for g in part.elements():
-            images = list(range(degree))
-            for i, j in enumerate(g.images):
-                images[start + i] = start + j
-            shifted.add(Permutation(tuple(images)))
         lifted = embedded.elements()
-        assert set(lifted) == shifted and embedded.order == part.order
+        assert set(lifted) == {shifted(g, start, degree) for g in part.elements()} and embedded.order == part.order
         for h in lifted:
             assert union.group.contains(h)
             assert all(h.images[p] == p for p in range(degree) if p not in own)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import shifted
 from twoclosure.errors import CycleParseError, PreconditionError
 from twoclosure.perm import Permutation, direct_sum, from_cycles, identity, parse_cycles
 
@@ -44,15 +45,6 @@ def test_products_inverses_and_powers_equal_validated_permutations(a, b, n):
     assert sorted(derived) == sorted(checked)
     assert [p.images for p in sorted(derived)] == sorted(p.images for p in derived)
     assert len(set(derived) | set(checked)) == len(set(checked))
-
-
-def shifted(g: Permutation, offset: int, degree: int) -> Permutation:
-    """Reference: g moved onto points offset .. offset + g.degree - 1 of a
-    larger degree, every other point fixed."""
-    images = list(range(degree))
-    for i, j in enumerate(g.images):
-        images[offset + i] = offset + j
-    return Permutation(tuple(images))
 
 
 @given(block_pairs)
