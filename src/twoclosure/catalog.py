@@ -2,15 +2,20 @@
 permutation representations.
 
 Family syntax (used by the CLI): ``C12``, ``Q8``, ``D8``, ``SD16``, ``E27``,
-and ``x``-joined products such as ``Q16xC3`` or ``C2xC2``.
+and ``x``-joined products such as ``Q16xC3`` or ``C2xC2``.  The family kinds
+live in one table, `_KINDS`, keyed by prefix: the orders each kind accepts,
+the degree and generators of its realization, and its ``catalog --list``
+line.  Every family, atom or product, is realized as one chain built from its
+atoms' generators placed side by side.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
+from math import prod
+from typing import Callable, NamedTuple
 
-from .actions import CosetAction, coset_action, disjoint_union_action
+from .actions import CosetAction, coset_action
 from .errors import GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     INDEX_GUARD,
@@ -19,73 +24,12 @@ from .group import (
     is_prime,
     mask_indices,
 )
-from .perm import Permutation, direct_sum, from_cycles
+from .perm import Permutation, direct_sum, from_cycles, identity
 
 # The lattice is computed on the element index, so it shares its guard.
 LATTICE_GUARD = INDEX_GUARD
 
-
-class FamilySpec:
-    """One group family instance; products hold their factor specs in order."""
-
-    __slots__ = ("kind", "order", "parts")
-
-    def __init__(self, kind: str, order: int, parts: tuple[FamilySpec, ...] = ()) -> None:
-        self.kind = kind  # cyclic | dihedral | semidihedral | quaternion | extraspecial | product
-        self.order, self.parts = order, parts
-
-    @property
-    def name(self) -> str:
-        if self.kind == "product":
-            return "x".join(part.name for part in self.parts)
-        prefix = {
-            "cyclic": "C",
-            "dihedral": "D",
-            "semidihedral": "SD",
-            "quaternion": "Q",
-            "extraspecial": "E",
-        }[self.kind]
-        return f"{prefix}{self.order}"
-
-    @property
-    def degree(self) -> int:
-        """Degree of the default realization (`realize`), known before it is built."""
-        if self.kind == "product":
-            return sum(part.degree for part in self.parts)
-        if self.kind in ("dihedral", "semidihedral"):
-            return self.order // 2
-        if self.kind == "extraspecial":
-            return _cube_root(self.order) ** 2
-        return self.order  # cyclic (C1 on one point) and quaternion: regular
-
-
-def cyclic(n: int) -> FamilySpec:
-    if n < 1:
-        raise PreconditionError("cyclic order must be positive")
-    return FamilySpec("cyclic", n)
-
-
-def abelian(p: int, exponents) -> FamilySpec:
-    """Abelian p-group as a product of cyclic p-power factors."""
-    return product([cyclic(p**k) for k in exponents])
-
-
-def dihedral(order: int) -> FamilySpec:
-    if order < 6 or order % 2:
-        raise PreconditionError("dihedral order must be an even number >= 6")
-    return FamilySpec("dihedral", order)
-
-
-def semidihedral(order: int) -> FamilySpec:
-    if order < 16 or order & (order - 1):
-        raise PreconditionError("semidihedral order must be a power of two >= 16")
-    return FamilySpec("semidihedral", order)
-
-
-def generalized_quaternion(order: int) -> FamilySpec:
-    if order < 8 or order & (order - 1):
-        raise PreconditionError("generalized quaternion order must be a power of two >= 8")
-    return FamilySpec("quaternion", order)
+FAMILY_EXAMPLES = ("C12", "C2xC2", "D8", "SD16", "Q8", "Q16xC3", "E27", "Q8xC2", "C2xQ8xC3")
 
 
 def _cube_root(n: int) -> int:
@@ -100,93 +44,25 @@ def _cube_root(n: int) -> int:
     return 0
 
 
-def _odd_prime(p: int) -> int:
-    if p < 3 or not is_prime(p):
-        raise PreconditionError("extraspecial parameter must be an odd prime")
-    return p
-
-
-def extraspecial_exponent_p(p: int) -> FamilySpec:
-    return FamilySpec("extraspecial", _odd_prime(p) ** 3)
-
-
-def product(parts) -> FamilySpec:
-    parts = tuple(parts)
-    if not parts:
-        raise PreconditionError("a product needs at least one factor")
-    if len(parts) == 1:
-        return parts[0]
-    order = 1
-    flat: list[FamilySpec] = []
-    for part in parts:
-        order *= part.order
-        if part.kind == "product":
-            flat.extend(part.parts)
-        else:
-            flat.append(part)
-    return FamilySpec("product", order, tuple(flat))
-
-
-_ATOM_RE = re.compile(r"^(SD|C|D|Q|E)(\d+)$")
-
-
-def parse_family(text: str) -> FamilySpec:
-    """Parse the textual family syntax, e.g. ``Q16xC3``."""
-    parts = []
-    for token in text.strip().split("x"):
-        m = _ATOM_RE.match(token.strip())
-        if not m:
-            raise PreconditionError(f"unrecognized family token {token!r}")
-        prefix, number = m.group(1), int(m.group(2))
-        if prefix == "C":
-            parts.append(cyclic(number))
-        elif prefix == "D":
-            parts.append(dihedral(number))
-        elif prefix == "SD":
-            parts.append(semidihedral(number))
-        elif prefix == "Q":
-            parts.append(generalized_quaternion(number))
-        else:
-            # p is tested prime by `realize`, so that a caller can refuse the
-            # degree p^2 before trial division runs.
-            if _cube_root(number) ** 3 != number:
-                raise PreconditionError("extraspecial orders must be p^3 for an odd prime p")
-            parts.append(FamilySpec("extraspecial", number))
-    return product(parts)
-
-
-def family_syntax_examples() -> list[str]:
-    return ["C12", "C2xC2", "D8", "SD16", "Q8", "Q16xC3", "E27", "Q8xC2", "C2xQ8xC3"]
-
-
 # ---------------------------------------------------------------------------
-# realizations
+# atom generators, by order
 
-# An atom's chain is built with the order its family's definition fixes, so
-# it stops sifting there; tests check each realized order independently.
-
-def _realize_cyclic(n: int) -> PermGroup:
-    if n == 1:
-        return PermGroup(1, ())
-    return PermGroup(n, (from_cycles(n, [tuple(range(n))]),), _order=n)
+def _cyclic(n: int) -> tuple[Permutation, ...]:
+    return (from_cycles(n, [tuple(range(n))]),) if n > 1 else ()
 
 
-def _realize_dihedral(order: int) -> PermGroup:
+def _dihedral(order: int) -> tuple[Permutation, ...]:
     n = order // 2
-    rotation = from_cycles(n, [tuple(range(n))])
-    reflection = Permutation(tuple((n - i) % n for i in range(n)))
-    return PermGroup(n, (rotation, reflection), _order=order)
+    return from_cycles(n, [tuple(range(n))]), Permutation(tuple((n - i) % n for i in range(n)))
 
 
-def _realize_semidihedral(order: int) -> PermGroup:
+def _semidihedral(order: int) -> tuple[Permutation, ...]:
     m = order // 2
     twist = m // 2 - 1
-    rotation = from_cycles(m, [tuple(range(m))])
-    reflection = Permutation(tuple((twist * i) % m for i in range(m)))
-    return PermGroup(m, (rotation, reflection), _order=order)
+    return from_cycles(m, [tuple(range(m))]), Permutation(tuple((twist * i) % m for i in range(m)))
 
 
-def _realize_quaternion(order: int) -> PermGroup:
+def _quaternion(order: int) -> tuple[Permutation, ...]:
     # Right-regular action on elements written as a^i * b^eps.
     m = order // 2
     half = order // 4
@@ -201,12 +77,18 @@ def _realize_quaternion(order: int) -> PermGroup:
         a_images[point(i, 1)] = point((i - 1) % m, 1)
         b_images[point(i, 0)] = point(i, 1)
         b_images[point(i, 1)] = point((i + half) % m, 0)
-    return PermGroup(order, (Permutation(tuple(a_images)), Permutation(tuple(b_images))), _order=order)
+    return Permutation(tuple(a_images)), Permutation(tuple(b_images))
 
 
-def _realize_extraspecial(p: int) -> PermGroup:
+def _extraspecial(order: int) -> tuple[Permutation, ...]:
     # Coset action of the order-p^3, exponent-p group on a noncentral order-p
     # subgroup: points are pairs (x, z), the minimal faithful degree p^2.
+    # p is tested prime here, not at parsing, so that a caller can refuse
+    # the degree p^2 before trial division runs.
+    p = _cube_root(order)
+    if p < 3 or not is_prime(p):
+        raise PreconditionError("extraspecial parameter must be an odd prime")
+
     def point(x: int, z: int) -> int:
         return x * p + z
 
@@ -216,31 +98,97 @@ def _realize_extraspecial(p: int) -> PermGroup:
         for z in range(p):
             a_images[point(x, z)] = point((x + 1) % p, z)
             b_images[point(x, z)] = point(x, (z + x) % p)
-    return PermGroup(p * p, (Permutation(tuple(a_images)), Permutation(tuple(b_images))), _order=p**3)
+    return Permutation(tuple(a_images)), Permutation(tuple(b_images))
 
+
+class _Kind(NamedTuple):
+    accepts: Callable[[int], bool]  # the orders the kind has
+    refusal: str  # the precondition message for any other order
+    degree: Callable[[int], int]  # of the realization, known before it is built
+    generators: Callable[[int], tuple[Permutation, ...]]
+    listing: str  # its `catalog --list` line
+
+
+# In `catalog --list` order.  C1 is realized on one point, C<n> and Q<n>
+# regularly.
+_KINDS = {
+    "C": _Kind(lambda n: n >= 1, "cyclic order must be positive", lambda n: n, _cyclic, "C<n>: cyclic of order n"),
+    "D": _Kind(lambda n: n >= 6 and n % 2 == 0, "dihedral order must be an even number >= 6",
+               lambda n: n // 2, _dihedral, "D<2n>: dihedral of order 2n (n >= 3)"),
+    "SD": _Kind(lambda n: n >= 16 and not n & (n - 1), "semidihedral order must be a power of two >= 16",
+                lambda n: n // 2, _semidihedral, "SD<2^n>: semidihedral of order 2^n (n >= 4)"),
+    "Q": _Kind(lambda n: n >= 8 and not n & (n - 1), "generalized quaternion order must be a power of two >= 8",
+               lambda n: n, _quaternion, "Q<2^n>: generalized quaternion of order 2^n (n >= 3)"),
+    "E": _Kind(lambda n: _cube_root(n) ** 3 == n, "extraspecial orders must be p^3 for an odd prime p",
+               lambda n: _cube_root(n) ** 2, _extraspecial, "E<p^3>: extraspecial of order p^3 and exponent p (p odd)"),
+}
+_ATOM_RE = re.compile(rf"^({'|'.join(_KINDS)})(\d+)$")
+
+
+class FamilySpec:
+    """One group family instance; products hold their atoms in order."""
+
+    __slots__ = ("kind", "order", "parts")
+
+    def __init__(self, kind: str, order: int, parts: tuple[FamilySpec, ...] = ()) -> None:
+        self.kind = kind  # a prefix of `_KINDS`, or "product"
+        self.order, self.parts = order, parts
+
+    @property
+    def name(self) -> str:
+        if self.kind == "product":
+            return "x".join(part.name for part in self.parts)
+        return f"{self.kind}{self.order}"
+
+    @property
+    def degree(self) -> int:
+        """Degree of the default realization (`realize`), known before it is built."""
+        if self.kind == "product":
+            return sum(part.degree for part in self.parts)
+        return _KINDS[self.kind].degree(self.order)
+
+
+def parse_family(text: str) -> FamilySpec:
+    """Parse the textual family syntax, e.g. ``Q16xC3``."""
+    atoms = []
+    for token in text.strip().split("x"):
+        m = _ATOM_RE.match(token.strip())
+        if not m:
+            raise PreconditionError(f"unrecognized family token {token!r}")
+        prefix, digits = m.groups()
+        try:
+            order = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise PreconditionError(f"family token {prefix}{digits[:10]}... has an order of {len(digits)} digits") from None
+        kind = _KINDS[prefix]
+        if not kind.accepts(order):
+            raise PreconditionError(kind.refusal)
+        atoms.append(FamilySpec(prefix, order))
+    if len(atoms) == 1:
+        return atoms[0]
+    return FamilySpec("product", prod(atom.order for atom in atoms), tuple(atoms))
+
+
+# ---------------------------------------------------------------------------
+# realizations
 
 def realize(spec: FamilySpec) -> PermGroup:
-    """Default faithful realization of a family, with its order verified."""
-    if spec.kind == "cyclic":
-        group = _realize_cyclic(spec.order)
-    elif spec.kind == "dihedral":
-        group = _realize_dihedral(spec.order)
-    elif spec.kind == "semidihedral":
-        group = _realize_semidihedral(spec.order)
-    elif spec.kind == "quaternion":
-        group = _realize_quaternion(spec.order)
-    elif spec.kind == "extraspecial":
-        group = _realize_extraspecial(_odd_prime(_cube_root(spec.order)))
-    elif spec.kind == "product":
-        group = disjoint_union_action([realize(part) for part in spec.parts]).group
-    else:
-        raise PreconditionError(f"unknown family kind {spec.kind!r}")
-    if group.order != spec.order or group.degree != spec.degree:
-        raise InternalDefect(
-            f"realized {spec.name} with order {group.order} and degree {group.degree},"
-            f" expected {spec.order} and {spec.degree}"
-        )
-    return group
+    """Default faithful realization of a family: one chain, built with the
+    order the family's definition fixes, so it stops sifting there; tests
+    check each realized order independently.
+
+    A product acts on the disjoint union of its atoms' points: each atom's
+    generators, in atom order, act on its own block and fix the others.
+    """
+    atoms = spec.parts or (spec,)
+    blocks = [_KINDS[atom.kind].generators(atom.order) for atom in atoms]
+    for atom, block in zip(atoms, blocks):
+        for g in block:
+            if g.degree != atom.degree:
+                raise InternalDefect(f"realized {atom.name} in {spec.name} with degree {g.degree}, expected {atom.degree}")
+    fixed = [identity(atom.degree) for atom in atoms]
+    gens = tuple(direct_sum(fixed[:k] + [g] + fixed[k + 1:]) for k, block in enumerate(blocks) for g in block)
+    return PermGroup(spec.degree, gens, _order=spec.order)
 
 
 def realize_name(text: str) -> PermGroup:
@@ -391,19 +339,12 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
 
 
 __all__ = [
+    "FAMILY_EXAMPLES",
     "FamilySpec",
     "RepresentationEntry",
-    "abelian",
-    "cyclic",
-    "dihedral",
-    "extraspecial_exponent_p",
     "faithful_representations",
-    "family_syntax_examples",
-    "generalized_quaternion",
     "parse_family",
-    "product",
     "realize",
     "realize_name",
-    "semidihedral",
     "subgroup_lattice",
 ]

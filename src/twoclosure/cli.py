@@ -43,7 +43,9 @@ SUITE_FLAGS = {"axioms": ("seed", "max_degree"), "lemmas": (), "classification":
 def _check_input_degree(degree: int, source: str) -> None:
     """Refuse an input degree above the guard before any chain is built."""
     if degree > INPUT_DEGREE_GUARD:
-        raise PreconditionError(f"{source}: degree {degree} exceeds the input degree guard ({INPUT_DEGREE_GUARD})")
+        # A product's degree, a sum, can have more digits than str() converts.
+        shown = degree if degree < 10**4000 else "of over 4000 digits"
+        raise PreconditionError(f"{source}: degree {shown} exceeds the input degree guard ({INPUT_DEGREE_GUARD})")
 
 
 class UsageError(Exception):
@@ -79,7 +81,7 @@ def parse_group_document(text: str, source: str = "<input>") -> tuple[PermGroup,
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
         raise PreconditionError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise PreconditionError(f"{source}: expected an object with degree and generators")
@@ -213,23 +215,10 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_catalog(args) -> dict:
-    from .catalog import family_syntax_examples
+    from .catalog import _KINDS, FAMILY_EXAMPLES
 
-    return {
-        "command": "catalog",
-        "input": {},
-        "results": {
-            "families": [
-                "C<n>: cyclic of order n",
-                "D<2n>: dihedral of order 2n (n >= 3)",
-                "SD<2^n>: semidihedral of order 2^n (n >= 4)",
-                "Q<2^n>: generalized quaternion of order 2^n (n >= 3)",
-                "E<p^3>: extraspecial of order p^3 and exponent p (p odd)",
-                "a x b x ...: direct product acting on the disjoint union",
-            ],
-            "examples": family_syntax_examples(),
-        },
-    }
+    lines = [kind.listing for kind in _KINDS.values()] + ["a x b x ...: direct product acting on the disjoint union"]
+    return {"command": "catalog", "input": {}, "results": {"families": lines, "examples": list(FAMILY_EXAMPLES)}}
 
 
 def _max_degree(text: str) -> int:

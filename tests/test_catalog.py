@@ -3,16 +3,14 @@ import pytest
 from twoclosure import actions, catalog
 from twoclosure import group as group_module
 from twoclosure.catalog import (
-    abelian,
-    extraspecial_exponent_p,
+    FAMILY_EXAMPLES,
     faithful_representations,
-    family_syntax_examples,
     parse_family,
     realize,
     realize_name,
     subgroup_lattice,
 )
-from twoclosure.errors import GuardExceeded, PreconditionError
+from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
     PermGroup,
     as_subgroup,
@@ -31,12 +29,25 @@ def test_parse_family_syntax():
     assert parse_family("C2xC2").order == 4
     assert parse_family("E27").order == 27
     assert parse_family("C2xQ8xC3").order == 48
-    for bad in ("Z5", "Q6", "D4", "SD8", "E16", ""):
-        with pytest.raises(PreconditionError):
+    for bad, message in (
+        ("C0", "cyclic order must be positive"),
+        ("D4", "dihedral order must be an even number >= 6"),
+        ("SD8", "semidihedral order must be a power of two >= 16"),
+        ("Q6", "generalized quaternion order must be a power of two >= 8"),
+        ("E16", "extraspecial orders must be p^3 for an odd prime p"),
+        ("Z5", "unrecognized family token 'Z5'"),
+        ("", "unrecognized family token ''"),
+        ("C2xD4", "dihedral order must be an even number >= 6"),
+    ):
+        with pytest.raises(PreconditionError) as info:
             parse_family(bad)
+        assert str(info.value) == message, bad
+    # E<p^3> parses for any cube; p is tested prime when it is realized.
     for p in (2, 1, 9, 15):
-        with pytest.raises(PreconditionError, match="must be an odd prime"):
-            extraspecial_exponent_p(p)
+        spec = parse_family(f"E{p**3}")
+        with pytest.raises(PreconditionError) as info:
+            realize(spec)
+        assert str(info.value) == "extraspecial parameter must be an odd prime", p
 
 
 def test_realize_examples():
@@ -75,13 +86,59 @@ def test_atom_realizations_have_their_family_order(name):
 
 
 def test_family_degree_is_known_before_realizing():
-    for name in family_syntax_examples() + ["D12", "E125", "SD32xC5", "C1"]:
+    for name in FAMILY_EXAMPLES + ("D12", "E125", "SD32xC5", "C1"):
         spec = parse_family(name)
         assert spec.degree == realize(spec).degree, name
 
 
-def test_realize_abelian_helper():
-    group = realize(abelian(2, (1, 2)))
+# verify's 48 families, the six of the chain golden, and large, deep or
+# degenerate ones.
+REALIZED_FAMILIES = TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES + [
+    "D64", "E125", "D32xC3", "Q8xC4", "SD32", "C1000",
+    "D1024xC3", "Q32xQ16xC2", "E2197", "D10000", "Q4096", "C5000", "C1xC2",
+    "C2xQ8xC3", "D6", "SD128", "E343", "Q128", "D200",
+]
+
+
+def reference_realization(spec):
+    """The construction `realize` replaced: each atom its own group with its
+    known order, and a product the atoms joined by `disjoint_union_action`."""
+    atoms = [PermGroup(atom.degree, realize(atom).generators, _order=atom.order) for atom in spec.parts or (spec,)]
+    return atoms[0] if len(atoms) == 1 else actions.disjoint_union_action(atoms).group
+
+
+def test_realizations_match_the_disjoint_union_reference():
+    assert len(set(REALIZED_FAMILIES)) == 67
+    for name in REALIZED_FAMILIES:
+        spec = parse_family(name)
+        group, reference = realize(spec), reference_realization(spec)
+        assert chain_state(group) == chain_state(reference), name
+        assert group.strong_generators == reference.strong_generators, name
+
+
+def test_each_realization_builds_one_chain(monkeypatch):
+    built = []
+    init = group_module._Chain.__init__
+    monkeypatch.setattr(
+        group_module._Chain, "__init__", lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs)
+    )
+    for name in ("C1", "Q8", "E27", "C1xC2", "D32xC3", "C2xQ8xC3", "Q32xQ16xC2"):
+        built.clear()
+        realize_name(name)
+        assert len(built) == 1, name
+
+
+def test_a_realization_off_its_table_degree_is_a_defect(monkeypatch):
+    kinds = dict(catalog._KINDS)
+    kinds["C"] = kinds["C"]._replace(degree=lambda n: n + 1)
+    monkeypatch.setattr(catalog, "_KINDS", kinds)
+    with pytest.raises(InternalDefect) as info:
+        realize_name("Q8xC3")
+    assert str(info.value) == "realized C3 in Q8xC3 with degree 3, expected 4"
+
+
+def test_realize_noncyclic_abelian_product():
+    group = realize_name("C2xC4")
     assert group.order == 8 and group.is_abelian() and not is_cyclic(group)
 
 
@@ -152,7 +209,7 @@ def test_subgroup_lattice_counts_match_closed_formulas():
         assert len(subgroup_lattice(realize_name(f"D{2 * n}"))) == expected
     for k, expected in ((3, 16), (4, 67)):
         assert sum(_gaussian_binomial_2(k, j) for j in range(k + 1)) == expected
-        assert len(subgroup_lattice(realize(abelian(2, (1,) * k)))) == expected
+        assert len(subgroup_lattice(realize_name("x".join(["C2"] * k)))) == expected
 
 
 def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():

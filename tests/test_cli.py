@@ -165,6 +165,30 @@ def test_extraspecial_orders_are_refused_without_factoring(capsys):
         assert message in report["error"]["message"]
 
 
+def test_long_integers_and_deep_json_are_precondition_errors(tmp_path, capsys):
+    # int() refuses more than 4300 digits, and json.loads nesting past the
+    # recursion limit.  The files are raw text: json.dumps refuses such an
+    # int too.
+    nines, half = "9" * 5000, "9" * 4300
+    big, deep = tmp_path / "big.json", tmp_path / "deep.json"
+    big.write_text('{"degree": ' + nines + ', "generators": []}')
+    deep.write_text("[" * 200000)
+    for argv, message in (
+        (("classify", "--family", "C" + nines), "family token C9999999999... has an order of 5000 digits"),
+        (("classify", "-i", str(big)), f"{big}: not valid JSON: "),
+        (("closure", "-i", str(deep)), f"{deep}: not valid JSON: "),
+        (("witness", "--family", f"C{half}xC{half}"), f"degree of over 4000 digits exceeds the input degree guard ({INPUT_DEGREE_GUARD})"),
+    ):
+        started = time.perf_counter()
+        code = main(list(argv))
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and report["error"]["kind"] == "precondition", report
+        assert message in report["error"]["message"]
+        assert "internal defect:" not in captured.err
+
+
 def test_enumeration_guard_names_its_limit(capsys):
     code, report = run_cli(capsys, "witness", "--family", "x".join(["C2"] * 16))
     assert code == 2 and report["error"]["kind"] == "precondition"
