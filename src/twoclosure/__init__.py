@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
-        "actions": "CosetAction DisjointUnionAction EmbeddedAction "
+        "actions": "CosetAction EmbeddedAction "
         "QuotientAction action_hom coset_action disjoint_union_action quotient_action "
         "universal_embedding",
         "catalog": "FamilySpec faithful_representations parse_family realize realize_name subgroup_lattice",

@@ -79,30 +79,14 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
 # ---------------------------------------------------------------------------
 # disjoint unions
 
-class DisjointUnionAction:
-    __slots__ = ("group", "embedded")
-
-    def __init__(self, group: PermGroup, embedded: tuple[PermGroup, ...]) -> None:
-        self.group, self.embedded = group, embedded
-
-
-def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> DisjointUnionAction:
-    """External direct product acting on the disjoint union of the part sets."""
+def disjoint_union_action(parts: list[PermGroup] | tuple[PermGroup, ...]) -> PermGroup:
+    """External direct product acting on the disjoint union of the part sets,
+    generated by each part's generators on its own block, in part order."""
     if not parts:
         raise PreconditionError("disjoint union needs at least one part")
     fixed = [identity(part.degree) for part in parts]
-
-    def placed(k: int, g: Permutation) -> Permutation:
-        return direct_sum(fixed[:k] + [g] + fixed[k + 1:])
-
-    total = sum(part.degree for part in parts)
-    gens = [placed(k, g) for k, part in enumerate(parts) for g in part.generators]
-    embedded = tuple(
-        PermGroup(total, [placed(k, g) for g in part.strong_generators], _order=part.order)
-        for k, part in enumerate(parts)
-    )
-    group = PermGroup(total, tuple(gens), _order=prod(part.order for part in parts))
-    return DisjointUnionAction(group, embedded)
+    gens = [direct_sum(fixed[:k] + [g] + fixed[k + 1:]) for k, part in enumerate(parts) for g in part.generators]
+    return PermGroup(sum(part.degree for part in parts), gens, _order=prod(part.order for part in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -209,13 +209,24 @@ def _signature_classes(colors: tuple[int, ...], n: int) -> list[int]:
     return classes
 
 
-def _extend_from(colors: tuple[int, ...], classes: list[int], n: int, images: list[int], used: list[bool], pos: int) -> bool:
-    """Depth-first step of `_extend_automorphism`: True once images of pos..n-1 are found."""
+def _extend_from(
+    colors: tuple[int, ...], classes: list[int], n: int, images: list[int], used: list[bool], pos: int,
+    candidates: range | tuple[int, ...],
+) -> bool:
+    """Depth-first search for a coloring automorphism that keeps images[:pos]
+    and sends pos to one of `candidates`; True once images of pos..n-1 are
+    found, else `images` and `used` are left as they were.
+
+    A candidate must lie in pos's signature class, be unused, and agree with
+    every already-decided point in both pair orientations.  Candidates are
+    tried in increasing order, so the first extension found is the
+    lexicographically least.
+    """
     if pos == n:
         return True
     cls = classes[pos]
     base = pos * n
-    for v in range(n):
+    for v in candidates:
         if used[v] or classes[v] != cls:
             continue
         ok = True
@@ -231,31 +242,11 @@ def _extend_from(colors: tuple[int, ...], classes: list[int], n: int, images: li
             continue
         images[pos] = v
         used[v] = True
-        if _extend_from(colors, classes, n, images, used, pos + 1):
+        if _extend_from(colors, classes, n, images, used, pos + 1, range(n)):
             return True
         used[v] = False
     images[pos] = pos
     return False
-
-
-def _extend_automorphism(
-    colors: tuple[int, ...], classes: list[int], n: int, level: int, target: int
-) -> Permutation | None:
-    """Search for a coloring automorphism fixing 0..level-1 with level -> target.
-
-    Depth-first over the remaining point images; a candidate must agree with
-    every already-decided point in both pair orientations.
-    """
-    images = list(range(n))
-    images[level] = target
-    used = [False] * n
-    for j in range(level):
-        used[j] = True
-    used[target] = True
-
-    if _extend_from(colors, classes, n, images, used, level + 1):
-        return Permutation(tuple(images))
-    return None
 
 
 def _closure_generators(partition: OrbitalPartition, chain: _Chain) -> list[Permutation]:
@@ -264,31 +255,26 @@ def _closure_generators(partition: OrbitalPartition, chain: _Chain) -> list[Perm
 
     Works down the fixed base n-1, ..., 0: at each level the pointwise
     stabilizer below is already complete, so one successful search per new
-    orbit point yields a generating set level by level.  A basic orbit of a
-    complete chain depends only on the group, so the generators found do not
-    depend on how the chain was built.
+    orbit point, fixing 0..level-1 and sending level to it, yields a
+    generating set level by level.  A basic orbit of a complete chain depends
+    only on the group, so the generators found do not depend on how the chain
+    was built.
     """
     n = partition.degree
     colors = partition.colors
     classes = _signature_classes(colors, n)
     found: list[Permutation] = []
     for level in range(n - 2, -1, -1):
-        level_class = classes[level]
+        # A failed search restores both lists, so only a success renews them.
+        images, used = list(range(n)), [p < level for p in range(n)]
         for target in range(level + 1, n):
-            if classes[target] != level_class:
-                continue
-            if any(
-                colors[j * n + level] != colors[j * n + target]
-                or colors[level * n + j] != colors[target * n + j]
-                for j in range(level)
-            ):
-                continue
             if target in chain.levels[level].orbit:
                 continue
-            theta = _extend_automorphism(colors, classes, n, level, target)
-            if theta is not None:
+            if _extend_from(colors, classes, n, images, used, level, (target,)):
+                theta = Permutation(tuple(images))
                 chain.add(theta)
                 found.append(theta)
+                images, used = list(range(n)), [p < level for p in range(n)]
     return found
 
 

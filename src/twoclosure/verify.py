@@ -38,7 +38,7 @@ from .orbital import (
     two_closure,
     two_equivalent,
 )
-from .perm import Permutation, parse_cycles
+from .perm import Permutation, direct_sum, identity, parse_cycles
 from .witnesses import (
     abelian_p_witness,
     center_witness,
@@ -248,19 +248,18 @@ def check_paired_involutions_example() -> list[CheckResult]:
     return [_result("paired-involutions-example", failures, "order 8, sub-closures fixed")]
 
 
-def _coprime_unions() -> list[tuple[str, object]]:
-    out = []
-    for left, right in COPRIME_PRODUCT_PARTS:
-        union = disjoint_union_action([realize_name(left), realize_name(right)])
-        out.append((f"{left}|{right}", union))
-    return out
+def _on_block(part: PermGroup, offset: int, degree: int) -> PermGroup:
+    """`part` on points offset.. of a disjoint union of `degree` points, fixing the rest."""
+    before, after = identity(offset), identity(degree - offset - part.degree)
+    return PermGroup(degree, [direct_sum([before, g, after]) for g in part.strong_generators], _order=part.order)
 
 
 def check_commutation_and_center() -> list[CheckResult]:
     commute, abelian, lifting, direct, stab = [], [], [], [], []
-    for name, union in _coprime_unions():
-        group = union.group
-        a_part, b_part = union.embedded
+    for left, right in COPRIME_PRODUCT_PARTS:
+        name, a, b = f"{left}|{right}", realize_name(left), realize_name(right)
+        group = disjoint_union_action([a, b])
+        a_part, b_part = _on_block(a, 0, group.degree), _on_block(b, a.degree, group.degree)
         closure_a = two_closure(a_part)
         closure_b = two_closure(b_part)
         for x in closure_a.strong_generators:
@@ -386,8 +385,9 @@ def check_quotient_lemmas() -> list[CheckResult]:
     qt_instance("C6|C3", c6, sylow_decomposition(c6)[3])
     q8c3 = realize_name("Q8xC3")
     qt_instance("Q8xC3|C3", q8c3, sylow_decomposition(q8c3)[3])
-    v4c3 = disjoint_union_action([realize_name("C2xC2"), realize_name("C3")])
-    qt_instance("C2xC2|C3-part", v4c3.group, v4c3.embedded[0])
+    v4 = realize_name("C2xC2")
+    v4c3 = disjoint_union_action([v4, realize_name("C3")])
+    qt_instance("C2xC2|C3-part", v4c3, _on_block(v4, 0, v4c3.degree))
 
     remark = PermGroup(6, (parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)))
     remark_closure = two_closure(remark)
@@ -412,11 +412,12 @@ def check_disjoint_union_contrapositive() -> list[CheckResult]:
     failures = []
     inner = abelian_p_witness(2, (1, 1))
     union = disjoint_union_action([inner.group, realize_name("C3")])
-    closure = two_closure(union.group)
-    if closure.order <= union.group.order:
+    closure = two_closure(union)
+    if closure.order <= union.order:
         failures.append("union with a non-closed part came out closed")
-    part_closure = two_closure(union.embedded[0])
-    if part_closure.order <= union.embedded[0].order:
+    part = _on_block(inner.group, 0, union.degree)
+    part_closure = two_closure(part)
+    if part_closure.order <= part.order:
         failures.append("embedded non-closed part came out closed")
     return [_result("disjoint-union-contrapositive", failures, "cell witness | C3")]
 

@@ -495,7 +495,7 @@ def direct_factor_witness(inner: WitnessCertificate, complement: PermGroup, bloc
     `block_size` is the number of input points A was certified on.
     """
     _guard_certificate_degree(inner.group.degree + complement.degree)
-    group = disjoint_union_action([inner.group, complement]).group
+    group = disjoint_union_action([inner.group, complement])
     parameters = {
         "inner_construction": inner.construction,
         "inner_degree": inner.group.degree,

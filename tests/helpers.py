@@ -1,5 +1,6 @@
-"""Independent brute-force oracles used to pin expected values, and a probe
-of the modules a fresh interpreter loads.
+"""Independent brute-force oracles used to pin expected values, a block
+reference for side-by-side constructions, and a probe of the modules a fresh
+interpreter loads.
 
 Every oracle works by element enumeration only, never through the
 stabilizer chain or the closure search it checks.
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import twoclosure
+from twoclosure.group import PermGroup
 from twoclosure.perm import Permutation, identity
 
 
@@ -25,6 +27,12 @@ def shifted(g: Permutation, offset: int, degree: int) -> Permutation:
     for i, j in enumerate(g.images):
         images[offset + i] = offset + j
     return Permutation(tuple(images))
+
+
+def on_block(part: PermGroup, offset: int, degree: int) -> PermGroup:
+    """`part` moved by `shifted` onto its block of a disjoint union of
+    `degree` points, with its known order."""
+    return PermGroup(degree, [shifted(g, offset, degree) for g in part.strong_generators], _order=part.order)
 
 
 def mulclose(degree: int, gens) -> set[Permutation]:

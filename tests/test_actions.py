@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from helpers import shifted
+from helpers import on_block, shifted
 from twoclosure import actions
 from twoclosure.actions import (
     action_hom,
@@ -88,11 +88,11 @@ def test_coset_action_rejects_non_subgroup():
 def test_disjoint_union_examples():
     c2, c3 = realize_name("C2"), realize_name("C3")
     union = disjoint_union_action([c2, c3])
-    assert union.group.order == 6 and union.group.degree == 5
+    assert union.order == 6 and union.degree == 5
     union = disjoint_union_action([realize_name("Q8"), c3])
-    assert union.group.order == 24 and union.group.degree == 11
+    assert union.order == 24 and union.degree == 11
     single = disjoint_union_action([c3])
-    assert single.group.same_group(c3)
+    assert single.same_group(c3)
     with pytest.raises(PreconditionError):
         disjoint_union_action([])
 
@@ -100,16 +100,36 @@ def test_disjoint_union_examples():
 def test_disjoint_union_embed_moves_only_its_part():
     parts = [realize_name("C2"), realize_name("Q8"), realize_name("C3")]
     union = disjoint_union_action(parts)
-    degree = union.group.degree
-    start = 0
-    for part, embedded in zip(parts, union.embedded):
+    degree = union.degree
+    start = first = 0
+    for part in parts:
+        # Part k's generators, on its own block, follow those of the parts before it.
+        own_generators = union.generators[first:first + len(part.generators)]
+        assert own_generators == tuple(shifted(g, start, degree) for g in part.generators)
+        embedded = PermGroup(degree, own_generators)
         own = range(start, start + part.degree)
         lifted = embedded.elements()
         assert set(lifted) == {shifted(g, start, degree) for g in part.elements()} and embedded.order == part.order
         for h in lifted:
-            assert union.group.contains(h)
+            assert union.contains(h)
             assert all(h.images[p] == p for p in range(degree) if p not in own)
         start += part.degree
+        first += len(part.generators)
+    assert first == len(union.generators)
+
+
+def test_disjoint_union_builds_one_chain(monkeypatch):
+    parts = [realize_name("Q8"), realize_name("C3")]
+    builds = []
+    init = PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    union = disjoint_union_action(parts)
+    assert len(builds) == 1 and union.order == 24
 
 
 def test_coprime_direct_factors_rejects_non_coprime():
@@ -142,8 +162,9 @@ def test_quotient_action_examples():
 def test_quotient_action_lists_no_element_above_the_enumeration_guard(monkeypatch):
     # C11 x Sym(8) on 11 + 8 points, of order 443,520.
     sym8 = PermGroup(8, (parse_cycles("(1,2)", 8), parse_cycles("(1,2,3,4,5,6,7,8)", 8)))
-    union = disjoint_union_action([realize_name("C11"), sym8])
-    group, c11, sym8 = union.group, union.embedded[0], union.embedded[1]
+    c11 = realize_name("C11")
+    group = disjoint_union_action([c11, sym8])
+    c11, sym8 = on_block(c11, 0, group.degree), on_block(sym8, c11.degree, group.degree)
     assert group.order == 443520 > ENUMERATION_GUARD
 
     def no_listing(self):

@@ -104,7 +104,7 @@ def reference_realization(spec):
     """The construction `realize` replaced: each atom its own group with its
     known order, and a product the atoms joined by `disjoint_union_action`."""
     atoms = [PermGroup(atom.degree, realize(atom).generators, _order=atom.order) for atom in spec.parts or (spec,)]
-    return atoms[0] if len(atoms) == 1 else actions.disjoint_union_action(atoms).group
+    return atoms[0] if len(atoms) == 1 else actions.disjoint_union_action(atoms)
 
 
 def test_realizations_match_the_disjoint_union_reference():

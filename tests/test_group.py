@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoclosure.group as group_module
-from helpers import mulclose
+from helpers import mulclose, on_block
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
@@ -369,8 +369,9 @@ def test_cycle_chain_forms_no_schreier_generator_on_tree_edges(monkeypatch):
 def test_point_stabilizer_of_coprime_product_splits():
     from twoclosure.actions import disjoint_union_action
 
-    union = disjoint_union_action([realize_name("Q8"), realize_name("C3")])
-    group, (h_part, k_part) = union.group, union.embedded
+    q8, c3 = realize_name("Q8"), realize_name("C3")
+    group = disjoint_union_action([q8, c3])
+    h_part, k_part = on_block(q8, 0, group.degree), on_block(c3, q8.degree, group.degree)
     for alpha in range(group.degree):
         left = {
             h * k

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_pair_orbit_count, brute_two_closure
+from helpers import brute_pair_orbit_count, brute_two_closure, on_block
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import PermGroup, _Chain, center
@@ -316,15 +316,16 @@ def test_closure_invariants_on_catalog_groups():
 def test_commuting_and_abelian_closures():
     from twoclosure.actions import disjoint_union_action
 
-    union = disjoint_union_action([realize_name("C2xC2"), realize_name("C3")])
-    a_closure = two_closure(union.embedded[0])
-    b_closure = two_closure(union.embedded[1])
+    v4, c3 = realize_name("C2xC2"), realize_name("C3")
+    union = disjoint_union_action([v4, c3])
+    a_closure = two_closure(on_block(v4, 0, union.degree))
+    b_closure = two_closure(on_block(c3, v4.degree, union.degree))
     for x in a_closure.strong_generators:
         for y in b_closure.strong_generators:
             assert x * y == y * x
-    closure = two_closure(union.group)
-    assert union.group.is_abelian() and closure.is_abelian()
-    for z in center(union.group).elements():
+    closure = two_closure(union)
+    assert union.is_abelian() and closure.is_abelian()
+    for z in center(union).elements():
         assert all(z * s == s * z for s in closure.strong_generators)
 
 

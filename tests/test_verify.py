@@ -154,7 +154,7 @@ def test_regular_orbit_test_agrees_with_trivial_point_stabilizers():
             assert _has_regular_orbit(action) == listed, name
     # C2 x C2 on 2 + 2 points: every point stabilizer has order 2.
     c2 = realize_name("C2")
-    assert not _has_regular_orbit(disjoint_union_action([c2, c2]).group)
+    assert not _has_regular_orbit(disjoint_union_action([c2, c2]))
 
 
 def test_lemmas_suite_rejects_a_factor_closure_on_the_wrong_points(monkeypatch):

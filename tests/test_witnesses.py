@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import on_block
 from twoclosure.actions import disjoint_union_action
 from twoclosure import actions, witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
@@ -263,9 +264,9 @@ def test_two_group_witness_with_larger_centralizer():
 def test_odd_p_witness_with_larger_centralizer():
     # E27 x C3 is a 3-group where the chosen subgroup's centralizer strictly
     # exceeds it, so the coset classes span a larger quotient.
-    union = disjoint_union_action([realize_name("E27"), realize_name("C3")])
-    group = union.group
-    e27_part = union.embedded[0]
+    e27 = realize_name("E27")
+    group = disjoint_union_action([e27, realize_name("C3")])
+    e27_part = on_block(e27, 0, group.degree)
     z_gen = next(g for g in center(e27_part).elements() if not g.is_identity())
     b_gen = e27_part.generators[1] if len(e27_part.generators) > 1 else e27_part.strong_generators[1]
     n_group = PermGroup(group.degree, (z_gen, b_gen))
@@ -293,8 +294,8 @@ def test_certificates_survive_disjoint_union_transport():
     # a union containing a non-closed part cannot be closed
     inner = abelian_p_witness(2, (1, 1))
     union = disjoint_union_action([inner.group, realize_name("C3")])
-    closure = two_closure(union.group)
-    assert closure.order > union.group.order
+    closure = two_closure(union)
+    assert closure.order > union.order
 
 
 def test_check_certificate_reports_tampered_evidence():
