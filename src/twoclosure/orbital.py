@@ -24,18 +24,17 @@ class OrbitalPartition:
     """Coloring of ordered point pairs by the orbits of a group.
 
     Color ids are assigned in order of first appearance scanning pairs
-    lexicographically, so equal partitions have equal color tables.  The
-    breadth-first back-pointers spell a shortest generator word from the class
-    representative to each pair; the transporter table built from them on
-    first use holds the group element of every word.
+    lexicographically, so equal partitions have equal color tables, and each
+    class representative is the least pair of its class.  `generators` are
+    the group's strong generators, which the transporter table walks.
     """
 
     def __init__(
-        self, degree: int, colors: tuple[int, ...], rank: int, representatives: tuple[tuple[int, int], ...],
-        generators: tuple[Permutation, ...], parent_pair: tuple[int, ...], parent_gen: tuple[int, ...],
+        self, degree: int, colors: tuple[int, ...], representatives: tuple[tuple[int, int], ...],
+        generators: tuple[Permutation, ...],
     ) -> None:
-        self.degree, self.colors, self.rank, self.representatives = degree, colors, rank, representatives
-        self.generators, self.parent_pair, self.parent_gen = generators, parent_pair, parent_gen
+        self.degree, self.colors, self.representatives = degree, colors, representatives
+        self.rank, self.generators = len(representatives), generators
 
     def color_of(self, a: int, b: int) -> int:
         return self.colors[a * self.degree + b]
@@ -44,76 +43,72 @@ class OrbitalPartition:
     def _transporters(self) -> tuple[list[int], list[Permutation]]:
         """Per flat pair, an index into a list of distinct transporter elements.
 
-        The transporter of a pair is its parent's transporter times the
-        generator on the back-pointer.  Products are memoized on (parent
+        A breadth-first search from each class representative, first in first
+        out and over the generators in order, reaches every pair of the class
+        along a shortest generator word; a pair's transporter is its parent's
+        times the generator that reached it.  Products are memoized on (parent
         element, generator) and interned by image tuple, so the table costs at
         most |distinct transporters| x |generators| products.
         """
         n = self.degree
+        gens = [(gi, g, g.images) for gi, g in enumerate(self.generators)]
         elements = [identity(n)]
         interned = {elements[0].images: 0}
-        products: dict[tuple[int, int], int] = {}
+        products = [[-1] * len(gens)]  # per element, the index of its product with each generator
         index = [-1] * (n * n)
-        for flat in range(n * n):
-            path = []
-            top = flat
-            while index[top] < 0 and self.parent_pair[top] >= 0:
-                path.append(top)
-                top = self.parent_pair[top]
-            if index[top] < 0:
-                index[top] = 0
-            current = index[top]
-            for pair in reversed(path):
-                key = (current, self.parent_gen[pair])
-                found = products.get(key)
-                if found is None:
-                    g = elements[current] * self.generators[key[1]]
-                    found = interned.setdefault(g.images, len(elements))
-                    if found == len(elements):
-                        elements.append(g)
-                    products[key] = found
-                index[pair] = current = found
+        for rep in self.representatives:
+            seed = rep[0] * n + rep[1]
+            index[seed] = 0
+            queue = deque([seed])
+            while queue:
+                flat = queue.popleft()
+                a, b = divmod(flat, n)
+                current = index[flat]
+                for gi, g, images in gens:
+                    image = images[a] * n + images[b]
+                    if index[image] >= 0:
+                        continue
+                    found = products[current][gi]
+                    if found < 0:
+                        h = elements[current] * g
+                        found = products[current][gi] = interned.setdefault(h.images, len(elements))
+                        if found == len(elements):
+                            elements.append(h)
+                            products.append([-1] * len(gens))
+                    index[image] = found
+                    queue.append(image)
         return index, elements
 
 
 def orbital_partition(group: PermGroup) -> OrbitalPartition:
-    """The group's orbital partition, built once and cached on the group."""
+    """The group's orbital partition, built once and cached on the group.
+
+    The colors depend on the group alone, so the pair search runs over the
+    shorter of its two generating sets: a group built from an element list
+    carries every element as a generator.
+    """
     if group._partition is not None:
         return group._partition
     n = group.degree
-    gens = group.strong_generators
-    total = n * n
-    colors = [-1] * total
-    parent_pair = [-1] * total
-    parent_gen = [-1] * total
+    strong = group.strong_generators
+    gens = [g.images for g in min(strong, group.generators, key=len)]
+    colors = [-1] * (n * n)
     representatives = []
-    rank = 0
-    for seed in range(total):
+    for seed in range(n * n):
         if colors[seed] >= 0:
             continue
-        colors[seed] = rank
+        color = len(representatives)
+        colors[seed] = color
         representatives.append(divmod(seed, n))
-        queue = deque([seed])
-        while queue:
-            flat = queue.popleft()
-            a, b = divmod(flat, n)
-            for gi, g in enumerate(gens):
-                image = g.images[a] * n + g.images[b]
+        stack = [seed]
+        while stack:
+            a, b = divmod(stack.pop(), n)
+            for g in gens:
+                image = g[a] * n + g[b]
                 if colors[image] < 0:
-                    colors[image] = rank
-                    parent_pair[image] = flat
-                    parent_gen[image] = gi
-                    queue.append(image)
-        rank += 1
-    group._partition = OrbitalPartition(
-        degree=n,
-        colors=tuple(colors),
-        rank=rank,
-        representatives=tuple(representatives),
-        generators=gens,
-        parent_pair=tuple(parent_pair),
-        parent_gen=tuple(parent_gen),
-    )
+                    colors[image] = color
+                    stack.append(image)
+    group._partition = OrbitalPartition(n, tuple(colors), tuple(representatives), strong)
     return group._partition
 
 

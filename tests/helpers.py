@@ -2,8 +2,9 @@
 reference for side-by-side constructions, and a probe of the modules a fresh
 interpreter loads.
 
-Every oracle works by element enumeration only, never through the
-stabilizer chain or the closure search it checks.
+Every oracle works by element enumeration, or by a plain search over given
+generators, never through the stabilizer chain or the closure search it
+checks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import twoclosure
@@ -76,13 +78,30 @@ def brute_two_closure(degree: int, elements) -> set[Permutation]:
     return out
 
 
-def brute_pair_orbit_count(degree: int, elements) -> int:
-    """Number of orbits on ordered pairs, by direct enumeration."""
-    orbits = set()
-    for a in range(degree):
-        for b in range(degree):
-            orbits.add(frozenset((g.images[a], g.images[b]) for g in elements))
-    return len(orbits)
+def brute_color_table(degree: int, elements) -> tuple[int, ...]:
+    """Each ordered pair's orbit under an explicit element list, numbered in
+    order of first appearance scanning pairs lexicographically."""
+    orbits = pair_orbit_map(degree, elements)
+    numbers: dict[frozenset, int] = {}
+    return tuple(numbers.setdefault(orbits[(a, b)], len(numbers)) for a in range(degree) for b in range(degree))
+
+
+def transporter_tree(degree: int, generators, representative: tuple[int, int]) -> dict:
+    """Breadth-first search from `representative` over `generators`, first
+    in first out and in their order: every pair of its orbit, mapped to the
+    element spelled by the search-tree word that reaches it and that word's
+    length."""
+    reached = {representative: (identity(degree), 0)}
+    queue = deque([representative])
+    while queue:
+        a, b = pair = queue.popleft()
+        element, length = reached[pair]
+        for g in generators:
+            image = (g.images[a], g.images[b])
+            if image not in reached:
+                reached[image] = (element * g, length + 1)
+                queue.append(image)
+    return reached
 
 
 def loaded_modules(code: str, *argv: str) -> list[str]:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_pair_orbit_count, brute_two_closure, on_block
-from twoclosure.catalog import realize_name
+from helpers import brute_color_table, brute_two_closure, on_block, pair_orbit_map, transporter_tree
+from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import PermGroup, _Chain, center
 from twoclosure.orbital import (
@@ -34,8 +34,13 @@ def test_rank_examples():
     assert orbital_partition(remark_group()).rank == 12
 
 
+def klein_by_its_involutions():
+    return PermGroup(4, tuple(parse_cycles(c, 4) for c in ("(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)")))
+
+
 def test_rank_matches_brute_force_enumeration():
     rng = random.Random(5)
+    groups = []
     for _ in range(25):
         degree = rng.randint(2, 7)
         gens = []
@@ -43,9 +48,27 @@ def test_rank_matches_brute_force_enumeration():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(tuple(images)))
-        group = PermGroup(degree, tuple(gens))
+        groups.append(PermGroup(degree, tuple(gens)))
+    # Groups whose strong generating set is the shorter one, so the colors
+    # come from it: a center and a lattice handle list every element as a
+    # generator, and a closure keeps its input's generators, here three
+    # involutions of which two generate.
+    shorter = [
+        center(realize_name("D16")),
+        max(subgroup_lattice(realize_name("D8")), key=lambda handle: handle.mask.bit_count()).group,
+        two_closure(klein_by_its_involutions()),
+    ]
+    for group in shorter:
+        assert len(group.strong_generators) < len(group.generators)
+    for group in groups + shorter:
+        n, elements = group.degree, group.elements()
         partition = orbital_partition(group)
-        assert partition.rank == brute_pair_orbit_count(degree, group.elements())
+        assert partition.colors == brute_color_table(n, elements)
+        orbits = pair_orbit_map(n, elements)
+        assert partition.rank == len(partition.representatives) == len(set(orbits.values()))
+        for color, rep in enumerate(partition.representatives):
+            assert partition.color_of(*rep) == color
+            assert rep == min(orbits[rep])
 
 
 def test_orbital_partition_is_cached_on_its_group():
@@ -107,8 +130,9 @@ def check_transporter_table(group):
     partition = orbital_partition(group)
     n = partition.degree
     index, elements = partition._transporters
-    distance = {}
+    reference, distance = {}, {}
     for rep in partition.representatives:
+        reference.update(transporter_tree(n, group.strong_generators, rep))
         distance.update(bfs_distances(group, rep))
     for a in range(n):
         for b in range(n):
@@ -116,12 +140,8 @@ def check_transporter_table(group):
             g = elements[index[a * n + b]]
             assert (g.images[rep[0]], g.images[rep[1]]) == (a, b)
             assert group.contains(g)
-            word = 0
-            flat = a * n + b
-            while partition.parent_pair[flat] >= 0:
-                flat = partition.parent_pair[flat]
-                word += 1
-            assert flat == rep[0] * n + rep[1]
+            element, word = reference[(a, b)]
+            assert g == element
             assert word == distance[(a, b)]
     # every distinct transporter is built once: at most |G| objects
     assert len({g.images for g in elements}) == len(elements) <= group.order
