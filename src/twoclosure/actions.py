@@ -4,10 +4,12 @@ wreath-style action on Delta x G/N built from a faithful action of a normal
 subgroup N.
 
 Each builder fixes its 0-based point order by construction:
-- a coset action numbers the cosets by their sorted least representatives;
+- a coset action numbers the cosets by their least elements, met in order by
+  one scan of the group's canonically ordered elements;
 - a disjoint union places its parts side by side in order, as `direct_sum` does;
 - a block quotient numbers the blocks in the normal subgroup's orbit order;
-- the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta.
+- the universal embedding is coset-major: point (u, delta) is u*|Delta| + delta,
+  and its coset table sends each element f*t_u (f in N) to (u, f).
 
 Each hypothesis is checked once: a coset action's subgroup by `as_subgroup`, a
 normal subgroup by `is_normal`, and an embedding's inner action by `action_hom`.
@@ -51,24 +53,20 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     """Action on right cosets of a subgroup checked by `as_subgroup`.
 
     Each coset is represented by its lexicographically least permutation, and
-    the points follow the sorted representatives.  The action is faithful
-    exactly when image.order == group.order, since the kernel, the subgroup's
-    core, has order |G|/|image|.
+    the points follow the sorted representatives: one scan of the canonically
+    ordered elements meets each coset first at its least element, in that
+    order.  The action is faithful exactly when image.order == group.order,
+    since the kernel, the subgroup's core, has order |G|/|image|.
     """
     as_subgroup(group, subgroup)
-    elements = group.elements()  # refuses a group above the enumeration guard
     sub_elements = subgroup.elements()
-    rep_of: dict[Permutation, Permutation] = {}
-    for e in elements:
-        if e in rep_of:
-            continue
-        coset = [h * e for h in sub_elements]
-        rep = min(coset)
-        for c in coset:
-            rep_of[c] = rep
-    representatives = tuple(sorted(set(rep_of.values())))
-    rep_index = {rep: i for i, rep in enumerate(representatives)}
-    point_of = {e: rep_index[rep] for e, rep in rep_of.items()}
+    reps: list[Permutation] = []
+    point_of: dict[Permutation, int] = {}
+    for e in group.elements():  # refuses a group above the enumeration guard
+        if e not in point_of:
+            point_of.update((h * e, len(reps)) for h in sub_elements)
+            reps.append(e)
+    representatives = tuple(reps)
     image = PermGroup(
         len(representatives),
         tuple(_coset_permutation(g, representatives, point_of) for g in group.strong_generators),
@@ -198,12 +196,14 @@ def action_hom(source: PermGroup, degree: int, images: Mapping[Permutation, Perm
 
 class EmbeddedAction:
     """A group acting on Delta x G/N, with the inner action of N on Delta
-    (`mapping`, of degree `degree`) and the transversal, coset map and
-    cocycle behind the action.
+    (`mapping`, of degree `degree`), the transversal t_0..t_{k-1}, and the
+    coset table `coset_of`, which sends each group element f*t_u, f in N, to
+    (u, f): its coset and its N-part.
 
     The transversal is found by a breadth-first scan of the coset graph in
     canonical generator order, so the representative of the trivial coset is
-    the identity and the whole structure is reproducible.
+    the identity and the whole structure is reproducible.  The same scan
+    fills the coset table, so every N-part lies in N by construction.
     """
 
     __slots__ = ("image", "mapping", "degree", "transversal", "coset_of", "quotient_order")
@@ -213,29 +213,20 @@ class EmbeddedAction:
         mapping: dict[Permutation, Permutation],
         degree: int,
         transversal: tuple[Permutation, ...],
-        coset_of: dict[Permutation, int],
+        coset_of: dict[Permutation, tuple[int, Permutation]],
         generators: tuple[Permutation, ...],
     ) -> None:
         self.mapping, self.degree, self.transversal, self.coset_of = mapping, degree, transversal, coset_of
         self.quotient_order = len(transversal)
         self.image = PermGroup(degree * self.quotient_order, tuple(self.embed(g) for g in generators))
 
-    def _step(self, x: Permutation, u: int) -> tuple[int, Permutation]:
-        """(v, t_u * x * t_v^{-1}) for v the coset of t_u * x; the cocycle lands in N."""
-        e = self.transversal[u] * x
-        v = self.coset_of[e]
-        f = e * self.transversal[v].inverse()
-        if f not in self.mapping:
-            raise InternalDefect("cocycle value escaped the normal subgroup")
-        return v, f
-
     def embed(self, x: Permutation) -> Permutation:
-        """The action of x on Delta x G/N: (delta, u) -> (delta^f, v), where v
-        is the coset of t_u * x and f = t_u * x * t_v^{-1} is the cocycle."""
+        """The action of x on Delta x G/N: (delta, u) -> (delta^f, v), where
+        (v, f) = coset_of[t_u * x], so f = t_u * x * t_v^{-1} is the cocycle."""
         d = self.degree
         images: list[int] = []
-        for u in range(self.quotient_order):
-            v, f = self._step(x, u)
+        for t in self.transversal:
+            v, f = self.coset_of[t * x]
             images.extend(v * d + i for i in self.mapping[f].images)
         return Permutation(tuple(images))
 
@@ -260,18 +251,14 @@ def universal_embedding(
     inner = action_hom(normal, degree, images)
 
     transversal: list[Permutation] = [identity(group.degree)]
-    coset_of: dict[Permutation, int] = {x: 0 for x in inner}
-    head = 0
-    while head < len(transversal):
-        t = transversal[head]
-        head += 1
+    coset_of: dict[Permutation, tuple[int, Permutation]] = {f: (0, f) for f in inner}
+    for t in transversal:
         for s in group.strong_generators:
             e = t * s
             if e not in coset_of:
+                u = len(transversal)
                 transversal.append(e)
-                u = len(transversal) - 1
-                for x in inner:
-                    coset_of[x * e] = u
+                coset_of.update((f * e, (u, f)) for f in inner)
     if len(coset_of) != group.order:
         raise InternalDefect("coset scan did not cover the group")
     embedded = EmbeddedAction(inner, degree, tuple(transversal), coset_of, group.strong_generators)

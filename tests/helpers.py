@@ -54,6 +54,17 @@ def mulclose(degree: int, gens) -> set[Permutation]:
     return closed
 
 
+def brute_coset_numbering(group: PermGroup, subgroup: PermGroup) -> tuple[list[Permutation], dict[Permutation, int]]:
+    """Each right coset He as a set, represented by its least element, with
+    points numbered by the sorted representatives: the reference for
+    `actions.coset_action`.  Returns (representatives, point of each element)."""
+    sub = mulclose(group.degree, subgroup.generators)
+    cosets = {frozenset(h * e for h in sub) for e in mulclose(group.degree, group.generators)}
+    representatives = sorted(min(coset) for coset in cosets)
+    point = {rep: i for i, rep in enumerate(representatives)}
+    return representatives, {e: point[min(coset)] for coset in cosets for e in coset}
+
+
 def pair_orbit_map(degree: int, elements) -> dict[tuple[int, int], frozenset]:
     """Orbit of every ordered pair under an explicit element list."""
     out = {}

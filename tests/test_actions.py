@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from helpers import on_block, shifted
-from twoclosure import actions
+from helpers import brute_coset_numbering, on_block, shifted
+from twoclosure import actions, witnesses
 from twoclosure.actions import (
     action_hom,
     coprime_direct_factors,
@@ -13,7 +13,7 @@ from twoclosure.actions import (
     universal_embedding,
 )
 from twoclosure.catalog import realize_name, subgroup_lattice
-from twoclosure.classify import certify_coprime_product
+from twoclosure.classify import certify_coprime_product, split_pair
 from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import ENUMERATION_GUARD, PermGroup, center, core, sylow_decomposition
 from twoclosure.verify import catalog_realizations
@@ -78,6 +78,21 @@ def test_coset_action_degree_times_subgroup_order(monkeypatch):
             assert calls == {"core": 0, "same_group": 0}, name
             assert ca.image.degree * handle.group.order == group.order
             assert ca.image.order * core(group, handle.group).order == group.order
+
+
+def test_coset_action_numbers_cosets_by_sorted_least_elements():
+    inputs = [
+        (group, handle.group)
+        for group in map(realize_name, ("Q8xC3", "D16", "SD16", "C12", "E27"))
+        for handle in subgroup_lattice(group)
+        if group.order // handle.group.order <= 16
+    ]
+    inputs += [(group, split_pair(group)[1]) for group in map(realize_name, ("D32", "SD64"))]
+    for group, subgroup in inputs:
+        representatives, point_of = brute_coset_numbering(group, subgroup)
+        ca = coset_action(group, subgroup)
+        assert list(ca.representatives) == representatives
+        assert ca.point_of_element == point_of
 
 
 def test_coset_action_rejects_non_subgroup():
@@ -207,16 +222,39 @@ def test_universal_embedding_degenerate_quotient():
     assert emb.image.same_group(v4)
 
 
+def assert_coset_table(emb, group):
+    # Every element y is read as (u, f) with f in N and y = f * t_u.
+    assert len(emb.coset_of) == group.order
+    for y, (u, f) in emb.coset_of.items():
+        assert f in emb.mapping and f * emb.transversal[u] == y
+    for u, rep in enumerate(emb.transversal):
+        assert emb.coset_of[rep] == (u, identity(group.degree))
+
+
 def test_universal_embedding_respects_cocycle_identities():
-    # `_step` checks on every embed that each cocycle lies in N.
+    # The coset table holds each element's N-part, so `embed` reads every
+    # cocycle t_u * x * t_v^{-1} from it; here each one is checked to lie in N.
     d16 = realize_name("D16")
     z = center(d16)
     emb = universal_embedding(d16, z, 2, {g: parse_cycles("(1,2)", 2) for g in z.strong_generators})
     assert emb.image.order == d16.order
-    for u, rep in enumerate(emb.transversal):
-        assert emb.coset_of[rep] == u
+    assert_coset_table(emb, d16)
     for x in d16.elements():
         assert emb.image.contains(emb.embed(x))
+
+
+def test_center_witness_embedding_coset_table(monkeypatch):
+    built = []
+
+    def recorded(*args):
+        built.append(universal_embedding(*args))
+        return built[-1]
+
+    monkeypatch.setattr(witnesses, "universal_embedding", recorded)
+    group = realize_name("Q8xC4")
+    witnesses.center_witness(group)
+    assert len(built) == 1
+    assert_coset_table(built[0], group)
 
 
 def test_universal_embedding_validates_its_inner_action():

@@ -122,6 +122,19 @@ def test_center_cyclic_test_examples():
     assert center_cyclic_test(realize_name("D8")).passes  # cyclic center, inconclusive
 
 
+def test_center_cyclic_test_on_non_nilpotent_groups():
+    # The certificate comes from `center_witness` on the whole group.
+    for name, degree, order in (("D6xC2xC2", 36, 24), ("D10xC3xC3", 90, 90)):
+        test = center_cyclic_test(realize_name(name))
+        assert not test.passes, name
+        assert (test.certificate.group.degree, test.certificate.group.order) == (degree, order), name
+        assert test.certificate.construction == "center", name
+        assert check_certificate(test.certificate) == [], name
+    for name in ("D6xC2", "D6xC4"):
+        test = center_cyclic_test(realize_name(name))
+        assert test.passes and test.certificate is None, name
+
+
 def test_coprime_product_certification():
     q8c3 = realize_name("Q8xC3")
     sylows = sylow_decomposition(q8c3)

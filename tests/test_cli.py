@@ -6,7 +6,7 @@ import pytest
 from helpers import loaded_modules
 from twoclosure import cli
 from twoclosure.cli import INPUT_DEGREE_GUARD, main, parse_group_document
-from twoclosure.errors import PreconditionError
+from twoclosure.errors import InternalDefect, PreconditionError
 from twoclosure.group import ENUMERATION_GUARD, PermGroup
 
 
@@ -289,6 +289,29 @@ def test_unexpected_errors_are_reported_as_defects(monkeypatch, capsys):
     assert report["command"] == "catalog"
     assert report["error"] == {"kind": "defect", "message": "unexpected RuntimeError: boom"}
     assert "Traceback" not in captured.err and "RuntimeError: boom" in captured.err
+
+
+def test_a_failing_verify_check_exits_3_with_its_report(monkeypatch, capsys):
+    from twoclosure import verify
+
+    failing = verify.CheckResult("lemma_x", False, "2 of 3 groups failed")
+    monkeypatch.setitem(verify.SUITES, "lemmas", lambda: [verify.CheckResult("lemma_y", True, ""), failing])
+    assert main(["verify", "--suite", "lemmas"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "verify"
+    assert report["results"]["all_passed"] is False
+    assert {"name": "lemma_x", "passed": False, "detail": "2 of 3 groups failed"} in report["results"]["checks"]
+
+
+def test_internal_defects_exit_3_without_the_unexpected_prefix(monkeypatch, capsys):
+    def broken(args):
+        raise InternalDefect("chain lost a point")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    assert main(["catalog", "--list"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "catalog"
+    assert report["error"] == {"kind": "defect", "message": "chain lost a point"}
 
 
 def test_verify_max_degree_range_is_a_usage_error(capsys):
