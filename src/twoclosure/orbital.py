@@ -191,55 +191,33 @@ def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> Memb
     return MembershipEvidence(elements, assignments)
 
 
-def _signature_classes(colors: tuple[int, ...], n: int) -> list[int]:
-    # Points can only map to points with the same diagonal color and the same
-    # multiset of outgoing and incoming colors (color-degree refinement).
-    table: dict[tuple, int] = {}
-    classes = []
-    for v in range(n):
-        row = tuple(sorted(colors[v * n:(v + 1) * n]))
-        col = tuple(sorted(colors[v::n]))
-        key = (colors[v * n + v], row, col)
-        classes.append(table.setdefault(key, len(table)))
-    return classes
-
-
 def _extend_from(
-    colors: tuple[int, ...], classes: list[int], n: int, images: list[int], used: list[bool], pos: int,
-    candidates: range | tuple[int, ...],
+    colors: tuple[int, ...], n: int, images: list[int], used: list[bool], pos: int, candidates: range | tuple[int, ...],
 ) -> bool:
     """Depth-first search for a coloring automorphism that keeps images[:pos]
     and sends pos to one of `candidates`; True once images of pos..n-1 are
     found, else `images` and `used` are left as they were.
 
-    A candidate must lie in pos's signature class, be unused, and agree with
-    every already-decided point in both pair orientations.  Candidates are
+    A candidate must be unused, have pos's diagonal color, and send every
+    already-decided pair (j, pos) to a pair of the same color.  Candidates are
     tried in increasing order, so the first extension found is the
     lexicographically least.
     """
     if pos == n:
         return True
-    cls = classes[pos]
-    base = pos * n
+    diagonal = colors[pos * n + pos]
     for v in candidates:
-        if used[v] or classes[v] != cls:
+        if used[v] or colors[v * n + v] != diagonal:
             continue
-        ok = True
         for j in range(pos):
-            w = images[j]
-            if (
-                colors[j * n + pos] != colors[w * n + v]
-                or colors[base + j] != colors[v * n + w]
-            ):
-                ok = False
+            if colors[j * n + pos] != colors[images[j] * n + v]:
                 break
-        if not ok:
-            continue
-        images[pos] = v
-        used[v] = True
-        if _extend_from(colors, classes, n, images, used, pos + 1, range(n)):
-            return True
-        used[v] = False
+        else:
+            images[pos] = v
+            used[v] = True
+            if _extend_from(colors, n, images, used, pos + 1, range(n)):
+                return True
+            used[v] = False
     images[pos] = pos
     return False
 
@@ -254,10 +232,15 @@ def _closure_generators(partition: OrbitalPartition, chain: _Chain) -> list[Perm
     generating set level by level.  A basic orbit of a complete chain depends
     only on the group, so the generators found do not depend on how the chain
     was built.
+
+    The coloring must be an orbital partition.  Then the points of one
+    diagonal color form one orbit, so they share their row and column color
+    multisets and the diagonal color is the only class test needed; and
+    color(b, a) is a function of color(a, b), since orbitals come in paired
+    classes, so one orientation of each decided pair is enough.
     """
     n = partition.degree
     colors = partition.colors
-    classes = _signature_classes(colors, n)
     found: list[Permutation] = []
     for level in range(n - 2, -1, -1):
         # A failed search restores both lists, so only a success renews them.
@@ -265,7 +248,7 @@ def _closure_generators(partition: OrbitalPartition, chain: _Chain) -> list[Perm
         for target in range(level + 1, n):
             if target in chain.levels[level].orbit:
                 continue
-            if _extend_from(colors, classes, n, images, used, level, (target,)):
+            if _extend_from(colors, n, images, used, level, (target,)):
                 theta = Permutation(tuple(images))
                 chain.add(theta)
                 found.append(theta)

@@ -11,6 +11,7 @@ from twoclosure.errors import GuardExceeded, PreconditionError
 from twoclosure.group import PermGroup, _Chain, center
 from twoclosure.orbital import (
     _closure_generators,
+    _extend_from,
     _missing_generator,
     is_in_two_closure,
     membership_evidence,
@@ -19,7 +20,7 @@ from twoclosure.orbital import (
     two_equivalent,
 )
 from twoclosure.perm import Permutation, identity, parse_cycles
-from twoclosure.verify import catalog_realizations
+from twoclosure.verify import _colour_preserving_count, catalog_realizations, random_groups
 
 
 def remark_group():
@@ -364,3 +365,70 @@ def test_maximality_exhaustive_degree_5():
     for images in itertools.permutations(range(5)):
         theta = Permutation(images)
         assert closure.contains(theta) == is_in_two_closure(theta, partition)
+
+
+def diagonal_color_fixes_signatures(colors, n) -> bool:
+    """Points of one diagonal color have equal sorted row and column colors."""
+    signatures = {}
+    for v in range(n):
+        signature = (sorted(colors[v * n:(v + 1) * n]), sorted(colors[v::n]))
+        if signatures.setdefault(colors[v * n + v], signature) != signature:
+            return False
+    return True
+
+
+def reverse_color_is_a_function(colors, n) -> bool:
+    """color(b, a) is determined by color(a, b)."""
+    reverse = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        if reverse.setdefault(colors[a * n + b], colors[b * n + a]) != colors[b * n + a]:
+            return False
+    return True
+
+
+def path_coloring():
+    """Diagonal 0, color 1 on the pairs {1,2}, {1,4}, {3,4} (1-based) in both
+    orientations, color 2 on the rest: the path 2-1-4-3, whose only
+    automorphisms are the identity and the reversal 1<->4, 2<->3."""
+    edges = {(0, 1), (0, 3), (2, 3)}
+    return tuple(
+        0 if a == b else 1 if (min(a, b), max(a, b)) in edges else 2
+        for a, b in itertools.product(range(4), repeat=2)
+    )
+
+
+def test_orbital_colorings_meet_the_closure_search_precondition():
+    # The closure search tests a candidate by its diagonal color alone and
+    # each decided pair in one orientation; both rest on these two facts.
+    groups = [g for seed in (1, 2, 3) for g in random_groups(seed, 200, 7)]
+    groups += [group for _, group in catalog_realizations(12)]
+    for group in groups:
+        partition = orbital_partition(group)
+        assert diagonal_color_fixes_signatures(partition.colors, group.degree)
+        assert reverse_color_is_a_function(partition.colors, group.degree)
+    # Not orbital colorings: point 1 has color 1 to point 2 but color 2 back,
+    # so its row differs from point 2's under one diagonal color.
+    skew = (0, 1, 1, 2, 0, 1, 1, 1, 0)
+    assert not diagonal_color_fixes_signatures(skew, 3)
+    assert not reverse_color_is_a_function(skew, 3)
+    assert not diagonal_color_fixes_signatures(path_coloring(), 4)
+
+
+@pytest.mark.parametrize("p, multiplier, order", [(13, 4, 78), (17, 9, 136)])
+def test_closure_search_backtracks_to_the_group(p, multiplier, order):
+    # x -> x+1 and x -> multiplier*x: the search for these closures abandons
+    # partial images (6 and 11 times) before it finds each generator.
+    translate = Permutation(tuple((x + 1) % p for x in range(p)))
+    scale = Permutation(tuple(multiplier * x % p for x in range(p)))
+    group = PermGroup(p, (translate, scale))
+    closure = two_closure(group)
+    assert closure.same_group(group)
+    assert closure.order == order == _colour_preserving_count(orbital_partition(group))
+
+
+def test_a_failed_branch_frees_its_candidate():
+    # Sending 1 to 4, the search first sends 2 to 1 and fails at 3; point 1
+    # must be free again for the reversal, which sends 4 to it.
+    images, used = list(range(4)), [False] * 4
+    assert _extend_from(path_coloring(), 4, images, used, 0, (3,))
+    assert images == [3, 2, 1, 0] and all(used)

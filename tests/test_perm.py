@@ -158,6 +158,15 @@ def test_parse_errors_carry_columns():
     assert "exceeds degree" in err.value.reason
     with pytest.raises(CycleParseError):
         parse_cycles("1,2)", 4)
+    for text, reason, column in (
+        ("(1 2)", "expected ',' or ')' but found '2'", 4),
+        ("(1,2;3)", "expected ',' or ')' but found ';'", 5),
+        ("(0,1)", "points are 1-based", 2),
+        ("(2, 00)", "points are 1-based", 5),
+    ):
+        with pytest.raises(CycleParseError) as err:
+            parse_cycles(text, 4)
+        assert (err.value.reason, err.value.column) == (reason, column)
     assert parse_cycles("()", 4).is_identity()
     assert parse_cycles(" (1,2) (3,4) ", 4) == from_cycles(4, [(0, 1), (2, 3)])
 

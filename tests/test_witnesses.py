@@ -119,6 +119,7 @@ def _non_normal_four_subgroup(group):
         pytest.param("Q8xC2", center, "subgroup is central; use the center construction", id="central-Q8xC2"),
         pytest.param("C3xC3", lambda group: group, "subgroup is central; use the center construction", id="central-C3xC3"),
         pytest.param("D16", _non_normal_four_subgroup, "subgroup must be normal", id="non-normal-D16"),
+        pytest.param("C6", lambda group: group, "group must be a nontrivial p-group", id="not-a-p-group-C6"),
     ],
 )
 def test_pp_constructions_reject_a_bad_subgroup_alike(construction, family, subgroup, message):
@@ -210,6 +211,47 @@ def test_semidirect_witness_d8_and_sd16():
     assert cert.group.degree == 10 and cert.group.order == 16
     assert_valid(cert)
     assert two_closure(cert.group).order > 16
+
+
+def _lattice_subgroup(order, cyclic=None, normal=None):
+    """The first subgroup in the lattice with this order (and cyclicity and normality, when given)."""
+    return lambda group: next(
+        h.group for h in subgroup_lattice(group)
+        if h.group.order == order and cyclic in (None, is_cyclic(h.group)) and normal in (None, h.normal)
+    )
+
+
+@pytest.mark.parametrize(
+    "family, normal_part, complement, message",
+    [
+        pytest.param("D6", _lattice_subgroup(3), _lattice_subgroup(2), "group must be nilpotent", id="not-nilpotent"),
+        pytest.param("D8", _lattice_subgroup(2, normal=False), _lattice_subgroup(4, cyclic=True),
+                     "the first factor must be normal", id="not-normal"),
+        pytest.param("D8", center, lambda d8: d8, "the complement must be abelian", id="nonabelian-complement"),
+        pytest.param("D8", _lattice_subgroup(4, cyclic=True), center, "the factors must intersect trivially", id="meeting"),
+        pytest.param("D8", _lattice_subgroup(4, cyclic=True), lambda d8: PermGroup(d8.degree, ()),
+                     "the factors do not multiply up to the group", id="too-small"),
+    ],
+)
+def test_semidirect_witness_refuses_each_broken_hypothesis(family, normal_part, complement, message):
+    group = realize_name(family)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        semidirect_witness(group, normal_part(group), complement(group))
+
+
+def test_constructions_refuse_a_wrong_prime_or_exponent():
+    with pytest.raises(PreconditionError, match="^exponents must be positive$"):
+        abelian_p_witness(3, (2, 0))
+    e27 = realize_name("E27")
+    pp = next(h.group for h in subgroup_lattice(e27) if h.normal and h.group.order == 9 and not is_cyclic(h.group))
+    with pytest.raises(PreconditionError, match="^group must be a 2-group; use the odd-p construction$"):
+        two_group_witness(e27, pp)
+
+
+def test_check_certificate_refuses_a_witness_of_another_degree():
+    d8 = realize_name("D8")
+    cert = WitnessCertificate(d8, identity(d8.degree + 1), MembershipEvidence([], []), "center", {})
+    assert cert.problems == check_certificate(cert) == ["witness degree mismatch"]
 
 
 def test_semidirect_witness_rejects_normal_complement():
