@@ -13,8 +13,8 @@ from .actions import coset_action, disjoint_union_action, universal_embedding
 from .errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from .group import (
     PermGroup,
+    _centralizing,
     center,
-    centralizer,
     intersection_elements,
     is_cyclic,
     is_nilpotent,
@@ -105,56 +105,25 @@ def _assemble(group: PermGroup, witness: Permutation, construction: str, paramet
 # abelian bases
 
 def abelian_basis(group: PermGroup) -> list[Permutation]:
-    """Invariant-factor basis of an abelian group by greedy maximal-order peeling."""
+    """Invariant-factor basis of an abelian group by greedy maximal-order
+    peeling: one pass in (-order, element) order keeps g when <g> meets the
+    span of the kept elements only in the identity.  The span only grows, so
+    an element skipped once stays skipped."""
     if not group.is_abelian():
         raise PreconditionError("group is not abelian")
-    elements = group.elements()
     basis: list[Permutation] = []
     generated: set[Permutation] = {identity(group.degree)}
-    by_preference = sorted(elements, key=lambda g: (-g.order(), g))
-    while len(generated) < group.order:
-        chosen = None
-        for g in by_preference:
-            if g in generated:
-                continue
-            powers = []
-            h = g
-            independent = True
-            while not h.is_identity():
-                if h in generated:
-                    independent = False
-                    break
-                powers.append(h)
-                h = h * g
-            if independent:
-                chosen = (g, powers)
-                break
-        if chosen is None:
-            raise InternalDefect("abelian basis extraction got stuck")
-        g, powers = chosen
-        basis.append(g)
-        generated = {a * p for a in generated for p in powers} | generated
-    total = 1
-    for g in basis:
-        total *= g.order()
-    if total != group.order:
-        raise InternalDefect("abelian basis orders do not multiply to the group order")
+    for g in sorted(group.elements(), key=lambda g: (-g.order(), g)):
+        powers, h = [], g
+        while h not in generated:
+            powers.append(h)
+            h = h * g
+        if powers and h.is_identity():
+            basis.append(g)
+            generated |= {x * y for x in generated for y in powers}
+    if len(generated) != group.order:
+        raise InternalDefect("abelian basis extraction got stuck")
     return basis
-
-
-def abelian_p_basis(group: PermGroup, p: int) -> tuple[list[Permutation], list[int]]:
-    """Basis of an abelian p-group sorted by element order, with the exponent
-    k of each basis element's order p^k."""
-    basis = sorted(abelian_basis(group), key=lambda g: (g.order(), g))
-    exponents = []
-    for g in basis:
-        e = 0
-        o = g.order()
-        while o > 1:
-            o //= p
-            e += 1
-        exponents.append(e)
-    return basis, exponents
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +179,6 @@ def abelian_p_witness(p: int, exponents) -> WitnessCertificate:
 # ---------------------------------------------------------------------------
 # 2-groups with a normal noncentral four-subgroup
 
-def _first_outside(group: PermGroup, subgroup: PermGroup) -> Permutation:
-    for g in group.elements():
-        if not subgroup.contains(g):
-            return g
-    raise InternalDefect("no element outside the subgroup")
-
-
 def _noncentral_pp(group: PermGroup, subgroup: PermGroup) -> tuple[int, Permutation, Permutation]:
     """Validate the hypothesis of the 2-group and odd-p constructions: a
     p-group with a normal subgroup N of type (p,p) that meets the center in
@@ -230,7 +192,9 @@ def _noncentral_pp(group: PermGroup, subgroup: PermGroup) -> tuple[int, Permutat
         raise PreconditionError("subgroup must be elementary abelian of order p^2")
     if not is_normal(group, subgroup):
         raise PreconditionError("subgroup must be normal")
-    central = [g for g in intersection_elements(subgroup, center(group)) if not g.is_identity()]
+    # N meets Z(G) in the elements of N that commute with G's generators.
+    gens = group.strong_generators
+    central = [g for g in subgroup.elements() if not g.is_identity() and all(g * s == s * g for s in gens)]
     if len(central) == p * p - 1:
         raise PreconditionError("subgroup is central; use the center construction instead")
     if len(central) != p - 1:
@@ -258,7 +222,7 @@ def two_group_witness(group: PermGroup, four_subgroup: PermGroup) -> WitnessCert
 
     delta = 4
     act4 = {a: from_cycles(delta, [(0, 1)]), b: from_cycles(delta, [(2, 3)])}
-    centr = centralizer(group, four_subgroup)
+    centr = _centralizing(group, (b,))  # C_G(N) = C_G(b), since a is central
     if group.order != 2 * centr.order:
         raise InternalDefect("the four-subgroup centralizer must have index 2")
     inner = universal_embedding(centr, four_subgroup, delta, act4)
@@ -304,22 +268,37 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
     return x.inverse() * y.inverse() * x * y
 
 
+def _outer_element(group: PermGroup, b: Permutation) -> Permutation:
+    """The first element, in canonical order, that does not commute with b."""
+    for g in group.elements():
+        if g * b != b * g:
+            return g
+    raise InternalDefect("no element outside the subgroup")
+
+
 def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificate:
     """Witness for an odd p-group with a normal p x p subgroup meeting the
     center in exactly one subgroup of order p.
 
     Acts on the cosets of <b> (b the noncentral generator); the witness
     multiplies exactly one t-exponent class of cosets by the central
-    generator a, a move each pair orbit cannot see.
+    generator a, a move each pair orbit cannot see.  C_G(N) = C_G(b), as a
+    is central; it is used only through commutation with b, and never built.
     """
     p, a, b = _noncentral_pp(group, pp_subgroup)
     if p == 2:
         raise PreconditionError("p must be odd; use the 2-group construction")
     _guard_certificate_degree(group.order // p)
-    centr = centralizer(group, pp_subgroup)
-    if group.order != p * centr.order:
+    # |G : C_G(b)| = |b^G|: b's conjugates are closed under the strong
+    # generators, and there are at most p of them.
+    conjugates: set[Permutation] = set()
+    grown = {b}
+    while len(conjugates) < len(grown) <= p:
+        conjugates = grown
+        grown = conjugates | {x.conjugated_by(s) for x in conjugates for s in group.strong_generators}
+    if len(grown) != p:
         raise InternalDefect("the subgroup centralizer must have index p")
-    t = _first_outside(group, centr)
+    t = _outer_element(group, b)
 
     ca = coset_action(group, PermGroup(group.degree, (b,)))
     if ca.image.order != group.order:
@@ -328,11 +307,11 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
     stab_one = ca.image.point_stabilizer(ca.point_of_element[identity(group.degree)])
     if len(stab_one.orbit(ca.point_of_element[t])) != stab_one.order:
         raise InternalDefect("base coset stabilizers must intersect trivially")
-    t_powers = [t**i for i in range(p)]
+    t_inverse_powers = [t**-i for i in range(p)]
 
     def exponent_class(rep: Permutation) -> int:
-        for i in range(p):
-            if centr.contains(t_powers[i].inverse() * rep):
+        for i, u in enumerate(t_inverse_powers):
+            if u * rep * b == b * u * rep:
                 return i
         raise InternalDefect("coset representative escapes the exponent classes")
 
@@ -351,13 +330,12 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
     for i in range(p):
         if i == 2 % p:
             continue
-        s_i = next(
-            (s for s in range(p) if commutator(t ** (i - 2), b.inverse()) == a**s),
-            None,
-        )
+        twist = commutator(t ** (i - 2), b.inverse())
+        s_i = next((s for s in range(p) if twist == a**s), None)
         if not s_i:
             raise InternalDefect("commutator landed outside <a> or vanished unexpectedly")
-        k_i = next(k for k in range(1, p) if commutator(t ** (i - 2), b ** (-k)) == a)
+        # The twist is central, so [t^(i-2), b^-k] = a^(k s_i) = a for k = 1/s_i mod p.
+        k_i = pow(s_i, -1, p)
         twist_residues[i] = s_i
         twist_exponents[i] = k_i
         bezout[i] = (1 - k_i * s_i) // p
@@ -457,7 +435,8 @@ def center_witness(group: PermGroup) -> WitnessCertificate:
     if is_cyclic(z):
         raise PreconditionError("the center is cyclic")
     p, n_group = _center_prime(z)
-    basis, exponents = abelian_p_basis(n_group, p)
+    basis = sorted(abelian_basis(n_group), key=lambda g: (g.order(), g))
+    exponents = [prime_factorization(g.order())[p] for g in basis]
     _guard_certificate_degree((sum(p**k for k in exponents) + p) * (group.order // n_group.order))
 
     inner = abelian_p_witness(p, exponents)

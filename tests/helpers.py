@@ -89,6 +89,20 @@ def brute_two_closure(degree: int, elements) -> set[Permutation]:
     return out
 
 
+def brute_abelian_basis(group: PermGroup) -> list[Permutation]:
+    """Walk the elements of an abelian group in (-order, element) order and
+    keep g when <g> meets the span of the kept elements only in the
+    identity: the reference for `witnesses.abelian_basis`."""
+    one = identity(group.degree)
+    basis: list[Permutation] = []
+    span = {one}
+    for g in sorted(mulclose(group.degree, group.generators), key=lambda g: (-g.order(), g)):
+        if g not in span and mulclose(group.degree, [g]) & span == {one}:
+            basis.append(g)
+            span = mulclose(group.degree, basis)
+    return basis
+
+
 def brute_color_table(degree: int, elements) -> tuple[int, ...]:
     """Each ordered pair's orbit under an explicit element list, numbered in
     order of first appearance scanning pairs lexicographically."""

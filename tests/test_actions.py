@@ -154,6 +154,18 @@ def test_coprime_direct_factors_rejects_non_coprime():
         coprime_direct_factors(v4, parts, parts)
 
 
+def test_coprime_direct_factors_refuses_factors_that_are_no_direct_product():
+    c6 = PermGroup(6, (parse_cycles("(1,2,3,4,5,6)", 6),))
+    involution = PermGroup(6, (parse_cycles("(1,4)(2,5)(3,6)", 6),))
+    with pytest.raises(PreconditionError, match="^the factor orders do not multiply to the group order$"):
+        coprime_direct_factors(c6, involution, PermGroup(6, ()))
+    transposition = PermGroup(3, (parse_cycles("(1,2)", 3),))
+    rotation = PermGroup(3, (parse_cycles("(1,2,3)", 3),))
+    s3 = PermGroup(3, transposition.generators + rotation.generators)
+    with pytest.raises(PreconditionError, match="^the factors do not commute elementwise$"):
+        coprime_direct_factors(s3, transposition, rotation)
+
+
 def test_quotient_action_examples():
     # The block kernel has order |G|/|image|; here it is the normal subgroup.
     c6 = PermGroup(6, (parse_cycles("(1,2,3,4,5,6)", 6),))

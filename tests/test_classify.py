@@ -97,6 +97,16 @@ def test_witness_router_rejects_closed_groups():
         not_two_closed_witness(realize_name("C12"))
 
 
+def test_classify_helpers_refuse_groups_outside_their_hypotheses():
+    with pytest.raises(PreconditionError, match="^the center must be cyclic$"):
+        normal_pp_subgroup(realize_name("C2xC2"), 2)
+    with pytest.raises(PreconditionError, match="^the group must be dihedral or semidihedral$"):
+        split_pair(realize_name("Q8"))
+    s3 = PermGroup(3, (parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)))
+    with pytest.raises(PreconditionError, match="^witness routing requires a nilpotent group$"):
+        not_two_closed_witness(s3)
+
+
 def test_witness_router_construction_choices():
     assert not_two_closed_witness(realize_name("C2xC2")).construction == "abelian-p"
     assert not_two_closed_witness(realize_name("E27")).construction == "odd-p"

@@ -18,6 +18,7 @@ from twoclosure.group import (
     center,
     centralizer,
     core,
+    intersection_elements,
     is_cyclic,
     is_nilpotent,
     is_normal,
@@ -42,6 +43,30 @@ def test_build_group_examples():
 def test_build_group_rejects_degree_mismatch():
     with pytest.raises(PreconditionError):
         PermGroup(4, (cycles("(1,2)", 5),))
+
+
+def s3_on(degree):
+    return PermGroup(degree, (cycles("(1,2)", degree), cycles("(1,2,3)", degree)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PermGroup(-1, ()), "degree must be non-negative", id="negative-degree"),
+        pytest.param(lambda: s3_on(3).contains(cycles("(1,2)", 4)), "degree mismatch", id="contains"),
+        pytest.param(lambda: s3_on(3).conjugated_by(cycles("(1,2)", 4)), "degree mismatch", id="conjugated_by"),
+        pytest.param(lambda: s3_on(3).is_subgroup_of(s3_on(4)), "degree mismatch", id="is_subgroup_of"),
+        pytest.param(lambda: intersection_elements(s3_on(3), s3_on(4)), "degree mismatch", id="intersection_elements"),
+        pytest.param(lambda: s3_on(3).orbit(3), "point out of range", id="orbit"),
+        pytest.param(lambda: s3_on(3).point_stabilizer(-1), "point out of range", id="point_stabilizer"),
+        pytest.param(
+            lambda: as_subgroup(s3_on(4), s3_on(3)), "degree mismatch between subgroup and parent", id="as_subgroup"
+        ),
+    ],
+)
+def test_group_operators_refuse_bad_arguments(call, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call()
 
 
 def test_deterministic_chains():

@@ -235,6 +235,8 @@ def test_membership_evidence_is_checkable():
         assert g.images[a] == theta.images[a] and g.images[b] == theta.images[b]
     with pytest.raises(PreconditionError):
         membership_evidence(parse_cycles("(1,3)", 6), partition)
+    with pytest.raises(PreconditionError, match="^degree mismatch$"):
+        membership_evidence(parse_cycles("(1,2)", 7), partition)
 
 
 def test_closure_examples():

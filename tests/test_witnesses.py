@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from helpers import on_block
+from helpers import brute_abelian_basis, on_block
 from twoclosure.actions import disjoint_union_action
 from twoclosure import actions, witnesses
 from twoclosure.catalog import realize_name, subgroup_lattice
@@ -40,6 +42,21 @@ def test_abelian_basis_and_coordinates():
     q8 = realize_name("Q8")
     with pytest.raises(PreconditionError):
         abelian_basis(q8)
+
+
+ABELIAN_BASIS_LATTICES = [
+    "C4xC4", "C2xC2xC2xC2", "C2xC4xC8", "C3xC9", "C2xC2xC3xC3", "C6xC6", "Q8xC4", "D8xC2xC2", "C4xC2xC2xC2",
+]
+
+
+def test_abelian_basis_matches_the_brute_force_greedy_basis():
+    compared = 0
+    for name in ABELIAN_BASIS_LATTICES:
+        for handle in subgroup_lattice(realize_name(name)):
+            if handle.group.is_abelian():
+                assert abelian_basis(handle.group) == brute_abelian_basis(handle.group), (name, handle.group)
+                compared += 1
+    assert compared == 509
 
 
 def test_abelian_p_witness_2_11():
@@ -178,10 +195,65 @@ def test_odd_p_stabilizer_check_reads_an_orbit_length(name, p):
 def test_odd_p_witness_rejects_base_stabilizers_that_meet(monkeypatch):
     # t taken inside the centralizer of <a, b> fixes b, so Stab(t) = Stab(1) = <b>.
     e27 = realize_name("E27")
-    inside = lambda group, centralizer: next(g for g in centralizer.elements() if not g.is_identity())
-    monkeypatch.setattr(witnesses, "_first_outside", inside)
+    inside = lambda group, b: next(g for g in group.elements() if not g.is_identity() and g * b == b * g)
+    monkeypatch.setattr(witnesses, "_outer_element", inside)
     with pytest.raises(InternalDefect, match="^base coset stabilizers must intersect trivially$"):
         odd_p_witness(e27, normal_pp_subgroup(e27, 3))
+
+
+def _forbid(monkeypatch, *names):
+    """Make each named function fail the test wherever a loaded twoclosure
+    module binds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forbidden group operator was called")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("twoclosure."):
+            for name in names:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("name, p", [("E27", 3), ("E125", 5), ("E343", 7)])
+def test_odd_p_witness_builds_no_centralizer(monkeypatch, name, p):
+    # C_G(N) = C_G(b) has order |G|/p; the construction only tests
+    # commutation with b, so it lists no center or centralizer and builds no
+    # group of that order.
+    group = realize_name(name)
+    pp_subgroup = normal_pp_subgroup(group, p)
+    _forbid(monkeypatch, "center", "centralizer", "_centralizing", "intersection_elements")
+    built = []
+    init = PermGroup._init
+
+    def recording_init(self, generators, chain):
+        init(self, generators, chain)
+        built.append(self.order)
+
+    monkeypatch.setattr(PermGroup, "_init", recording_init)
+    cert = odd_p_witness(group, pp_subgroup)
+    assert built and group.order // p not in built
+    assert_valid(cert)
+
+
+def _eligible_four_subgroup(group):
+    """The first normal four-subgroup meeting the center in one involution."""
+    z = center(group)
+    return next(
+        h.group
+        for h in subgroup_lattice(group)
+        if h.normal
+        and h.group.order == 4
+        and not is_cyclic(h.group)
+        and sum(1 for x in intersection_elements(h.group, z) if not x.is_identity()) == 1
+    )
+
+
+@pytest.mark.parametrize("name", ["D8", "D8xC2"])
+def test_two_group_witness_reads_the_center_by_commutation(monkeypatch, name):
+    group = realize_name(name)
+    four_subgroup = _eligible_four_subgroup(group)
+    _forbid(monkeypatch, "center", "intersection_elements")
+    assert_valid(two_group_witness(group, four_subgroup))
 
 
 def test_odd_p_witness_rejects_p2_and_abelian():
