@@ -456,8 +456,9 @@ class PermGroup:
 
     @classmethod
     def _from_chain(cls, generators: tuple[Permutation, ...], chain: _Chain) -> PermGroup:
-        """Wrap a complete chain, which must be the one that adding
-        `generators` in order to an empty chain builds."""
+        """Wrap any complete chain of <generators>.  Its strong generators are
+        that chain's, so only a caller that reads order, membership and basic
+        orbits may pass a chain that the generators did not build."""
         group = cls.__new__(cls)
         group._init(generators, chain)
         return group

@@ -264,8 +264,8 @@ def two_closure(group: PermGroup) -> PermGroup:
             f"({CLOSURE_DEGREE_GUARD}); definitional membership is still available"
         )
     partition = orbital_partition(group)
-    # The group's chain is the state after adding its generators, so adding
-    # the found generators to a copy builds exactly the chain of
+    # When the group's chain is the state after adding its generators,
+    # adding the found generators to a copy builds exactly the chain of
     # PermGroup(degree, group.generators + found).
     chain = group._chain.copy()
     found = _closure_generators(partition, chain)

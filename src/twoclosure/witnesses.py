@@ -307,13 +307,14 @@ def odd_p_witness(group: PermGroup, pp_subgroup: PermGroup) -> WitnessCertificat
     stab_one = ca.image.point_stabilizer(ca.point_of_element[identity(group.degree)])
     if len(stab_one.orbit(ca.point_of_element[t])) != stab_one.order:
         raise InternalDefect("base coset stabilizers must intersect trivially")
-    t_inverse_powers = [t**-i for i in range(p)]
+    # rep = t^i·c with c in C_G(b) centralizing b^(t^i) in b<a>, so b^rep = b^(t^i).
+    class_of = {b.conjugated_by(t**i): i for i in range(p)}
 
     def exponent_class(rep: Permutation) -> int:
-        for i, u in enumerate(t_inverse_powers):
-            if u * rep * b == b * u * rep:
-                return i
-        raise InternalDefect("coset representative escapes the exponent classes")
+        i = class_of.get(b.conjugated_by(rep))
+        if i is None:
+            raise InternalDefect("coset representative escapes the exponent classes")
+        return i
 
     classes = [exponent_class(rep) for rep in ca.representatives]
     images = []

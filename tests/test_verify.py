@@ -5,9 +5,12 @@ faults that the suites must reject."""
 import itertools
 from collections import Counter
 
+import pytest
+
 from twoclosure import verify
 from twoclosure.actions import disjoint_union_action
 from twoclosure.catalog import faithful_representations, realize_name
+from twoclosure.group import PermGroup
 from twoclosure.orbital import orbital_partition, two_closure
 from twoclosure.perm import Permutation
 from twoclosure.verify import (
@@ -96,6 +99,35 @@ def test_axioms_suite_rejects_an_engine_that_moves_conjugate_closures(monkeypatc
     failures = failed(check_closure_axioms(seed=3, samples=40, max_degree=7))
     assert set(failures) == {"conjugation-equivariance"}
     assert failures["conjugation-equivariance"].endswith(": conjugation equivariance failed")
+
+
+@pytest.mark.parametrize("seed, reused", [(1, 651), (2, 633), (3, 651)])
+def test_axioms_suite_closes_a_normalized_conjugate_over_the_groups_chain(monkeypatch, seed, reused):
+    # Each population group G reaches the engine, then its closure, then
+    # five conjugates G^x. When x normalizes G, G^x = G is closed over G's
+    # own chain; the search must find the same generators and order as over
+    # the chain that G^x's generators build.
+    inputs = []
+
+    def recording(group):
+        inputs.append(group)
+        return two_closure(group)
+
+    monkeypatch.setattr(verify, "two_closure", recording)
+    assert failed(check_closure_axioms(seed=seed)) == {}
+    population = len(random_groups(seed, 200, 7) + catalog_realizations(12))
+    chains, over_own_chain = set(), []
+    for group in inputs:
+        if id(group._chain) in chains:
+            over_own_chain.append(group)
+        chains.add(id(group._chain))
+    # On seed 1, 651 of the 1,115 conjugates reuse G's chain.
+    assert (len(inputs) - 2 * population, len(over_own_chain)) == (5 * population, reused)
+    for group in over_own_chain:
+        built = PermGroup(group.degree, group.generators, _order=group.order)
+        assert built.same_group(group)
+        closure, built_closure = two_closure(group), two_closure(built)
+        assert (closure.order, closure.generators) == (built_closure.order, built_closure.generators)
 
 
 def test_axioms_suite_counts_each_colour_table_once(monkeypatch):

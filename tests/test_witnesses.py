@@ -9,7 +9,7 @@ from twoclosure.catalog import realize_name, subgroup_lattice
 from twoclosure.classify import normal_pp_subgroup, not_two_closed_witness
 from twoclosure.errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import PermGroup, center, intersection_elements, is_cyclic, sylow_decomposition
-from twoclosure.perm import Permutation, identity
+from twoclosure.perm import Permutation, identity, parse_cycles
 from twoclosure.orbital import MembershipEvidence, two_closure
 from twoclosure.witnesses import (
     WitnessCertificate,
@@ -375,19 +375,63 @@ def test_two_group_witness_with_larger_centralizer():
     assert_valid(cert)
 
 
-def test_odd_p_witness_with_larger_centralizer():
-    # E27 x C3 is a 3-group where the chosen subgroup's centralizer strictly
-    # exceeds it, so the coset classes span a larger quotient.
+def _e27_times_c3():
+    """E27 x C3 and a normal 3 x 3 subgroup of its E27 factor, whose
+    centralizer strictly exceeds it."""
     e27 = realize_name("E27")
     group = disjoint_union_action([e27, realize_name("C3")])
     e27_part = on_block(e27, 0, group.degree)
     z_gen = next(g for g in center(e27_part).elements() if not g.is_identity())
     b_gen = e27_part.generators[1] if len(e27_part.generators) > 1 else e27_part.strong_generators[1]
-    n_group = PermGroup(group.degree, (z_gen, b_gen))
+    return group, PermGroup(group.degree, (z_gen, b_gen))
+
+
+def test_odd_p_witness_with_larger_centralizer():
+    # E27 x C3 is a 3-group where the chosen subgroup's centralizer strictly
+    # exceeds it, so the coset classes span a larger quotient.
+    group, n_group = _e27_times_c3()
     assert n_group.order == 9 and not is_cyclic(n_group)
     cert = odd_p_witness(group, n_group)
     assert cert.group.degree == 27
     assert_valid(cert)
+
+
+@pytest.mark.parametrize("name, p", [("E27", 3), ("E125", 5), ("E343", 7), ("E27xC3", 3)])
+def test_odd_p_exponent_classes_agree_with_the_p_trial_search(monkeypatch, name, p):
+    # The construction names a coset representative's class i by b^rep, one
+    # of b's p conjugates b^(t^i); the p-trial search it replaced is the
+    # oracle here: i is the exponent for which t^-i * rep commutes with b.
+    if name == "E27xC3":
+        group, pp_subgroup = _e27_times_c3()
+    else:
+        group = realize_name(name)
+        pp_subgroup = normal_pp_subgroup(group, p)
+    actions_built = []
+
+    def recording_coset_action(*args):
+        actions_built.append(actions.coset_action(*args))
+        return actions_built[-1]
+
+    monkeypatch.setattr(witnesses, "coset_action", recording_coset_action)
+    cert = odd_p_witness(group, pp_subgroup)
+    (ca,) = actions_built
+    a, b, t = (
+        parse_cycles(cert.parameters[key], group.degree)
+        for key in ("central_generator", "noncentral_generator", "outer_element")
+    )
+
+    def p_trial_class(rep):
+        classes = [i for i in range(p) if t**-i * rep * b == b * t**-i * rep]
+        assert len(classes) == 1
+        return classes[0]
+
+    class_of = {b.conjugated_by(t**i): i for i in range(p)}
+    assert len(class_of) == p
+    for point, rep in enumerate(ca.representatives):
+        i = p_trial_class(rep)
+        assert class_of[b.conjugated_by(rep)] == i
+        # The witness multiplies exactly the cosets of class 2 by a.
+        assert cert.witness.images[point] == (ca.point_of_element[rep * a] if i == 2 % p else point)
 
 
 def test_abelian_p_witness_mixed_exponents():
