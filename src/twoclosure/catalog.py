@@ -12,7 +12,9 @@ atoms' generators placed side by side.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from math import prod
+from operator import and_
 from typing import Callable, NamedTuple
 
 from .actions import CosetAction, coset_action
@@ -208,11 +210,12 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
     by cyclic subgroups, so all are reached.  A join extends the known
     subgroup's mask by the new generator under the right-regular table.
 
-    Each handle carries its mask and its core's mask, and builds its group
-    only when read.  The core is the largest subset of the subgroup that the
-    strong generators conjugate into itself: K <- K & K^s until no generator
-    s removes an element.  The list is sorted by order and then by canonical
-    element list, which is the order of element indices.
+    Each handle carries its mask, its core's mask and its class key, and
+    builds its group only when read.  A conjugacy class is the orbit of a
+    mask under the strong generators' conjugation maps, walked once for all
+    its members; the core is the orbit's AND, and the key its least mask.
+    The list is sorted by order and then by canonical element list, which is
+    the order of element indices.
     """
     if group.order > LATTICE_GUARD:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
@@ -236,19 +239,26 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
                     fresh.append(joined)
         worklist = fresh
 
-    conjugations = table.conjugations()
-    gen_maps = [conjugations[table.position[s.images]] for s in group.strong_generators]
-    handles = []
-    for mask in sorted(gens_of, key=lambda m: (m.bit_count(), mask_indices(m))):
-        core_mask, stable = mask, False
-        while not stable:
-            stable = True
+    # h -> index(s^-1 * h * s) for each strong generator s: cols[g][x] is x*g.
+    gen_maps = []
+    for s in group.strong_generators:
+        col_s = table.cols[table.position[s.images]]
+        s_inverse = col_s.index(0)
+        gen_maps.append([col_s[col_h[s_inverse]] for col_h in table.cols])
+    classes: dict[int, tuple[int, int]] = {}  # mask -> (core mask, class key)
+    for mask in gens_of:
+        if mask in classes:
+            continue
+        orbit = [mask]
+        for member in orbit:
+            indices = mask_indices(member)
             for conj in gen_maps:
-                kept = core_mask & sum(1 << conj[i] for i in mask_indices(core_mask))
-                if kept != core_mask:
-                    core_mask, stable = kept, False
-        handles.append(SubgroupHandle(group, mask, core_mask))
-    return handles
+                image = sum(1 << conj[i] for i in indices)
+                if image not in orbit:
+                    orbit.append(image)
+        classes.update(dict.fromkeys(orbit, (reduce(and_, orbit), min(orbit))))
+    ordered = sorted(gens_of, key=lambda m: (m.bit_count(), mask_indices(m)))
+    return [SubgroupHandle(group, mask, *classes[mask]) for mask in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -261,34 +271,21 @@ class RepresentationEntry:
         self.subgroups, self.action, self.degree = subgroups, action, degree
 
 
-def _conjugacy_key(conjugates: Callable[[int], list[int]], masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Least simultaneous conjugate of a set of subgroup masks, as a sorted tuple;
-    `conjugates(mask)` lists a mask's conjugates in element index order.
-
-    Two sets of subgroups get the same key exactly when one element conjugates
-    the first onto the second.
-    """
-    return min(tuple(sorted(same_g)) for same_g in zip(*map(conjugates, masks)))
-
-
 def faithful_representations(group: PermGroup, max_degree: int) -> tuple[RepresentationEntry, ...]:
     """All transitive faithful coset actions plus all 2-part intransitive ones.
 
     Transitive entries use core-free subgroups of index <= max_degree; 2-part
     entries pair subgroups whose cores intersect trivially with total index
-    <= max_degree.  Entries are deduplicated up to conjugacy of the subgroup
-    sets.
+    <= max_degree.  Conjugate subgroups give isomorphic actions, so a class
+    enters by its first handle in the lattice: one entry per multiset of
+    subgroup conjugacy classes.
     """
-    lattice = subgroup_lattice(group)
-    table = group._element_index()
+    first_of_class: dict[int, SubgroupHandle] = {}
+    for handle in subgroup_lattice(group):
+        first_of_class.setdefault(handle.class_key, handle)
+    reps = list(first_of_class.values())
     entries: list[RepresentationEntry] = []
     actions: dict[int, CosetAction] = {}
-    conjugates_of: dict[int, list[int]] = {}
-
-    def conjugates(mask: int) -> list[int]:
-        if mask not in conjugates_of:
-            conjugates_of[mask] = table.conjugates(mask)
-        return conjugates_of[mask]
 
     def action_on(handle: SubgroupHandle) -> CosetAction:
         # Built at most once per subgroup.
@@ -296,24 +293,14 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
             actions[handle.mask] = coset_action(group, handle.group)
         return actions[handle.mask]
 
-    seen_single = set()
-    for handle in lattice:
-        index = group.order // handle.mask.bit_count()
-        if handle.core_mask != 1 or index > max_degree:
-            continue
-        canon = _conjugacy_key(conjugates, (handle.mask,))
-        if canon in seen_single:
-            continue
-        seen_single.add(canon)
-        action = action_on(handle).image
-        entries.append(RepresentationEntry((handle.group,), action, action.degree))
-
-    seen_pairs = set()
-    for i, h1 in enumerate(lattice):
+    for i, h1 in enumerate(reps):
         index1 = group.order // h1.mask.bit_count()
         if index1 > max_degree:
             continue
-        for h2 in lattice[i:]:
+        if h1.core_mask == 1:
+            action = action_on(h1).image
+            entries.append(RepresentationEntry((h1.group,), action, action.degree))
+        for h2 in reps[i:]:
             index2 = group.order // h2.mask.bit_count()
             if index1 + index2 > max_degree:
                 continue
@@ -321,10 +308,6 @@ def faithful_representations(group: PermGroup, max_degree: int) -> tuple[Represe
                 continue  # two copies of the one-point action say nothing
             if h1.core_mask & h2.core_mask != 1:
                 continue  # the cores share more than the identity (index 0)
-            canon = _conjugacy_key(conjugates, (h1.mask, h2.mask))
-            if canon in seen_pairs:
-                continue
-            seen_pairs.add(canon)
             ca1, ca2 = action_on(h1), action_on(h2)
             degree = ca1.image.degree + ca2.image.degree
             generators = tuple(direct_sum([ca1.embed(g), ca2.embed(g)]) for g in group.strong_generators)

@@ -363,7 +363,7 @@ class _ElementIndex:
     increasing indices list a subset's elements in sorted order.
     """
 
-    __slots__ = ("elements", "position", "cols", "_conjugations")
+    __slots__ = ("elements", "position", "cols")
 
     def __init__(self, elements: tuple[Permutation, ...], strong_generators: tuple[Permutation, ...]) -> None:
         self.elements = elements
@@ -386,7 +386,6 @@ class _ElementIndex:
                     cols[h] = [col_s[x] for x in cols[g]]
                     queue.append(h)
         self.cols: list[list[int]] = cols
-        self._conjugations: list[list[int]] | None = None
 
     def elements_of(self, mask: int) -> tuple[Permutation, ...]:
         return tuple(self.elements[i] for i in mask_indices(mask))
@@ -414,23 +413,6 @@ class _ElementIndex:
                         mask |= 1 << col_z[y]
                     reps.append(z)
         return mask
-
-    def conjugations(self) -> list[list[int]]:
-        """For each element g, the map on indices h -> index(g^-1 * h * g);
-        built on first use."""
-        if self._conjugations is None:
-            cols = self.cols
-            out = []
-            for col_g in cols:
-                g_inverse = col_g.index(0)
-                out.append([col_g[col_h[g_inverse]] for col_h in cols])
-            self._conjugations = out
-        return self._conjugations
-
-    def conjugates(self, mask: int) -> list[int]:
-        """The masks g^-1 * S * g of a subset S, one per element g in index order."""
-        members = mask_indices(mask)
-        return [sum(1 << conj[i] for i in members) for conj in self.conjugations()]
 
 
 class PermGroup:
@@ -567,14 +549,14 @@ class PermGroup:
 
 
 class SubgroupHandle:
-    """One entry of a subgroup lattice: the masks of the subgroup and of its
-    core over the parent's element index.  `group` is built from the mask
-    on first access."""
+    """One entry of a subgroup lattice: the masks of the subgroup, of its core
+    and of its conjugacy class's key (its least conjugate, shared by the
+    class) over the parent's element index.  `group` is built on first access."""
 
-    __slots__ = ("parent", "_group", "mask", "core_mask")
+    __slots__ = ("parent", "_group", "mask", "core_mask", "class_key")
 
-    def __init__(self, parent: PermGroup, mask: int, core_mask: int) -> None:
-        self.parent, self._group, self.mask, self.core_mask = parent, None, mask, core_mask
+    def __init__(self, parent: PermGroup, mask: int, core_mask: int, class_key: int) -> None:
+        self.parent, self._group, self.mask, self.core_mask, self.class_key = parent, None, mask, core_mask, class_key
 
     @property
     def group(self) -> PermGroup:

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to pin expected values, a block
-reference for side-by-side constructions, and a probe of the modules a fresh
-interpreter loads.
+reference for side-by-side constructions, the representation sampler's
+earlier deduplication by simultaneous conjugacy, and a probe of the modules
+a fresh interpreter loads.
 
 Every oracle works by element enumeration, or by a plain search over given
 generators, never through the stabilizer chain or the closure search it
-checks.
+checks.  The sampler reference takes only the subgroup list from the
+lattice, whose completeness the catalog tests check by brute force.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 import subprocess
 import sys
 from collections import deque
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import twoclosure
@@ -63,6 +67,53 @@ def brute_coset_numbering(group: PermGroup, subgroup: PermGroup) -> tuple[list[P
     representatives = sorted(min(coset) for coset in cosets)
     point = {rep: i for i, rep in enumerate(representatives)}
     return representatives, {e: point[min(coset)] for coset in cosets for e in coset}
+
+
+def conjugate_masks(group: PermGroup, mask: int) -> list[int]:
+    """The masks x^-1 * S * x of a subset S of the group, one per element x in
+    `group.elements()` order, with bit i standing for the i-th element: the
+    reference for the lattice's class orbits and core masks."""
+    elements = group.elements()
+    position = {g: i for i, g in enumerate(elements)}
+    members = [g for i, g in enumerate(elements) if mask >> i & 1]
+    return [sum(1 << position[h.conjugated_by(x)] for h in members) for x in elements]
+
+
+def simultaneous_conjugacy_sample(group: PermGroup, max_degree: int) -> list[tuple[int, ...]]:
+    """The subgroup masks of each entry `catalog.faithful_representations`
+    kept when it deduplicated subgroup sets by simultaneous conjugacy: a
+    set is dropped when one element conjugates an earlier set onto it.  The
+    filters are the sampler's, with cores taken as the AND of all conjugates;
+    the order is the order of discovery, before the sampler's sort."""
+    from twoclosure.catalog import subgroup_lattice
+
+    masks = [handle.mask for handle in subgroup_lattice(group)]
+    conjugates = {mask: conjugate_masks(group, mask) for mask in masks}
+    cores = {mask: reduce(and_, conjugates[mask]) for mask in masks}
+
+    def least_simultaneous_conjugate(subgroups: tuple[int, ...]) -> tuple[int, ...]:
+        return min(tuple(sorted(same_x)) for same_x in zip(*(conjugates[m] for m in subgroups)))
+
+    kept: list[tuple[int, ...]] = []
+    seen = set()
+    for mask in masks:
+        if cores[mask] != 1 or group.order // mask.bit_count() > max_degree:
+            continue
+        canon = least_simultaneous_conjugate((mask,))
+        if canon not in seen:
+            seen.add(canon)
+            kept.append((mask,))
+    for i, m1 in enumerate(masks):
+        index1 = group.order // m1.bit_count()
+        for m2 in masks[i:]:
+            index2 = group.order // m2.bit_count()
+            if index1 + index2 > max_degree or index1 == index2 == 1 or cores[m1] & cores[m2] != 1:
+                continue
+            canon = least_simultaneous_conjugate((m1, m2))
+            if canon not in seen:
+                seen.add(canon)
+                kept.append((m1, m2))
+    return kept
 
 
 def pair_orbit_map(degree: int, elements) -> dict[tuple[int, int], frozenset]:

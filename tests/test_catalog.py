@@ -1,5 +1,10 @@
+import random
+from functools import reduce
+from operator import and_
+
 import pytest
 
+from helpers import conjugate_masks, simultaneous_conjugacy_sample
 from twoclosure import actions, catalog
 from twoclosure import group as group_module
 from twoclosure.catalog import (
@@ -314,21 +319,26 @@ def test_lazy_handle_groups_match_the_eager_build(name):
 
 
 @pytest.mark.parametrize("name", ["D16", "Q16", "E27", "D8xC3", "Q16xC9", "C2xC2xC2xC2"])
-def test_fixpoint_cores_are_the_and_of_all_conjugates(name):
+def test_cores_are_the_and_of_all_conjugates(name):
     group = realize_name(name)
     table = group._element_index()
-    for handle in subgroup_lattice(group):
-        and_of_conjugates = handle.mask
-        for conjugate in table.conjugates(handle.mask):
-            and_of_conjugates &= conjugate
-        assert handle.core_mask == and_of_conjugates, name
+    lattice = subgroup_lattice(group)
+    brute_class = {}
+    for handle in lattice:
+        conjugates = conjugate_masks(group, handle.mask)
+        assert handle.core_mask == reduce(and_, conjugates), name
+        brute_class[handle.mask] = frozenset(conjugates)
         # `core`'s element fixpoint lists the same elements as the core mask.
         assert core(group, handle.group).elements() == table.elements_of(handle.core_mask), name
+    for a in lattice:
+        assert a.class_key == min(brute_class[a.mask]), name
+        for b in lattice:
+            assert (a.class_key == b.class_key) == (b.mask in brute_class[a.mask]), name
 
 
 def test_lattice_masks_and_cores_take_no_permutation_products(monkeypatch):
     group = realize_name("D64")
-    group._element_index().conjugations()  # the shared table, built beforehand
+    group._element_index()  # the parent's index, built beforehand
     calls = []
     for name in ("__mul__", "inverse", "conjugated_by"):
         original = getattr(Permutation, name)
@@ -368,6 +378,54 @@ def test_representations_are_faithful_and_bounded():
             assert entry.degree <= 14
 
 
+REFERENCE_SAMPLES = [
+    (name, REPRESENTATION_DEGREE)
+    for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES
+    if parse_family(name).order <= 64
+] + [("D8", 24), ("D16", 24), ("Q8xC3", 24)]
+
+
+def class_multisets(group, subgroup_masks):
+    """Each entry's subgroup classes, as the sorted least brute conjugates of its masks."""
+    least = {}
+    for masks in subgroup_masks:
+        for mask in masks:
+            if mask not in least:
+                least[mask] = min(conjugate_masks(group, mask))
+    return [tuple(sorted(least[mask] for mask in masks)) for masks in subgroup_masks]
+
+
+def entry_masks(group, entries):
+    position = {g: i for i, g in enumerate(group.elements())}
+    return [tuple(sum(1 << position[g] for g in s.elements()) for s in e.subgroups) for e in entries]
+
+
+@pytest.mark.parametrize("name, max_degree", REFERENCE_SAMPLES)
+def test_sampler_takes_each_class_multiset_once(name, max_degree):
+    group = realize_name(name)
+    entries = faithful_representations(group, max_degree)
+    sampled = class_multisets(group, entry_masks(group, entries))
+    reference = class_multisets(group, simultaneous_conjugacy_sample(group, max_degree))
+    assert len(sampled) == len(set(sampled)), name
+    assert set(sampled) == set(reference), name
+    points = list(range(group.degree))
+    random.Random(1).shuffle(points)
+    x = Permutation(tuple(points))
+    relabelled = PermGroup(group.degree, [g.conjugated_by(x) for g in group.generators], _order=group.order)
+    assert len(faithful_representations(relabelled, max_degree)) == len(entries), name
+
+
+def test_sampler_drops_permutation_isomorphic_pairs():
+    # Simultaneous conjugacy kept pairs (H, K) and (H, K') with K' conjugate
+    # to K but not under H's normalizer, whose actions are isomorphic.
+    for name, kept, distinct in (("D8", 23, 21), ("D16", 26, 19)):
+        group = realize_name(name)
+        pairs = [masks for masks in simultaneous_conjugacy_sample(group, 16) if len(masks) == 2]
+        assert len(pairs) == kept and len(set(class_multisets(group, pairs))) == distinct, name
+        entries = faithful_representations(group, 16)
+        assert sum(len(e.subgroups) == 2 for e in entries) == distinct, name
+
+
 def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
     # The sampler reads faithfulness from lattice core masks, so the element
     # fixpoint `core` never runs; every coset action's kernel is the core.
@@ -387,7 +445,7 @@ def test_representation_sampler_reads_kernels_from_lattice_cores(monkeypatch):
     for name in TWO_CLOSED_FAMILIES + NOT_TWO_CLOSED_FAMILIES:
         faithful_representations(realize_name(name), REPRESENTATION_DEGREE)
     monkeypatch.undo()
-    assert len(passed) == 179
+    assert len(passed) == 168
     for group, subgroup, action in passed:
         kernel = core(group, subgroup)
         assert action.image.order * kernel.order == group.order

@@ -11,7 +11,13 @@ odd-p and two-group routes; they, `classify_D16` and `verify_lemmas` were
 recorded when those routes and the lemmas suite's certificate battery took
 their subgroups from the lattice, and now pin the direct searches that
 replaced it.  The verify suites and `representations.json` pin the faithful
-representation sampler, the lattice's one remaining user.  The `closure_*`
+representation sampler, the lattice's one remaining user.  Four entries of
+`representations.json` were deleted on purpose, two each from `D8@12`
+(25 -> 23) and `D16@12` (18 -> 16), with no entry added or changed, when
+the sampler went from deduplicating subgroup pairs by simultaneous
+conjugacy to one entry per multiset of subgroup conjugacy classes: each
+deleted pair (H, K) had a kept pair (H, K') with K' conjugate to K, so
+their actions are permutation-isomorphic.  The `closure_*`
 files were recorded before the orbital partition was cached on its group;
 their specs are in CLOSURE_SPECS.  One field was re-recorded on purpose when
 Sylow subgroups stopped being rebuilt from their listed elements:

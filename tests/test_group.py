@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoclosure.group as group_module
-from helpers import mulclose, on_block
+from helpers import conjugate_masks, mulclose, on_block
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
@@ -437,16 +437,13 @@ def test_element_index_matches_permutation_products():
         position = {g: i for i, g in enumerate(elements)}
         for g, col in zip(elements, table.cols):
             assert col == [position[x * g] for x in elements]
-        for g, conj in zip(elements, table.conjugations()):
-            assert conj == [position[h.conjugated_by(g)] for h in elements]
         for g in elements[:6]:
             mask = table.extend(1, (0,), (), position[g])
             assert set(table.elements_of(mask)) == mulclose(group.degree, (g,))
-            assert table.conjugates(mask) == [
-                sum(1 << position[h.conjugated_by(x)] for h in table.elements_of(mask))
-                for x in elements
+            # <g>^x = <g^x>: the conjugates of a cyclic mask are the cyclic masks of g's conjugates.
+            assert conjugate_masks(group, mask) == [
+                table.extend(1, (0,), (), position[g.conjugated_by(x)]) for x in elements
             ]
-        assert table.conjugations() is table.conjugations()
 
 
 def test_element_index_guard():
