@@ -1,5 +1,5 @@
-"""Parameterized group families, subgroup lattices, and a sampler of faithful
-permutation representations.
+"""Parameterized group families, subgroup lattices of soluble groups, and a
+sampler of faithful permutation representations.
 
 Family syntax (used by the CLI): ``C12``, ``Q8``, ``D8``, ``SD16``, ``E27``,
 and ``x``-joined products such as ``Q16xC3`` or ``C2xC2``.  The family kinds
@@ -201,14 +201,16 @@ def realize_name(text: str) -> PermGroup:
 # subgroup lattice
 
 def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
-    """Every subgroup, found by cyclic extension on the group's element index.
+    """Every subgroup of a soluble group, found by cyclic extension on the
+    group's element index.
 
-    Subgroups are bitmasks over the element index.  The first round holds the
-    cyclic subgroups; each later round joins every subgroup new in the round
-    before with each cyclic subgroup it does not contain (Neubüser's cyclic
-    extension), until a round finds nothing new.  Every subgroup is generated
-    by cyclic subgroups, so all are reached.  A join extends the known
-    subgroup's mask by the new generator under the right-regular table.
+    Subgroups are bitmasks over the element index.  Round by round from the
+    trivial subgroup, each subgroup A new in the round before is extended by
+    one x from each right coset Ax that normalizes A and whose first power in
+    A is x^p with p prime: A<x> is the union of the cosets Ax^i, i < p
+    (Neubüser's cyclic extension).  Every subgroup U > 1 of a soluble group
+    has a normal subgroup of prime index, so all are reached, and the whole
+    group is reached exactly when it is soluble.
 
     Each handle carries its mask, its core's mask and its class key, and
     builds its group only when read.  A conjugacy class is the orbit of a
@@ -220,31 +222,45 @@ def subgroup_lattice(group: PermGroup) -> list[SubgroupHandle]:
     if group.order > LATTICE_GUARD:
         raise GuardExceeded(f"group order {group.order} exceeds the lattice guard ({LATTICE_GUARD})")
     table = group._element_index()
+    cols, inverse = table.cols, table.inverse
     gens_of: dict[int, tuple[int, ...]] = {1: ()}  # bit 0 alone: the trivial subgroup
-    for x in range(1, group.order):  # <x>: the trivial subgroup extended by x
-        gens_of.setdefault(table.extend(1, (0,), (), x), (x,))
-    cyclic = [(mask, gens[0]) for mask, gens in gens_of.items() if gens]
-    worklist = [mask for mask, _ in cyclic]
+    worklist = [1]
     while worklist:
         fresh = []
         for a in worklist:
             members = mask_indices(a)
             gens = gens_of[a]
-            for c, x in cyclic:
-                if a & c == c:
+            seen = a  # the cosets Ax tried so far
+            for x in range(group.order):
+                if seen >> x & 1:
                     continue
-                joined = table.extend(a, members, gens, x)
+                col_x = cols[x]
+                seen |= sum(1 << col_x[y] for y in members)
+                x_inverse = inverse[x]
+                if not all(a >> col_x[cols[g][x_inverse]] & 1 for g in gens):
+                    continue  # some x^-1*g*x lies outside A
+                powers = [x]
+                while not a >> powers[-1] & 1:
+                    powers.append(col_x[powers[-1]])
+                if not is_prime(len(powers)):
+                    continue
+                joined = a
+                for t in powers[:-1]:
+                    col_t = cols[t]
+                    joined |= sum(1 << col_t[y] for y in members)
                 if joined not in gens_of:
                     gens_of[joined] = gens + (x,)
                     fresh.append(joined)
         worklist = fresh
+    if (1 << group.order) - 1 not in gens_of:
+        raise PreconditionError(f"the subgroup lattice needs a soluble group; this group of order {group.order} is not soluble")
 
     # h -> index(s^-1 * h * s) for each strong generator s: cols[g][x] is x*g.
     gen_maps = []
     for s in group.strong_generators:
-        col_s = table.cols[table.position[s.images]]
-        s_inverse = col_s.index(0)
-        gen_maps.append([col_s[col_h[s_inverse]] for col_h in table.cols])
+        s_index = table.position[s.images]
+        col_s, s_inverse = cols[s_index], inverse[s_index]
+        gen_maps.append([col_s[col_h[s_inverse]] for col_h in cols])
     classes: dict[int, tuple[int, int]] = {}  # mask -> (core mask, class key)
     for mask in gens_of:
         if mask in classes:

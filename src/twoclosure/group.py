@@ -358,12 +358,13 @@ class _ElementIndex:
     """A small group's elements as indices 0..N-1 in canonical order.
 
     Index 0 is the identity.  `cols[g][x]` is the index of x*g, so the columns
-    form the full right-regular table.  Subsets of the group are int masks with
-    bit i standing for element i; since indices follow the canonical order,
-    increasing indices list a subset's elements in sorted order.
+    form the full right-regular table, and `inverse[g]` is the index of g^-1.
+    Subsets of the group are int masks with bit i standing for element i;
+    since indices follow the canonical order, increasing indices list a
+    subset's elements in sorted order.
     """
 
-    __slots__ = ("elements", "position", "cols")
+    __slots__ = ("elements", "position", "cols", "inverse")
 
     def __init__(self, elements: tuple[Permutation, ...], strong_generators: tuple[Permutation, ...]) -> None:
         self.elements = elements
@@ -386,33 +387,10 @@ class _ElementIndex:
                     cols[h] = [col_s[x] for x in cols[g]]
                     queue.append(h)
         self.cols: list[list[int]] = cols
+        self.inverse = [col.index(0) for col in cols]
 
     def elements_of(self, mask: int) -> tuple[Permutation, ...]:
         return tuple(self.elements[i] for i in mask_indices(mask))
-
-    def extend(self, mask: int, members: tuple[int, ...], gens: tuple[int, ...], x: int) -> int:
-        """Mask of the subgroup generated by a subgroup S and the element x.
-
-        S is given by its mask, its element indices and its generators.  The
-        join is a union of right cosets S*t, so generators are applied to
-        coset representatives only: when t*g is new, its whole coset
-        S*(t*g) joins the mask and t*g becomes a representative.  Starting
-        from S itself (representative: the identity), each coset is added
-        once.
-        """
-        cols = self.cols
-        gen_cols = [cols[g] for g in gens]
-        gen_cols.append(cols[x])
-        reps = [0]
-        for t in reps:
-            for col in gen_cols:
-                z = col[t]
-                if not mask >> z & 1:
-                    col_z = cols[z]
-                    for y in members:
-                        mask |= 1 << col_z[y]
-                    reps.append(z)
-        return mask
 
 
 class PermGroup:

@@ -58,6 +58,44 @@ def mulclose(degree: int, gens) -> set[Permutation]:
     return closed
 
 
+def closure_from_identity(table, gens) -> int:
+    """Mask of the subgroup generated by element indices of an element index
+    `table`: breadth-first from the identity under the generators' columns."""
+    mask, frontier = 1, [0]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for g in gens:
+                z = table.cols[g][y]
+                if not mask >> z & 1:
+                    mask |= 1 << z
+                    fresh.append(z)
+        frontier = fresh
+    return mask
+
+
+def brute_subgroups(group: PermGroup) -> set[frozenset[Permutation]]:
+    """Every subgroup's element set: each subgroup found in the last round
+    is closed by `mulclose` with one generator of each cyclic subgroup it
+    misses, until a round finds nothing new.  Every subgroup is generated
+    by a chain of such one-element joins."""
+    cyclic = {frozenset(mulclose(group.degree, (x,))): x for x in group.elements()}
+    found = {frozenset([identity(group.degree)]): ()}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for members in frontier:
+            gens = found[members]
+            for c, x in cyclic.items():
+                if not c <= members:
+                    joined = frozenset(mulclose(group.degree, gens + (x,)))
+                    if joined not in found:
+                        found[joined] = gens + (x,)
+                        fresh.append(joined)
+        frontier = fresh
+    return set(found)
+
+
 def brute_coset_numbering(group: PermGroup, subgroup: PermGroup) -> tuple[list[Permutation], dict[Permutation, int]]:
     """Each right coset He as a set, represented by its least element, with
     points numbered by the sorted representatives: the reference for

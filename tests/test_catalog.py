@@ -4,7 +4,7 @@ from operator import and_
 
 import pytest
 
-from helpers import conjugate_masks, simultaneous_conjugacy_sample
+from helpers import brute_subgroups, closure_from_identity, conjugate_masks, simultaneous_conjugacy_sample
 from twoclosure import actions, catalog
 from twoclosure import group as group_module
 from twoclosure.catalog import (
@@ -23,9 +23,8 @@ from twoclosure.group import (
     core,
     is_cyclic,
     is_normal,
-    mask_indices,
 )
-from twoclosure.perm import Permutation
+from twoclosure.perm import Permutation, parse_cycles
 from twoclosure.verify import NOT_TWO_CLOSED_FAMILIES, REPRESENTATION_DEGREE, TWO_CLOSED_FAMILIES
 
 
@@ -173,22 +172,43 @@ def test_subgroup_lattice_counts():
     assert len(four_groups) == 2 and all(h.normal for h in four_groups)
 
 
+def _lattice_test_groups():
+    """Soluble groups, not all nilpotent: named ones, A4 and S4 built from
+    cycles, then 30 seeded random groups of order 6 to 59 (every group of
+    order below 60 is soluble).  Each random generator permutes each block
+    of a random partition of 3 to 8 points, so the groups include direct
+    and subdirect products such as S3 x S3 and C2 x S4."""
+    groups = [realize_name(name) for name in ("Q8", "C6", "D8", "C2xC2", "C12", "D6", "D12")]
+    groups.append(PermGroup(4, [parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)(3,4)", 4)]))  # A4
+    groups.append(PermGroup(4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]))  # S4
+    rng = random.Random(38)
+    while len(groups) < 39:
+        blocks = rng.choice([(3,), (4,), (5,), (6,), (2, 3), (2, 4), (3, 3), (3, 4), (2, 2, 3), (2, 2, 4), (4, 4)])
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images, offset = [], 0
+            for size in blocks:
+                images += [offset + i for i in rng.sample(range(size), size)]
+                offset += size
+            gens.append(Permutation(tuple(images)))
+        group = PermGroup(sum(blocks), gens)
+        if 6 <= group.order < 60:
+            groups.append(group)
+    return groups
+
+
 def test_subgroup_lattice_matches_brute_force():
-    # every subgroup of these groups is generated by at most 3 elements,
-    # so closing all small generator combinations enumerates them all
-    import itertools
-
-    from helpers import mulclose
-
-    for name in ("Q8", "C6", "D8", "C2xC2", "C12"):
-        group = realize_name(name)
-        elements = group.elements()
-        brute = set()
-        for r in range(4):
-            for combo in itertools.combinations(elements, r):
-                brute.add(frozenset(mulclose(group.degree, combo)))
+    for group in _lattice_test_groups():
         lattice = {frozenset(h.group.elements()) for h in subgroup_lattice(group)}
-        assert lattice == brute
+        assert lattice == brute_subgroups(group), group
+
+
+def test_subgroup_lattice_refuses_non_soluble_groups():
+    a5 = PermGroup(5, [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2,3)", 5)])
+    s5 = PermGroup(5, [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)])
+    for group in (a5, s5):
+        with pytest.raises(PreconditionError, match="soluble"):
+            subgroup_lattice(group)
 
 
 def _divisor_count_and_sum(n):
@@ -207,14 +227,17 @@ def _gaussian_binomial_2(k, j):
 def test_subgroup_lattice_counts_match_closed_formulas():
     # D_2n has tau(n) + sigma(n) subgroups: one cyclic <r^(n/d)> and n/d
     # dihedral ones per divisor d of n.  C2^k has sum_j [k, j]_2 subgroups,
-    # one per subspace of F_2^k.
-    for n, expected in ((8, 19), (12, 34), (32, 69)):
+    # one per subspace of F_2^k.  C_n has tau(n), one per divisor.  D256 is
+    # the lattice guard's top order.
+    for n, expected in ((8, 19), (12, 34), (32, 69), (64, 134), (128, 263)):
         tau, sigma = _divisor_count_and_sum(n)
         assert tau + sigma == expected
         assert len(subgroup_lattice(realize_name(f"D{2 * n}"))) == expected
-    for k, expected in ((3, 16), (4, 67)):
+    for k, expected in ((3, 16), (4, 67), (5, 374)):
         assert sum(_gaussian_binomial_2(k, j) for j in range(k + 1)) == expected
         assert len(subgroup_lattice(realize_name("x".join(["C2"] * k)))) == expected
+    for n in (1, 7, 12, 60, 64, 210, 256):
+        assert len(subgroup_lattice(realize_name(f"C{n}"))) == _divisor_count_and_sum(n)[0]
 
 
 def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():
@@ -240,32 +263,13 @@ def test_lattice_handles_are_subgroups_with_brute_force_normality_and_core():
         assert len(seen) == len(lattice), name
 
 
-def closure_from_identity(table, gens):
-    """Mask of the subgroup generated by element indices: breadth-first from
-    the identity under the generators' columns."""
-    mask, frontier = 1, [0]
-    while frontier:
-        fresh = []
-        for y in frontier:
-            for g in gens:
-                z = table.cols[g][y]
-                if not mask >> z & 1:
-                    mask |= 1 << z
-                    fresh.append(z)
-        frontier = fresh
-    return mask
-
-
 @pytest.mark.parametrize("name", ["D64", "D128", "C2xC2xC2xC2xC2", "E125"])
 def test_coset_joins_match_closure_from_identity(name):
     group = realize_name(name)
     table = group._element_index()
     for handle in subgroup_lattice(group):
         gens = tuple(table.position[g.images] for g in handle.group.strong_generators)
-        members = mask_indices(handle.mask)
         assert closure_from_identity(table, gens) == handle.mask
-        for x in range(0, group.order, 5):
-            assert table.extend(handle.mask, members, gens, x) == closure_from_identity(table, gens + (x,))
 
 
 def test_subgroup_lattice_guard():

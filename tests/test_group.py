@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoclosure.group as group_module
-from helpers import conjugate_masks, mulclose, on_block
+from helpers import closure_from_identity, conjugate_masks, mulclose, on_block
 from twoclosure.catalog import realize_name
 from twoclosure.errors import GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import (
@@ -437,12 +437,13 @@ def test_element_index_matches_permutation_products():
         position = {g: i for i, g in enumerate(elements)}
         for g, col in zip(elements, table.cols):
             assert col == [position[x * g] for x in elements]
+        assert table.inverse == [position[g.inverse()] for g in elements]
         for g in elements[:6]:
-            mask = table.extend(1, (0,), (), position[g])
+            mask = closure_from_identity(table, (position[g],))
             assert set(table.elements_of(mask)) == mulclose(group.degree, (g,))
             # <g>^x = <g^x>: the conjugates of a cyclic mask are the cyclic masks of g's conjugates.
             assert conjugate_masks(group, mask) == [
-                table.extend(1, (0,), (), position[g.conjugated_by(x)]) for x in elements
+                closure_from_identity(table, (position[g.conjugated_by(x)],)) for x in elements
             ]
 
 
