@@ -10,7 +10,6 @@ a group runs a backtracking search over point images and is guarded by degree.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import GuardExceeded, InternalDefect, PreconditionError
@@ -25,59 +24,12 @@ class OrbitalPartition:
 
     Color ids are assigned in order of first appearance scanning pairs
     lexicographically, so equal partitions have equal color tables, and each
-    class representative is the least pair of its class.  `generators` are
-    the group's strong generators, which the transporter table walks.
+    class representative is the least pair of its class.
     """
 
-    def __init__(
-        self, degree: int, colors: tuple[int, ...], representatives: tuple[tuple[int, int], ...],
-        generators: tuple[Permutation, ...],
-    ) -> None:
+    def __init__(self, degree: int, colors: tuple[int, ...], representatives: tuple[tuple[int, int], ...]) -> None:
         self.degree, self.colors, self.representatives = degree, colors, representatives
-        self.rank, self.generators = len(representatives), generators
-
-    def color_of(self, a: int, b: int) -> int:
-        return self.colors[a * self.degree + b]
-
-    @cached_property
-    def _transporters(self) -> tuple[list[int], list[Permutation]]:
-        """Per flat pair, an index into a list of distinct transporter elements.
-
-        A breadth-first search from each class representative, first in first
-        out and over the generators in order, reaches every pair of the class
-        along a shortest generator word; a pair's transporter is its parent's
-        times the generator that reached it.  Products are memoized on (parent
-        element, generator) and interned by image tuple, so the table costs at
-        most |distinct transporters| x |generators| products.
-        """
-        n = self.degree
-        gens = [(gi, g, g.images) for gi, g in enumerate(self.generators)]
-        elements = [identity(n)]
-        interned = {elements[0].images: 0}
-        products = [[-1] * len(gens)]  # per element, the index of its product with each generator
-        index = [-1] * (n * n)
-        for rep in self.representatives:
-            seed = rep[0] * n + rep[1]
-            index[seed] = 0
-            queue = deque([seed])
-            while queue:
-                flat = queue.popleft()
-                a, b = divmod(flat, n)
-                current = index[flat]
-                for gi, g, images in gens:
-                    image = images[a] * n + images[b]
-                    if index[image] >= 0:
-                        continue
-                    found = products[current][gi]
-                    if found < 0:
-                        h = elements[current] * g
-                        found = products[current][gi] = interned.setdefault(h.images, len(elements))
-                        if found == len(elements):
-                            elements.append(h)
-                            products.append([-1] * len(gens))
-                    index[image] = found
-                    queue.append(image)
-        return index, elements
+        self.rank = len(representatives)
 
 
 def orbital_partition(group: PermGroup) -> OrbitalPartition:
@@ -90,8 +42,7 @@ def orbital_partition(group: PermGroup) -> OrbitalPartition:
     if group._partition is not None:
         return group._partition
     n = group.degree
-    strong = group.strong_generators
-    gens = [g.images for g in min(strong, group.generators, key=len)]
+    gens = [g.images for g in min(group.strong_generators, group.generators, key=len)]
     colors = [-1] * (n * n)
     representatives = []
     for seed in range(n * n):
@@ -108,7 +59,7 @@ def orbital_partition(group: PermGroup) -> OrbitalPartition:
                 if colors[image] < 0:
                     colors[image] = color
                     stack.append(image)
-    group._partition = OrbitalPartition(n, tuple(colors), tuple(representatives), strong)
+    group._partition = OrbitalPartition(n, tuple(colors), tuple(representatives))
     return group._partition
 
 
@@ -138,6 +89,47 @@ def is_in_two_closure(theta: Permutation, partition: OrbitalPartition) -> bool:
     return True
 
 
+def _transporters(partition: OrbitalPartition, generators: tuple[Permutation, ...]) -> tuple[list[int], list[Permutation]]:
+    """Per flat pair, an index into a list of distinct transporter elements,
+    each mapping its class representative to the pair.
+
+    A breadth-first search from each class representative, first in first
+    out and over the generators in order, reaches every pair of the class
+    along a shortest generator word; a pair's transporter is its parent's
+    times the generator that reached it.  Products are memoized on (parent
+    element, generator) and interned by image tuple, so the table costs at
+    most |distinct transporters| x |generators| products.
+    """
+    n = partition.degree
+    gens = [(gi, g, g.images) for gi, g in enumerate(generators)]
+    elements = [identity(n)]
+    interned = {elements[0].images: 0}
+    products = [[-1] * len(gens)]  # per element, the index of its product with each generator
+    index = [-1] * (n * n)
+    for rep in partition.representatives:
+        seed = rep[0] * n + rep[1]
+        index[seed] = 0
+        queue = deque([seed])
+        while queue:
+            flat = queue.popleft()
+            a, b = divmod(flat, n)
+            current = index[flat]
+            for gi, g, images in gens:
+                image = images[a] * n + images[b]
+                if index[image] >= 0:
+                    continue
+                found = products[current][gi]
+                if found < 0:
+                    h = elements[current] * g
+                    found = products[current][gi] = interned.setdefault(h.images, len(elements))
+                    if found == len(elements):
+                        elements.append(h)
+                        products.append([-1] * len(gens))
+                index[image] = found
+                queue.append(image)
+    return index, elements
+
+
 class MembershipEvidence:
     """Group elements witnessing closure membership of one permutation, in the
     transporter table's layout.
@@ -154,18 +146,21 @@ class MembershipEvidence:
         self.elements, self.assignments = elements, assignments
 
 
-def membership_evidence(theta: Permutation, partition: OrbitalPartition) -> MembershipEvidence:
-    """For every ordered pair, a group element moving it exactly as theta does.
+def membership_evidence(theta: Permutation, group: PermGroup) -> MembershipEvidence:
+    """For every ordered pair, an element of the group moving it exactly as
+    theta does.
 
-    The element for (a,b) is transporter(a,b)^-1 * transporter(theta(a),theta(b)).
-    It is computed once per pair of transporter-table indices and interned by
+    The element for (a,b) is transporter(a,b)^-1 * transporter(theta(a),theta(b)),
+    with transporters walked over the group's strong generators.  It is
+    computed once per pair of transporter-table indices and interned by
     image tuple, so the n² pairs share at most |G| distinct elements.
     """
-    n = partition.degree
+    n = group.degree
     if theta.degree != n:
         raise PreconditionError("degree mismatch")
+    partition = orbital_partition(group)
     colors = partition.colors
-    index, transporters = partition._transporters
+    index, transporters = _transporters(partition, group.strong_generators)
     img = theta.images
     inverses: dict[int, Permutation] = {}
     by_indices: dict[tuple[int, int], int] = {}

@@ -13,7 +13,6 @@ import random
 
 from .actions import QuotientAction, disjoint_union_action, quotient_action
 from .catalog import faithful_representations, parse_family, realize_name
-from .cli import SUITE_FLAGS
 from .classify import (
     STATUS_NOT_TWO_CLOSED,
     STATUS_TWO_CLOSED,
@@ -569,7 +568,3 @@ def suite_axioms(seed: int = 7, max_degree: int = 7) -> list[CheckResult]:
     if max_degree > AXIOMS_DEGREE_GUARD:
         raise GuardExceeded(f"max degree {max_degree} exceeds the axioms suite guard ({AXIOMS_DEGREE_GUARD})")
     return check_closure_axioms(seed=seed, samples=200, max_degree=max_degree)
-
-
-# The suite function `suite_<name>` of each `verify --suite` name.
-SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_FLAGS}

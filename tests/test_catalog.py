@@ -228,7 +228,7 @@ def test_subgroup_lattice_counts_match_closed_formulas():
     # D_2n has tau(n) + sigma(n) subgroups: one cyclic <r^(n/d)> and n/d
     # dihedral ones per divisor d of n.  C2^k has sum_j [k, j]_2 subgroups,
     # one per subspace of F_2^k.  C_n has tau(n), one per divisor.  D256 is
-    # the lattice guard's top order.
+    # the element index guard's top order.
     for n, expected in ((8, 19), (12, 34), (32, 69), (64, 134), (128, 263)):
         tau, sigma = _divisor_count_and_sum(n)
         assert tau + sigma == expected
@@ -273,8 +273,9 @@ def test_coset_joins_match_closure_from_identity(name):
 
 
 def test_subgroup_lattice_guard():
-    with pytest.raises(GuardExceeded):
-        subgroup_lattice(realize_name("Q32xC9"))  # order 288 > 256
+    message = r"^group order 288 exceeds the element index guard \(256\)$"
+    with pytest.raises(GuardExceeded, match=message):
+        subgroup_lattice(realize_name("Q32xC9"))
 
 
 def test_lattice_handles_carry_cores():

@@ -295,7 +295,7 @@ def test_a_failing_verify_check_exits_3_with_its_report(monkeypatch, capsys):
     from twoclosure import verify
 
     failing = verify.CheckResult("lemma_x", False, "2 of 3 groups failed")
-    monkeypatch.setitem(verify.SUITES, "lemmas", lambda: [verify.CheckResult("lemma_y", True, ""), failing])
+    monkeypatch.setattr(verify, "suite_lemmas", lambda: [verify.CheckResult("lemma_y", True, ""), failing])
     assert main(["verify", "--suite", "lemmas"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "verify"

@@ -13,6 +13,7 @@ from twoclosure.orbital import (
     _closure_generators,
     _extend_from,
     _missing_generator,
+    _transporters,
     is_in_two_closure,
     membership_evidence,
     orbital_partition,
@@ -68,7 +69,7 @@ def test_rank_matches_brute_force_enumeration():
         orbits = pair_orbit_map(n, elements)
         assert partition.rank == len(partition.representatives) == len(set(orbits.values()))
         for color, rep in enumerate(partition.representatives):
-            assert partition.color_of(*rep) == color
+            assert partition.colors[rep[0] * n + rep[1]] == color
             assert rep == min(orbits[rep])
 
 
@@ -91,15 +92,15 @@ def test_partition_structure():
     for g in group.strong_generators:
         for a in range(n):
             for b in range(n):
-                assert partition.color_of(g.images[a], g.images[b]) == partition.color_of(a, b)
+                assert partition.colors[g.images[a] * n + g.images[b]] == partition.colors[a * n + b]
     # the diagonal never shares a color with off-diagonal pairs
-    diagonal = {partition.color_of(a, a) for a in range(n)}
-    off = {partition.color_of(a, b) for a in range(n) for b in range(n) if a != b}
+    diagonal = {partition.colors[a * n + a] for a in range(n)}
+    off = {partition.colors[a * n + b] for a in range(n) for b in range(n) if a != b}
     assert not diagonal & off
     # representatives are the lexicographically least pair of their class
     for color, rep in enumerate(partition.representatives):
         pairs = [
-            (a, b) for a in range(n) for b in range(n) if partition.color_of(a, b) == color
+            (a, b) for a in range(n) for b in range(n) if partition.colors[a * n + b] == color
         ]
         assert min(pairs) == rep
 
@@ -130,14 +131,14 @@ def test_transporters_map_representatives():
 def check_transporter_table(group):
     partition = orbital_partition(group)
     n = partition.degree
-    index, elements = partition._transporters
+    index, elements = _transporters(partition, group.strong_generators)
     reference, distance = {}, {}
     for rep in partition.representatives:
         reference.update(transporter_tree(n, group.strong_generators, rep))
         distance.update(bfs_distances(group, rep))
     for a in range(n):
         for b in range(n):
-            rep = partition.representatives[partition.color_of(a, b)]
+            rep = partition.representatives[partition.colors[a * n + b]]
             g = elements[index[a * n + b]]
             assert (g.images[rep[0]], g.images[rep[1]]) == (a, b)
             assert group.contains(g)
@@ -223,9 +224,8 @@ def test_membership_matches_the_pairwise_definition_on_any_seed(seed):
 
 def test_membership_evidence_is_checkable():
     group = remark_group()
-    partition = orbital_partition(group)
     theta = parse_cycles("(1,2)", 6)
-    evidence = membership_evidence(theta, partition)
+    evidence = membership_evidence(theta, group)
     assert len(evidence.assignments) == 36
     assert len(evidence.elements) <= group.order
     for flat, position in enumerate(evidence.assignments):
@@ -234,9 +234,9 @@ def test_membership_evidence_is_checkable():
         assert group.contains(g)
         assert g.images[a] == theta.images[a] and g.images[b] == theta.images[b]
     with pytest.raises(PreconditionError):
-        membership_evidence(parse_cycles("(1,3)", 6), partition)
+        membership_evidence(parse_cycles("(1,3)", 6), group)
     with pytest.raises(PreconditionError, match="^degree mismatch$"):
-        membership_evidence(parse_cycles("(1,2)", 7), partition)
+        membership_evidence(parse_cycles("(1,2)", 7), group)
 
 
 def test_closure_examples():

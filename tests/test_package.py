@@ -30,3 +30,10 @@ def test_importing_the_package_loads_no_submodule():
     modules = loaded_modules("import twoclosure")
     assert "twoclosure" in modules
     assert [m for m in modules if m.startswith("twoclosure.")] == []
+
+
+def test_verify_does_not_import_the_cli():
+    # The CLI looks up `verify.suite_<name>`; the suites need nothing of it.
+    modules = loaded_modules("import twoclosure.verify")
+    assert "twoclosure.verify" in modules
+    assert "twoclosure.cli" not in modules

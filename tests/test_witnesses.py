@@ -10,7 +10,7 @@ from twoclosure.classify import normal_pp_subgroup, not_two_closed_witness
 from twoclosure.errors import ConstructionFailure, GuardExceeded, InternalDefect, PreconditionError
 from twoclosure.group import PermGroup, center, intersection_elements, is_cyclic, sylow_decomposition
 from twoclosure.perm import Permutation, identity, parse_cycles
-from twoclosure.orbital import MembershipEvidence, two_closure
+from twoclosure.orbital import membership_evidence, two_closure
 from twoclosure.witnesses import (
     WitnessCertificate,
     abelian_basis,
@@ -27,9 +27,10 @@ from twoclosure.witnesses import (
 def assert_valid(cert: WitnessCertificate):
     assert check_certificate(cert) == []
     assert not cert.group.contains(cert.witness)
-    assert len(cert.evidence.assignments) == cert.group.degree**2
+    evidence = membership_evidence(cert.witness, cert.group)
+    assert len(evidence.assignments) == cert.group.degree**2
     # evidence elements are interned: pairs share at most |G| distinct elements
-    assert len(cert.evidence.elements) <= cert.group.order
+    assert len(evidence.elements) <= cert.group.order
 
 
 def test_abelian_basis_and_coordinates():
@@ -322,7 +323,7 @@ def test_constructions_refuse_a_wrong_prime_or_exponent():
 
 def test_check_certificate_refuses_a_witness_of_another_degree():
     d8 = realize_name("D8")
-    cert = WitnessCertificate(d8, identity(d8.degree + 1), MembershipEvidence([], []), "center", {})
+    cert = WitnessCertificate(d8, identity(d8.degree + 1), "center", {})
     assert cert.problems == check_certificate(cert) == ["witness degree mismatch"]
 
 
@@ -456,38 +457,42 @@ def test_certificates_survive_disjoint_union_transport():
     assert closure.order > union.order
 
 
-def test_check_certificate_reports_tampered_evidence():
+def test_check_certificate_reports_bad_evidence(monkeypatch):
     cert = center_witness(realize_name("Q8xC2"))
     theta = cert.witness
     n = theta.degree
     moved = next(i for i, j in enumerate(theta.images) if i != j)
-    flat = moved * n + moved
     pair = f"({moved + 1},{moved + 1})"
 
-    def tampered(position=None, element=None, drop=False):
-        """Problems found once `pair` gets `position`, or a new `element`, or is dropped."""
-        elements = list(cert.evidence.elements)
-        assignments = list(cert.evidence.assignments)
-        if element is not None:
-            elements.append(element)
-            position = len(elements) - 1
-        if drop:
-            del assignments[flat]
-        elif position is not None:
-            assignments[flat] = position
-        return check_certificate(WitnessCertificate(
-            cert.group, cert.witness, MembershipEvidence(elements, assignments),
-            cert.construction, cert.parameters,
-        ))
+    def evidence_with(element):
+        """The evidence the check builds, with `pair` assigned a new `element`."""
+        def build(theta, group):
+            evidence = membership_evidence(theta, group)
+            evidence.elements.append(element)
+            evidence.assignments[moved * n + moved] = len(evidence.elements) - 1
+            return evidence
+        return build
 
-    uncovered = ["evidence does not cover every ordered pair"]
-    assert tampered(drop=True) == uncovered
-    assert tampered(position=len(cert.evidence.elements)) == uncovered
-    assert tampered(position=-1) == uncovered
     # theta moves the pair exactly as theta does, but is outside the group
-    assert tampered(element=theta) == [f"evidence element for pair {pair} is outside the group"]
+    monkeypatch.setattr(witnesses, "membership_evidence", evidence_with(theta))
+    assert check_certificate(cert) == [f"evidence element for pair {pair} is outside the group"]
     # the identity is in the group but fixes a pair that theta moves
-    assert tampered(element=identity(n)) == [f"evidence element for pair {pair} moves it differently"]
+    monkeypatch.setattr(witnesses, "membership_evidence", evidence_with(identity(n)))
+    assert check_certificate(cert) == [f"evidence element for pair {pair} moves it differently"]
+
+
+def test_each_certificate_builds_its_evidence_once(monkeypatch):
+    built = []
+
+    def build(theta, group):
+        built.append(group.degree)
+        return membership_evidence(theta, group)
+
+    monkeypatch.setattr(witnesses, "membership_evidence", build)
+    # The center certificate of Q8xC4 lifts an abelian-p certificate of degree 8.
+    cert = center_witness(realize_name("Q8xC4"))
+    assert built == [8, 32]
+    assert cert.problems == [] and not hasattr(cert, "evidence")
 
 
 def test_assemble_refuses_a_witness_in_the_group_or_outside_the_closure():
@@ -495,24 +500,11 @@ def test_assemble_refuses_a_witness_in_the_group_or_outside_the_closure():
     generator = cert.group.generators[0]
     with pytest.raises(ConstructionFailure, match="^witness sifts into the group$"):
         witnesses._assemble(cert.group, generator, cert.construction, cert.parameters)
+    # (1,3) sends the diagonal pair (1,1) to (3,3), a pair of another colour;
+    # it is outside the group, so that is its one problem.
     outside = Permutation((2, 1, 0) + tuple(range(3, cert.group.degree)))
-    with pytest.raises(ConstructionFailure, match="fails definitional closure membership"):
+    with pytest.raises(ConstructionFailure, match="^witness fails definitional closure membership$"):
         witnesses._assemble(cert.group, outside, cert.construction, cert.parameters)
-
-
-def test_check_certificate_accepts_evidence_copies():
-    # Membership is tested once per position: equal elements stored at
-    # distinct positions must each be checked and pass.
-    cert = center_witness(realize_name("Q8xC2"))
-    elements = cert.evidence.elements
-    copies = elements + [Permutation(g.images) for g in elements]
-    # odd flat pairs point at the copies
-    assignments = [p + len(elements) * (flat % 2) for flat, p in enumerate(cert.evidence.assignments)]
-    assert set(assignments) == set(range(len(copies)))
-    copied = WitnessCertificate(
-        cert.group, cert.witness, MembershipEvidence(copies, assignments), cert.construction, cert.parameters,
-    )
-    assert check_certificate(copied) == []
 
 
 @pytest.mark.parametrize("name", ["C2xC4", "D8", "D16", "SD16", "E27", "Q8xC2", "E27xC3", "C2xQ8xC3"])
